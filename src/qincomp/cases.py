@@ -26,6 +26,7 @@ import numpy as np
 from .majorization import PairLabel, PairVerdict, classify_pair
 from .qubits import IppParams
 from .scenarios import (
+    CubicSpectrum,
     build_pi_initial,
     cubic_coefficients,
     pi_final,
@@ -35,6 +36,7 @@ from .scenarios import (
 from .states import entropy_of_entanglement, schmidt_vector
 
 CASE_BAND = 1e-12
+SOLVER_AGREE_TOL = 1e-10
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 
 BOUNDARY_NOTE = (
@@ -86,17 +88,27 @@ class CaseVerdict:
 
 @dataclass(frozen=True)
 class PredictionCheck:
+    """One certified point: the prediction, the observed pair, and the
+    trig spectrum that agreed with the Jacobi spectrum of the final state."""
+
     predicted: CaseVerdict
     observed: PairVerdict
-    entropy_delta: float
     agree: bool
+    spectrum: CubicSpectrum
+    entropy_initial: float
+    entropy_final: float
+
+    @property
+    def entropy_delta(self) -> float:
+        return self.entropy_final - self.entropy_initial
 
 
-def _boundary(big_a: float, big_b: float, case_id: CaseId) -> BoundaryCondition:
-    angle = spectrum_from_ab(big_a, big_b).eigen_angle
-    root = 2.0 * math.sqrt(big_a)
-    expr_max = root * math.cos(2.0 * math.pi / 3.0 + angle)
-    expr_min = root * math.cos(angle)
+class ContractViolationError(RuntimeError):
+    """An internal cross-check failed beyond its stated tolerance."""
+
+
+def _boundary(spectrum: CubicSpectrum, case_id: CaseId) -> BoundaryCondition:
+    expr_max, expr_min, _ = spectrum.roots
     if case_id is CaseId.B_POS:
         return BoundaryCondition(expr_max, expr_min, "min_branch", expr_min < SQRT3_HALF)
     return BoundaryCondition(expr_max, expr_min, "max_branch", expr_max > -SQRT3_HALF)
@@ -104,8 +116,11 @@ def _boundary(big_a: float, big_b: float, case_id: CaseId) -> BoundaryCondition:
 
 def predict_case(big_a: float, big_b: float) -> CaseVerdict:
     """Predicted verdict for the cubic data (A, B) of a final-state spectrum."""
-    big_a = float(big_a)
-    big_b = float(big_b)
+    return _predict(float(big_a), float(big_b), None)
+
+
+def _predict(big_a: float, big_b: float, spectrum: CubicSpectrum | None) -> CaseVerdict:
+    """predict_case, reusing spectrum when the caller has already solved (A, B)."""
     if abs(big_b) < CASE_BAND:
         case_id = CaseId.B_ZERO
     elif big_b < 0.0:
@@ -130,7 +145,9 @@ def predict_case(big_a: float, big_b: float) -> CaseVerdict:
         return CaseVerdict(case_id, subcase, Prediction.INCOMPARABLE)
     if subcase is Subcase.A_LT_QUARTER:
         return CaseVerdict(case_id, subcase, Prediction.INCOMPARABLE_OR_INCREASE)
-    condition = _boundary(big_a, big_b, case_id)
+    if spectrum is None:
+        spectrum = spectrum_from_ab(big_a, big_b)
+    condition = _boundary(spectrum, case_id)
     value = (
         condition.expr_min_branch
         if condition.governing == "min_branch"
@@ -159,18 +176,30 @@ def _pi_initial_schmidt() -> tuple[np.ndarray, float]:
 
 
 def verify_prediction(p: IppParams) -> PredictionCheck:
-    """Predict from (A, B) and check against the directly classified pair."""
+    """Predict from (A, B) and check against the directly classified pair.
+
+    The cubic is solved once and its spectrum must match the Jacobi
+    spectrum of the directly built final state within SOLVER_AGREE_TOL;
+    otherwise ContractViolationError is raised.
+    """
     big_a, big_b = cubic_coefficients(pqr(p))
-    verdict = predict_case(big_a, big_b)
     initial_vec, initial_entropy = _pi_initial_schmidt()
     final_vec = schmidt_vector(pi_final(p))
+    spectrum = spectrum_from_ab(big_a, big_b)
+    gap = float(np.max(np.abs(spectrum.eigenvalues - final_vec)))
+    if gap > SOLVER_AGREE_TOL:
+        raise ContractViolationError(
+            f"trig and Jacobi spectra disagree by {gap:.3e} at alpha={p.alpha!r}, beta={p.beta!r}"
+        )
+    verdict = _predict(big_a, big_b, spectrum)
     observed = classify_pair(initial_vec, final_vec)
-    entropy_delta = entropy_of_entanglement(final_vec) - initial_entropy
     return PredictionCheck(
         predicted=verdict,
         observed=observed,
-        entropy_delta=entropy_delta,
         agree=prediction_consistent(verdict, observed.label),
+        spectrum=spectrum,
+        entropy_initial=initial_entropy,
+        entropy_final=entropy_of_entanglement(final_vec),
     )
 
 

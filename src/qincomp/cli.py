@@ -17,18 +17,14 @@ from .cases import BOUNDARY_NOTE, predict_case, verify_prediction
 from .linalg import JacobiConvergenceError
 from .majorization import classify_pair
 from .qubits import IppParams, UnitaryParams
-from .scenarios import (
-    PI_INITIAL_SCHMIDT,
-    build_chi_initial,
-    chi_final,
-    cubic_coefficients,
-    pqr,
-    spectrum_from_ab,
-)
+from .scenarios import build_chi_initial, chi_final, cubic_coefficients, pqr
 from .states import BipartiteState, entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
-    format_float,
+    _csv_line,
+    _json_row,
+    _json_value,
+    _point_columns,
     records_to_csv,
     records_to_json,
     summarize,
@@ -88,32 +84,36 @@ def parse_schmidt_arg(text: str) -> np.ndarray:
         values = np.array([float(part) for part in text.split(",")], dtype=float)
     except ValueError as exc:
         raise ValueError(f"malformed Schmidt vector: {text!r}") from exc
-    if values.size == 0 or np.any(values < 0.0):
+    if not np.all(np.isfinite(values)):
+        raise ValueError("Schmidt coefficients must be finite")
+    if np.any(values < 0.0):
         raise ValueError("Schmidt coefficients must be nonnegative")
     if abs(float(values.sum()) - 1.0) > SCHMIDT_ARG_SUM_TOL:
         raise ValueError("Schmidt coefficients must sum to 1")
     return values
 
 
-def _emit(fmt: str, header_fields: list[str], row_fields: list[str], payload: dict) -> None:
+def _emit(fmt: str, row: dict[str, object], payload: object = None) -> None:
+    """Print row as a header line and a value line, or as JSON.
+
+    payload, when given, is printed as the JSON output instead of row.
+    """
     if fmt == "json":
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(_json_row(row) if payload is None else payload, indent=2))
     else:
-        print(",".join(header_fields))
-        print(",".join(row_fields))
+        print(",".join(row))
+        print(_csv_line(row))
 
 
 def _cmd_schmidt(args: argparse.Namespace) -> int:
-    state = parse_state_file(args.state_file)
-    vec = schmidt_vector(state)
+    vec = schmidt_vector(parse_state_file(args.state_file))
     entropy = entropy_of_entanglement(vec)
-    names = [f"lam{i + 1}" for i in range(vec.size)] + ["entropy"]
-    row = [format_float(v) for v in vec] + [format_float(entropy)]
+    row = {f"lam{i + 1}": v for i, v in enumerate(vec)}
+    row["entropy"] = entropy
     _emit(
         args.format,
-        names,
         row,
-        {"schmidt": [float(format_float(v)) for v in vec], "entropy": float(format_float(entropy))},
+        {"schmidt": [_json_value(v) for v in vec], "entropy": _json_value(entropy)},
     )
     return 0
 
@@ -127,8 +127,8 @@ def _cmd_check_pair(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "label": verdict.label.value,
-                    "partial_sums_src": [float(format_float(v)) for v in verdict.partial_sums_src],
-                    "partial_sums_dst": [float(format_float(v)) for v in verdict.partial_sums_dst],
+                    "partial_sums_src": [_json_value(v) for v in verdict.partial_sums_src],
+                    "partial_sums_dst": [_json_value(v) for v in verdict.partial_sums_dst],
                 },
                 indent=2,
             )
@@ -142,23 +142,13 @@ def _cmd_gamma_demo(args: argparse.Namespace) -> int:
     params = UnitaryParams(args.theta, args.phi_a, args.phi_b)
     initial = schmidt_vector(build_chi_initial())
     final = schmidt_vector(chi_final(params))
-    observed = classify_pair(initial, final)
-    names = (
-        ["theta", "phi_a", "phi_b"]
-        + [f"lam_i{i + 1}" for i in range(3)]
-        + [f"lam_f{i + 1}" for i in range(3)]
-        + ["entropy_i", "entropy_f", "observed"]
-    )
-    values = (
-        [params.theta, params.phi_a, params.phi_b]
-        + list(initial)
-        + list(final)
-        + [entropy_of_entanglement(initial), entropy_of_entanglement(final)]
-    )
-    row = [format_float(v) for v in values] + [observed.label.value]
-    payload = dict(zip(names, [float(format_float(v)) for v in values]))
-    payload["observed"] = observed.label.value
-    _emit(args.format, names, row, payload)
+    row = {"theta": params.theta, "phi_a": params.phi_a, "phi_b": params.phi_b}
+    row.update((f"lam_i{i + 1}", v) for i, v in enumerate(initial))
+    row.update((f"lam_f{i + 1}", v) for i, v in enumerate(final))
+    row["entropy_i"] = entropy_of_entanglement(initial)
+    row["entropy_f"] = entropy_of_entanglement(final)
+    row["observed"] = classify_pair(initial, final).label
+    _emit(args.format, row)
     return 0
 
 
@@ -167,84 +157,36 @@ def _ipp_from_args(args: argparse.Namespace) -> IppParams:
 
 
 def _cmd_ipp_demo(args: argparse.Namespace) -> int:
-    params = _ipp_from_args(args)
-    big_a, big_b = cubic_coefficients(pqr(params))
-    spectrum = spectrum_from_ab(big_a, big_b)
-    check = verify_prediction(params)
-    entropy_i = entropy_of_entanglement(PI_INITIAL_SCHMIDT)
-    entropy_f = entropy_i + check.entropy_delta
-    names = ["A", "B", "lam1", "lam2", "lam3", "entropy_i", "entropy_f", "observed", "predicted", "agree"]
-    values = [big_a, big_b, *spectrum.eigenvalues, entropy_i, entropy_f]
-    row = [format_float(v) for v in values] + [
-        check.observed.label.value,
-        check.predicted.predicted.value,
-        "true" if check.agree else "false",
-    ]
-    payload = dict(zip(names[:7], [float(format_float(v)) for v in values]))
-    payload.update(
-        observed=check.observed.label.value,
-        predicted=check.predicted.predicted.value,
-        agree=check.agree,
-    )
-    _emit(args.format, names, row, payload)
+    _emit(args.format, _point_columns(verify_prediction(_ipp_from_args(args))))
     return 0
 
 
 def _cmd_case_analyze(args: argparse.Namespace) -> int:
-    params = _ipp_from_args(args)
-    big_a, big_b = cubic_coefficients(pqr(params))
+    big_a, big_b = cubic_coefficients(pqr(_ipp_from_args(args)))
     verdict = predict_case(big_a, big_b)
     condition = verdict.condition
-    names = [
-        "A",
-        "B",
-        "case",
-        "subcase",
-        "predicted",
-        "condition_value",
-        "expr_max_branch",
-        "expr_min_branch",
-        "governing",
-    ]
-    row = [
-        format_float(big_a),
-        format_float(big_b),
-        verdict.case_id.value,
-        verdict.subcase.value,
-        verdict.predicted.value,
-        "" if verdict.condition_value is None else format_float(verdict.condition_value),
-        "" if condition is None else format_float(condition.expr_max_branch),
-        "" if condition is None else format_float(condition.expr_min_branch),
-        "" if condition is None else condition.governing,
-    ]
-    payload = {
-        "A": float(format_float(big_a)),
-        "B": float(format_float(big_b)),
-        "case": verdict.case_id.value,
-        "subcase": verdict.subcase.value,
-        "predicted": verdict.predicted.value,
-        "condition_value": None
-        if verdict.condition_value is None
-        else float(format_float(verdict.condition_value)),
-        "expr_max_branch": None if condition is None else float(format_float(condition.expr_max_branch)),
-        "expr_min_branch": None if condition is None else float(format_float(condition.expr_min_branch)),
+    row = {
+        "A": big_a,
+        "B": big_b,
+        "case": verdict.case_id,
+        "subcase": verdict.subcase,
+        "predicted": verdict.predicted,
+        "condition_value": verdict.condition_value,
+        "expr_max_branch": None if condition is None else condition.expr_max_branch,
+        "expr_min_branch": None if condition is None else condition.expr_min_branch,
         "governing": None if condition is None else condition.governing,
-        "note": BOUNDARY_NOTE,
     }
-    _emit(args.format, names, row, payload)
+    _emit(args.format, row, {**_json_row(row), "note": BOUNDARY_NOTE})
     return 0
 
 
 def _print_records(args: argparse.Namespace, records) -> None:
     if args.summary:
         summary = summarize(records)
-        names = ["total"] + [f"count_{k}" for k in summary["counts"]] + [
-            f"frac_{k}" for k in summary["fractions"]
-        ]
-        row = [str(summary["total"])] + [str(v) for v in summary["counts"].values()] + [
-            format_float(v) for v in summary["fractions"].values()
-        ]
-        _emit(args.format, names, row, summary)
+        row = {"total": summary["total"]}
+        row.update((f"count_{k}", v) for k, v in summary["counts"].items())
+        row.update((f"frac_{k}", v) for k, v in summary["fractions"].items())
+        _emit(args.format, row, summary)
     elif args.format == "json":
         print(records_to_json(records))
     else:
@@ -252,39 +194,18 @@ def _print_records(args: argparse.Namespace, records) -> None:
 
 
 def _cmd_sweep_real(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise ValueError("--n must be at least 2")
     _print_records(args, sweep_real(args.n))
     return 0
 
 
 def _cmd_sweep_complex(args: argparse.Namespace) -> int:
-    if args.n_phi < 2 or args.n_delta < 1:
-        raise ValueError("--n-phi must be at least 2 and --n-delta at least 1")
     _print_records(args, sweep_complex(args.n_phi, args.n_delta))
     return 0
 
 
 def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
-    if min(args.n_theta, args.n_a, args.n_b) < 1:
-        raise ValueError("grid sizes must be positive")
     summary = sweep_gamma(args.n_theta, args.n_a, args.n_b)
-    names = ["n_theta", "n_a", "n_b", "grid_points", "max_deviation"]
-    row = [
-        str(summary.n_theta),
-        str(summary.n_a),
-        str(summary.n_b),
-        str(summary.grid_points),
-        format_float(summary.max_deviation),
-    ]
-    payload = {
-        "n_theta": summary.n_theta,
-        "n_a": summary.n_a,
-        "n_b": summary.n_b,
-        "grid_points": summary.grid_points,
-        "max_deviation": float(format_float(summary.max_deviation)),
-    }
-    _emit(args.format, names, row, payload)
+    _emit(args.format, vars(summary))
     return 0
 
 

@@ -7,6 +7,8 @@ rotations.  They share no code so each can vouch for the other.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -64,6 +66,30 @@ def _det3(m: np.ndarray) -> complex:
     )
 
 
+def _cubic_roots(
+    t: float, big_a: float, big_b: float
+) -> tuple[float, tuple[float, float, float], np.ndarray]:
+    """Roots of x^3 - 3Ax + B and the eigenvalues (t - x)/3 they label.
+
+    Returns the eigen-angle, with cos(3*angle) = -B / (2 sqrt(A^3)) clamped
+    to [-1, 1] and angle in [0, pi/3]; the roots 2 sqrt(A) cos(2 pi/3 + angle),
+    2 sqrt(A) cos(angle) and 2 sqrt(A) cos(2 pi/3 - angle), in that order; and
+    the eigenvalues descending.  A below 1e-15 is the fully degenerate
+    spectrum: angle 0, roots 0, every eigenvalue t/3.
+    """
+    if big_a < DEGENERATE_A_TOL:
+        return 0.0, (0.0, 0.0, 0.0), np.full(3, t / 3.0)
+    cos3 = np.clip(-big_b / (2.0 * math.sqrt(big_a**3)), -1.0, 1.0)
+    angle = float(np.arccos(cos3)) / 3.0
+    root = 2.0 * math.sqrt(big_a)
+    xs = (
+        root * math.cos(2.0 * math.pi / 3.0 + angle),
+        root * math.cos(angle),
+        root * math.cos(2.0 * math.pi / 3.0 - angle),
+    )
+    return angle, xs, np.sort([(t - x) / 3.0 for x in xs])[::-1]
+
+
 def eigenvalues_hermitian_trig(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 3x3 Hermitian matrix via the trigonometric cubic formula.
 
@@ -82,19 +108,7 @@ def eigenvalues_hermitian_trig(m: np.ndarray) -> np.ndarray:
     # tr(D0^2) = ||D0||_F^2 for Hermitian D0
     big_a = 1.5 * float(np.sum(np.abs(d0) ** 2))
     big_b = float(_det3(d0).real) * 27.0
-    if big_a < DEGENERATE_A_TOL:
-        return np.full(3, t / 3.0)
-    cos3 = np.clip(-big_b / (2.0 * np.sqrt(big_a**3)), -1.0, 1.0)
-    angle = np.arccos(cos3) / 3.0  # in [0, pi/3]
-    root = 2.0 * np.sqrt(big_a)
-    xs = np.array(
-        [
-            root * np.cos(2.0 * np.pi / 3.0 + angle),
-            root * np.cos(angle),
-            root * np.cos(2.0 * np.pi / 3.0 - angle),
-        ]
-    )
-    return np.sort((t - xs) / 3.0)[::-1]
+    return _cubic_roots(t, big_a, big_b)[2]
 
 
 def _off_diagonal_norm(m: np.ndarray) -> float:
@@ -108,13 +122,15 @@ def eigenvalues_hermitian_jacobi(
 
     Sweeps all upper-triangle pivots, annihilating each with a unitary
     plane rotation, until the off-diagonal Frobenius mass drops below
-    1e-14.  Raises JacobiConvergenceError if sweep_cap is exhausted.
-    Returns eigenvalues descending.
+    1e-14 times max(1, ||m||_F).  Raises JacobiConvergenceError if
+    sweep_cap is exhausted.  Returns eigenvalues descending.
     """
     a = _require_hermitian(m, "eigenvalues_hermitian_jacobi").copy()
     n = a.shape[0]
+    # rotations keep ||a||_F fixed, so the stopping mass is fixed too
+    off_tol = JACOBI_OFF_TOL * max(1.0, float(np.linalg.norm(a)))
     for _ in range(sweep_cap):
-        if _off_diagonal_norm(a) < JACOBI_OFF_TOL:
+        if _off_diagonal_norm(a) < off_tol:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -122,11 +138,14 @@ def eigenvalues_hermitian_jacobi(
                 if abs(apq) == 0.0:
                     continue
                 phase = apq / abs(apq)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(apq))
+                # Python floats: past |tau| ~ 1e154, tau * tau becomes inf
+                # without an overflow warning and t becomes 0, the limit of
+                # 1/(2 tau); math.hypot would round differently elsewhere
+                tau = float(a[q, q].real - a[p, p].real) / (2.0 * float(abs(apq)))
                 if tau == 0.0:
                     t = 1.0
                 else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
+                    t = np.sign(tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 g = np.eye(n, dtype=complex)
@@ -135,7 +154,7 @@ def eigenvalues_hermitian_jacobi(
                 g[q, p] = -s * np.conj(phase)
                 g[q, q] = c
                 a = g.conj().T @ a @ g
-    if _off_diagonal_norm(a) >= JACOBI_OFF_TOL:
+    if _off_diagonal_norm(a) >= off_tol:
         raise JacobiConvergenceError(
             f"off-diagonal mass {_off_diagonal_norm(a):.3e} after {sweep_cap} sweeps"
         )

@@ -44,7 +44,8 @@ class IppParams:
         beta = complex(self.beta)
         if not all(math.isfinite(x) for x in (alpha.real, alpha.imag, beta.real, beta.imag)):
             raise ValueError("amplitudes must be finite")
-        if abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) > IPP_NORM_TOL:
+        # x * x, unlike x ** 2, gives inf instead of raising OverflowError
+        if abs(abs(alpha) * abs(alpha) + abs(beta) * abs(beta) - 1.0) > IPP_NORM_TOL:
             raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERATE_A_TOL, tensor_product
+from .linalg import DEGENERATE_A_TOL, _cubic_roots, tensor_product
 from .qubits import (
     IppParams,
     SpinLabel,
@@ -65,12 +65,18 @@ class PqrCoefficients:
 
 @dataclass(frozen=True)
 class CubicSpectrum:
-    """Roots of x^3 - 3Ax + B via x = 1 - 3*lambda, with the eigen-angle kept."""
+    """Roots of x^3 - 3Ax + B via x = 1 - 3*lambda, with the eigen-angle kept.
+
+    roots holds the three x-roots in the order linalg's cubic formula labels
+    them (the 2 pi/3 + angle branch first); all three are 0 when A is
+    degenerate.
+    """
 
     big_a: float
     big_b: float
     eigen_angle: float
     eigenvalues: np.ndarray
+    roots: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         if abs(float(np.sum(self.eigenvalues)) - 1.0) > SPECTRUM_SUM_TOL:
@@ -210,18 +216,7 @@ def spectrum_from_ab(big_a: float, big_b: float) -> CubicSpectrum:
     big_b = float(big_b)
     if big_a < 0.0:
         raise ValueError("A must be nonnegative")
-    if big_a < DEGENERATE_A_TOL:
-        return CubicSpectrum(big_a, big_b, 0.0, np.full(3, 1.0 / 3.0))
-    if big_b * big_b > 4.0 * big_a**3 + CUBIC_DOMAIN_TOL:
+    if big_a >= DEGENERATE_A_TOL and big_b * big_b > 4.0 * big_a**3 + CUBIC_DOMAIN_TOL:
         raise ValueError("B^2 exceeds 4A^3: cubic has no valid spectrum")
-    cos3 = np.clip(-big_b / (2.0 * math.sqrt(big_a**3)), -1.0, 1.0)
-    angle = float(np.arccos(cos3)) / 3.0
-    root = 2.0 * math.sqrt(big_a)
-    lams = np.array(
-        [
-            (1.0 - root * math.cos(2.0 * math.pi / 3.0 + angle)) / 3.0,
-            (1.0 - root * math.cos(angle)) / 3.0,
-            (1.0 - root * math.cos(2.0 * math.pi / 3.0 - angle)) / 3.0,
-        ]
-    )
-    return CubicSpectrum(big_a, big_b, angle, np.sort(lams)[::-1])
+    angle, roots, eigenvalues = _cubic_roots(1.0, big_a, big_b)
+    return CubicSpectrum(big_a, big_b, angle, eigenvalues, roots)

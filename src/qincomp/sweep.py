@@ -1,8 +1,8 @@
 """Parameter sweeps with per-point classification records and summaries.
 
-Every record carries the trigonometric spectrum, cross-checked against the
-Jacobi spectrum of the directly constructed state; disagreement beyond
-tolerance raises ContractViolationError.
+Every record comes from cases.verify_prediction, which cross-checks the
+trigonometric spectrum against the Jacobi spectrum of the directly
+constructed state and raises ContractViolationError on disagreement.
 """
 
 from __future__ import annotations
@@ -10,26 +10,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-from .cases import Prediction, _pi_initial_schmidt, predict_case, prediction_consistent
-from .majorization import PairLabel, classify_pair
+from .cases import ContractViolationError, Prediction, PredictionCheck, verify_prediction
+from .majorization import PairLabel
 from .qubits import IppParams, UnitaryParams
-from .scenarios import (
-    CHI_FINAL_SCHMIDT,
-    chi_final,
-    cubic_coefficients,
-    pi_final,
-    pqr,
-    spectrum_from_ab,
-)
-from .states import entropy_of_entanglement, schmidt_vector
+from .scenarios import CHI_FINAL_SCHMIDT, chi_final
+from .states import schmidt_vector
 
-SOLVER_AGREE_TOL = 1e-10
 GAMMA_DEVIATION_TOL = 1e-10
 
 CSV_HEADER = "phi,delta,A,B,lam1,lam2,lam3,entropy_i,entropy_f,observed,predicted,agree"
+_COLUMNS = tuple(CSV_HEADER.split(","))
 
 _CATEGORY = {
     PairLabel.INCOMPARABLE: "incomparable",
@@ -37,10 +31,6 @@ _CATEGORY = {
     PairLabel.EQUAL: "equal",
     PairLabel.CONVERTIBLE_FORWARD: "convertible",
 }
-
-
-class ContractViolationError(RuntimeError):
-    """An internal cross-check failed beyond its stated tolerance."""
 
 
 @dataclass(frozen=True)
@@ -68,32 +58,24 @@ class GammaSweepSummary:
     max_deviation: float
 
 
-def _evaluate(phi: float, delta: float | None, p: IppParams) -> SweepRecord:
-    initial_vec, initial_entropy = _pi_initial_schmidt()
-    direct_vec = schmidt_vector(pi_final(p))
-    big_a, big_b = cubic_coefficients(pqr(p))
-    trig_vec = spectrum_from_ab(big_a, big_b).eigenvalues
-    gap = float(np.max(np.abs(trig_vec - direct_vec)))
-    if gap > SOLVER_AGREE_TOL:
-        raise ContractViolationError(
-            f"trig and Jacobi spectra disagree by {gap:.3e} at phi={phi!r}, delta={delta!r}"
-        )
-    observed = classify_pair(initial_vec, direct_vec)
-    verdict = predict_case(big_a, big_b)
-    return SweepRecord(
-        phi=phi,
-        delta=delta,
-        big_a=big_a,
-        big_b=big_b,
-        lam1=float(trig_vec[0]),
-        lam2=float(trig_vec[1]),
-        lam3=float(trig_vec[2]),
-        entropy_initial=initial_entropy,
-        entropy_final=entropy_of_entanglement(direct_vec),
-        observed=observed.label,
-        predicted=verdict.predicted,
-        agree=prediction_consistent(verdict, observed.label),
+def _point_columns(check: PredictionCheck) -> dict[str, object]:
+    """The per-point columns A .. agree of a sweep row."""
+    spectrum = check.spectrum
+    values = (
+        spectrum.big_a,
+        spectrum.big_b,
+        *spectrum.eigenvalues.tolist(),
+        check.entropy_initial,
+        check.entropy_final,
+        check.observed.label,
+        check.predicted.predicted,
+        check.agree,
     )
+    return dict(zip(_COLUMNS[2:], values))
+
+
+def _evaluate(phi: float, delta: float | None, p: IppParams) -> SweepRecord:
+    return SweepRecord(phi, delta, *_point_columns(verify_prediction(p)).values())
 
 
 def sweep_real(n: int) -> list[SweepRecord]:
@@ -169,47 +151,48 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _record_fields(record: SweepRecord) -> list[str]:
-    return [
-        format_float(record.phi),
-        "" if record.delta is None else format_float(record.delta),
-        format_float(record.big_a),
-        format_float(record.big_b),
-        format_float(record.lam1),
-        format_float(record.lam2),
-        format_float(record.lam3),
-        format_float(record.entropy_initial),
-        format_float(record.entropy_final),
-        record.observed.value,
-        record.predicted.value,
-        "true" if record.agree else "false",
-    ]
+def _csv_cell(value: object) -> str:
+    """15-digit float, "" for None, true/false for bools, an enum's value."""
+    if isinstance(value, float):
+        return format_float(value)
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, Enum):
+        return value.value
+    return str(value)
+
+
+def _json_value(value: object) -> object:
+    if isinstance(value, float):
+        return float(format_float(value))
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+def _csv_line(row: dict[str, object]) -> str:
+    """One CSV line holding the values of an output row."""
+    return ",".join(_csv_cell(value) for value in row.values())
+
+
+def _json_row(row: dict[str, object]) -> dict[str, object]:
+    """An output row as a JSON object, floats rounded to 15 significant digits."""
+    return {name: _json_value(value) for name, value in row.items()}
+
+
+def _record_row(record: SweepRecord) -> dict[str, object]:
+    return dict(zip(_COLUMNS, vars(record).values()))
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
     """CSV text with the fixed sweep header."""
     lines = [CSV_HEADER]
-    lines.extend(",".join(_record_fields(record)) for record in records)
+    lines.extend(_csv_line(_record_row(record)) for record in records)
     return "\n".join(lines) + "\n"
-
-
-def _record_dict(record: SweepRecord) -> dict:
-    return {
-        "phi": float(format_float(record.phi)),
-        "delta": None if record.delta is None else float(format_float(record.delta)),
-        "A": float(format_float(record.big_a)),
-        "B": float(format_float(record.big_b)),
-        "lam1": float(format_float(record.lam1)),
-        "lam2": float(format_float(record.lam2)),
-        "lam3": float(format_float(record.lam3)),
-        "entropy_i": float(format_float(record.entropy_initial)),
-        "entropy_f": float(format_float(record.entropy_final)),
-        "observed": record.observed.value,
-        "predicted": record.predicted.value,
-        "agree": record.agree,
-    }
 
 
 def records_to_json(records: list[SweepRecord]) -> str:
     """JSON array of records with the same field names as the CSV columns."""
-    return json.dumps([_record_dict(record) for record in records], indent=2)
+    return json.dumps([_json_row(_record_row(record)) for record in records], indent=2)

@@ -1,9 +1,15 @@
 """End-to-end tests of the command-line interface, run in process."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qincomp.cli import main, parse_complex, parse_schmidt_arg, parse_state_file
 from qincomp.sweep import CSV_HEADER
@@ -110,7 +116,9 @@ class TestCheckPairCommand:
         assert payload["partial_sums_dst"] == [1.0, 1.0]
 
     def test_bad_vector_exits_2(self, capsys):
-        assert main(["check-pair", "0.5,0.4", "1,0"]) == 2
+        for bad in ("0.5,0.4", "nan,1", "inf,0"):
+            assert main(["check-pair", bad, "0.5,0.5"]) == 2
+            assert main(["check-pair", "0.5,0.5", bad]) == 2
 
 
 class TestGammaDemoCommand:
@@ -160,6 +168,21 @@ class TestIppDemoCommand:
 
     def test_malformed_literal_exits_2(self, capsys):
         assert main(["ipp-demo", "--alpha", "abc", "--beta", "1"]) == 2
+
+    def test_row_matches_real_sweep_row(self, capsys):
+        # ipp-demo and the sweeps share one per-point kernel, so each
+        # ipp-demo row is the sweep row without its phi and delta columns
+        n = 360
+        assert main(["sweep-real", "--n", str(n)]) == 0
+        sweep_rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(sweep_rows) == n
+        for k, sweep_row in enumerate(sweep_rows):
+            phi = 2.0 * math.pi * k / n
+            argv = ["ipp-demo", f"--alpha={math.cos(phi)!r}", f"--beta={math.sin(phi)!r}"]
+            assert main(argv) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            assert header == CSV_HEADER.split(",", 2)[2]
+            assert row == sweep_row.split(",", 2)[2], f"phi index {k}"
 
 
 class TestCaseAnalyzeCommand:
@@ -250,6 +273,12 @@ class TestSweepCommands:
         # boundary; the sweep refuses rather than emit uncertified spectra
         assert main(["sweep-complex", "--n-phi", "12", "--n-delta", "6"]) == 3
         assert "internal contract violation" in capsys.readouterr().err
+        # the same grid point through ipp-demo, which is certified the same way
+        assert main(
+            ["ipp-demo", "--alpha", "6.123233995736766e-17",
+             "--beta", "0.5000000000000001+0.8660254037844386i"]
+        ) == 3
+        assert "trig and Jacobi spectra disagree by" in capsys.readouterr().err
 
 
 class TestParserErrors:
@@ -262,3 +291,73 @@ class TestParserErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["ipp-demo", "--alpha", "1"])
         assert excinfo.value.code == 2
+
+
+def _exit_code_and_stderr(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+KNOWN_REFUSAL = "internal contract violation: trig and Jacobi spectra disagree by"
+FUZZ = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+NUMBER = st.one_of(
+    st.sampled_from(["0", "1", "-1", "0.5", "0.6", "0.8", "0.7071067811865476"]),
+    st.floats().map(repr),
+    st.text(max_size=8),
+)
+COMPLEX_LITERAL = st.one_of(
+    NUMBER,
+    st.tuples(NUMBER, NUMBER).map(lambda z: f"{z[0]}+{z[1]}i"),
+    st.tuples(NUMBER, NUMBER).map(lambda z: f"{z[0]}-{z[1]}i"),
+)
+STATE_FILE = st.tuples(
+    st.one_of(
+        st.tuples(st.integers(-1, 3), st.integers(-1, 3)).map(lambda d: f"{d[0]} {d[1]}"),
+        st.text(max_size=8),
+    ),
+    st.lists(
+        st.one_of(st.tuples(NUMBER, NUMBER).map(" ".join), st.text(max_size=10)),
+        max_size=9,
+    ),
+).map(lambda f: "\n".join([f[0], *f[1]]) + "\n")
+
+
+class TestParserFuzz:
+    """Malformed input may only end in exit 0 or exit 2, never a traceback."""
+
+    @FUZZ
+    @given(st.lists(NUMBER, min_size=1, max_size=4).map(",".join), NUMBER)
+    def test_check_pair_vectors(self, vec_a, vec_b):
+        for argv in (["check-pair", vec_a, vec_b], ["check-pair", vec_b, vec_a]):
+            code, err = _exit_code_and_stderr(argv)
+            assert code in (0, 2) and "Traceback" not in err, (argv, code, err)
+
+    @FUZZ
+    @given(COMPLEX_LITERAL, COMPLEX_LITERAL)
+    @example("0", "1.3407807929942597e+154")  # |beta|^2 overflows
+    def test_complex_literals(self, alpha, beta):
+        for command in ("ipp-demo", "case-analyze"):
+            argv = [command, f"--alpha={alpha}", f"--beta={beta}"]
+            code, err = _exit_code_and_stderr(argv)
+            if code == 3 and command == "ipp-demo":
+                # known defect: valid amplitudes within ~1e-12 of a flipping
+                # point (e.g. alpha=1e-12, beta=1) sit on the discriminant
+                # boundary, where the trig route loses certification
+                assert err.startswith(KNOWN_REFUSAL), (argv, err)
+                continue
+            assert code in (0, 2) and "Traceback" not in err, (argv, code, err)
+
+    @FUZZ
+    @given(STATE_FILE)
+    def test_state_files(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "state.txt")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            code, err = _exit_code_and_stderr(["schmidt", path])
+        assert code in (0, 2) and "Traceback" not in err, (text, code, err)

@@ -162,6 +162,21 @@ class TestJacobiSolver:
                     atol=1e-10,
                 )
 
+    def test_scaled_matrices_match_library_solver(self):
+        # the stopping mass is relative to ||m||_F, so large matrices converge
+        rng = np.random.default_rng(29)
+        for scale in (1e3, 1e6):
+            for n in (3, 5):
+                for _ in range(25):
+                    m = scale * random_hermitian(rng, n)
+                    expected = np.sort(np.linalg.eigvalsh(m))[::-1]
+                    np.testing.assert_allclose(
+                        eigenvalues_hermitian_jacobi(m),
+                        expected,
+                        rtol=0,
+                        atol=1e-12 * np.max(np.abs(expected)),
+                    )
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             eigenvalues_hermitian_jacobi(np.array([[0, 1], [0, 0]], dtype=complex))
