@@ -23,17 +23,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .majorization import PairLabel, PairVerdict, classify_pair
-from .qubits import IppParams
+from .majorization import _LABELS, PairLabel, PairVerdict, _pair_codes, classify_pair
+from .qubits import IppParams, _unit_amplitudes
 from .scenarios import (
     CubicSpectrum,
+    _cubic_ab,
+    _pi_final_amplitudes,
+    _pqr,
+    _spectra,
     build_pi_initial,
-    cubic_coefficients,
-    pi_final,
-    pqr,
     spectrum_from_ab,
 )
-from .states import entropy_of_entanglement, schmidt_vector
+from .states import _schmidt_vectors, entropy_of_entanglement, schmidt_vector
 
 CASE_BAND = 1e-12
 SOLVER_AGREE_TOL = 1e-10
@@ -107,66 +108,91 @@ class ContractViolationError(RuntimeError):
     """An internal cross-check failed beyond its stated tolerance."""
 
 
-def _boundary(spectrum: CubicSpectrum, case_id: CaseId) -> BoundaryCondition:
-    expr_max, expr_min, _ = spectrum.roots
-    if case_id is CaseId.B_POS:
-        return BoundaryCondition(expr_max, expr_min, "min_branch", expr_min < SQRT3_HALF)
-    return BoundaryCondition(expr_max, expr_min, "max_branch", expr_max > -SQRT3_HALF)
+# A case is the sign class of B and a subcase the position of A against
+# 1/4, each coded 0 (below), 1 (within CASE_BAND) or 2 (above).
+_CASE_IDS = (CaseId.B_NEG, CaseId.B_ZERO, CaseId.B_POS)
+_SUBCASES = (Subcase.A_LT_QUARTER, Subcase.A_EQ_QUARTER, Subcase.A_GT_QUARTER)
+_PREDICTIONS = tuple(Prediction)
+_CONDITIONAL = _PREDICTIONS.index(Prediction.CONDITIONAL)
+_INCOMPARABLE = _LABELS.index(PairLabel.INCOMPARABLE)
+# The decision table: the prediction, as an index into _PREDICTIONS, for
+# each (case, subcase).
+_DECISION = np.array(
+    [
+        [_PREDICTIONS.index(p) for p in row]
+        for row in (
+            (Prediction.INCOMPARABLE_OR_INCREASE, Prediction.INCOMPARABLE, Prediction.CONDITIONAL),
+            (Prediction.ENTANGLEMENT_INCREASE, Prediction.NOT_INCOMPARABLE, Prediction.NOT_INCOMPARABLE),
+            (Prediction.INCOMPARABLE_OR_INCREASE, Prediction.INCOMPARABLE, Prediction.CONDITIONAL),
+        )
+    ]
+)
+# The pair labels each unconditional prediction admits, also as a table over
+# (prediction, label) indices.  CONDITIONAL admits INCOMPARABLE exactly
+# where its boundary condition holds.
+_ADMITS = {
+    Prediction.INCOMPARABLE: {PairLabel.INCOMPARABLE},
+    Prediction.ENTANGLEMENT_INCREASE: {PairLabel.CONVERTIBLE_BACKWARD},
+    Prediction.INCOMPARABLE_OR_INCREASE: {PairLabel.INCOMPARABLE, PairLabel.CONVERTIBLE_BACKWARD},
+    Prediction.NOT_INCOMPARABLE: set(PairLabel) - {PairLabel.INCOMPARABLE},
+}
+_ADMITTED = np.array([[label in _ADMITS.get(p, ()) for label in _LABELS] for p in _PREDICTIONS])
+
+
+def _band_class(values: np.ndarray, centre: float) -> np.ndarray:
+    """0 below centre, 1 within CASE_BAND of it, 2 above (and for NaN)."""
+    return np.where(np.abs(values - centre) < CASE_BAND, 1, np.where(values < centre, 0, 2))
+
+
+def _decide(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Case, subcase and prediction codes of arrays of cubic data."""
+    case, subcase = _band_class(big_b, 0.0), _band_class(big_a, 0.25)
+    return case, subcase, _DECISION[case, subcase]
+
+
+def _condition(case: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Governing boundary expression and whether it implies incomparability.
+
+    B > 0 is governed by the min branch, 2 sqrt(A) cos(angle), incomparable
+    below sqrt(3)/2; B < 0 by the max branch, 2 sqrt(A) cos(2 pi/3 + angle),
+    incomparable above -sqrt(3)/2.
+    """
+    min_branch = case == _CASE_IDS.index(CaseId.B_POS)
+    value = np.where(min_branch, roots[..., 1], roots[..., 0])
+    return value, np.where(min_branch, value < SQRT3_HALF, value > -SQRT3_HALF)
+
+
+def _verdict(case: int, subcase: int, predicted: int, roots: np.ndarray | None) -> CaseVerdict:
+    """The CaseVerdict of one point's codes; the roots are read only for a
+    CONDITIONAL prediction."""
+    case_id, sub, prediction = _CASE_IDS[case], _SUBCASES[subcase], _PREDICTIONS[predicted]
+    if prediction is not Prediction.CONDITIONAL:
+        return CaseVerdict(case_id, sub, prediction)
+    value, incomparable = _condition(np.array(case), roots)
+    condition = BoundaryCondition(
+        float(roots[0]),
+        float(roots[1]),
+        "min_branch" if case_id is CaseId.B_POS else "max_branch",
+        bool(incomparable),
+    )
+    return CaseVerdict(case_id, sub, prediction, float(value), condition)
 
 
 def predict_case(big_a: float, big_b: float) -> CaseVerdict:
     """Predicted verdict for the cubic data (A, B) of a final-state spectrum."""
-    return _predict(float(big_a), float(big_b), None)
-
-
-def _predict(big_a: float, big_b: float, spectrum: CubicSpectrum | None) -> CaseVerdict:
-    """predict_case, reusing spectrum when the caller has already solved (A, B)."""
-    if abs(big_b) < CASE_BAND:
-        case_id = CaseId.B_ZERO
-    elif big_b < 0.0:
-        case_id = CaseId.B_NEG
-    else:
-        case_id = CaseId.B_POS
-    if abs(big_a - 0.25) < CASE_BAND:
-        subcase = Subcase.A_EQ_QUARTER
-    elif big_a < 0.25:
-        subcase = Subcase.A_LT_QUARTER
-    else:
-        subcase = Subcase.A_GT_QUARTER
-
-    if case_id is CaseId.B_ZERO:
-        predicted = (
-            Prediction.ENTANGLEMENT_INCREASE
-            if subcase is Subcase.A_LT_QUARTER
-            else Prediction.NOT_INCOMPARABLE
-        )
-        return CaseVerdict(case_id, subcase, predicted)
-    if subcase is Subcase.A_EQ_QUARTER:
-        return CaseVerdict(case_id, subcase, Prediction.INCOMPARABLE)
-    if subcase is Subcase.A_LT_QUARTER:
-        return CaseVerdict(case_id, subcase, Prediction.INCOMPARABLE_OR_INCREASE)
-    if spectrum is None:
-        spectrum = spectrum_from_ab(big_a, big_b)
-    condition = _boundary(spectrum, case_id)
-    value = (
-        condition.expr_min_branch
-        if condition.governing == "min_branch"
-        else condition.expr_max_branch
-    )
-    return CaseVerdict(case_id, subcase, Prediction.CONDITIONAL, value, condition)
+    big_a, big_b = float(big_a), float(big_b)
+    case, subcase, predicted = (int(code) for code in _decide(np.array(big_a), np.array(big_b)))
+    roots = None
+    if predicted == _CONDITIONAL:
+        roots = np.array(spectrum_from_ab(big_a, big_b).roots)
+    return _verdict(case, subcase, predicted, roots)
 
 
 def prediction_consistent(verdict: CaseVerdict, label: PairLabel) -> bool:
     """Whether an observed pair label is consistent with a predicted verdict."""
-    if verdict.predicted is Prediction.INCOMPARABLE:
-        return label is PairLabel.INCOMPARABLE
-    if verdict.predicted is Prediction.ENTANGLEMENT_INCREASE:
-        return label is PairLabel.CONVERTIBLE_BACKWARD
-    if verdict.predicted is Prediction.INCOMPARABLE_OR_INCREASE:
-        return label in (PairLabel.INCOMPARABLE, PairLabel.CONVERTIBLE_BACKWARD)
-    if verdict.predicted is Prediction.NOT_INCOMPARABLE:
-        return label is not PairLabel.INCOMPARABLE
-    return verdict.condition.incomparable == (label is PairLabel.INCOMPARABLE)
+    if verdict.predicted is Prediction.CONDITIONAL:
+        return verdict.condition.incomparable == (label is PairLabel.INCOMPARABLE)
+    return label in _ADMITS[verdict.predicted]
 
 
 @lru_cache(maxsize=1)
@@ -175,31 +201,67 @@ def _pi_initial_schmidt() -> tuple[np.ndarray, float]:
     return vec, entropy_of_entanglement(vec)
 
 
-def verify_prediction(p: IppParams) -> PredictionCheck:
-    """Predict from (A, B) and check against the directly classified pair.
+def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
+    """The certified grid kernel: predict from (A, B) and check against the
+    directly classified pair at every point of (N,) amplitude arrays.
 
-    The cubic is solved once and its spectrum must match the Jacobi
-    spectrum of the directly built final state within SOLVER_AGREE_TOL;
-    otherwise ContractViolationError is raised.
+    The cubic is solved once per point and its spectrum must match the
+    Jacobi spectrum of the directly built final state (one stacked Jacobi
+    call for all points) within SOLVER_AGREE_TOL; otherwise
+    ContractViolationError is raised for the first failing point.  Returns
+    arrays with one entry (or row) per point: big_a, big_b, and angle,
+    roots and eigenvalues as spectrum_from_ab gives them; final, the Jacobi
+    Schmidt vector, and its entropy_final; the codes case, subcase,
+    predicted and observed (an index into majorization's labels); agree;
+    and entropy_initial.
     """
-    big_a, big_b = cubic_coefficients(pqr(p))
-    initial_vec, initial_entropy = _pi_initial_schmidt()
-    final_vec = schmidt_vector(pi_final(p))
-    spectrum = spectrum_from_ab(big_a, big_b)
-    gap = float(np.max(np.abs(spectrum.eigenvalues - final_vec)))
-    if gap > SOLVER_AGREE_TOL:
+    alpha, beta = _unit_amplitudes(alpha, beta)
+    big_a, big_b = _cubic_ab(*_pqr(alpha, beta))
+    final = _schmidt_vectors(_pi_final_amplitudes(alpha, beta))
+    angle, roots, eigenvalues = _spectra(big_a, big_b)
+    gap = np.max(np.abs(eigenvalues - final), axis=-1)
+    failing = np.flatnonzero(gap > SOLVER_AGREE_TOL)
+    if failing.size:
+        i = failing[0]
         raise ContractViolationError(
-            f"trig and Jacobi spectra disagree by {gap:.3e} at alpha={p.alpha!r}, beta={p.beta!r}"
+            f"trig and Jacobi spectra disagree by {gap[i]:.3e} at "
+            f"alpha={complex(alpha[i])!r}, beta={complex(beta[i])!r}"
         )
-    verdict = _predict(big_a, big_b, spectrum)
-    observed = classify_pair(initial_vec, final_vec)
+    initial_vec, initial_entropy = _pi_initial_schmidt()
+    case, subcase, predicted = _decide(big_a, big_b)
+    observed = _pair_codes(initial_vec, final)[0]
+    incomparable_if = _condition(case, roots)[1]
+    agree = np.where(
+        predicted == _CONDITIONAL,
+        incomparable_if == (observed == _INCOMPARABLE),
+        _ADMITTED[predicted, observed],
+    )
+    return {
+        "big_a": big_a, "big_b": big_b, "angle": angle, "roots": roots,
+        "eigenvalues": eigenvalues, "final": final,
+        "entropy_final": entropy_of_entanglement(final), "case": case,
+        "subcase": subcase, "predicted": predicted, "observed": observed,
+        "agree": agree, "entropy_initial": np.full(len(final), initial_entropy),
+    }
+
+
+def verify_prediction(p: IppParams) -> PredictionCheck:
+    """Predict from (A, B) and check against the directly classified pair:
+    the one-point case of the grid kernel, which raises
+    ContractViolationError where the trig and Jacobi spectra disagree."""
+    grid = _certify(np.array([p.alpha]), np.array([p.beta]))
+    point = {name: value[0] for name, value in grid.items()}
+    roots = point["roots"]
     return PredictionCheck(
-        predicted=verdict,
-        observed=observed,
-        agree=prediction_consistent(verdict, observed.label),
-        spectrum=spectrum,
-        entropy_initial=initial_entropy,
-        entropy_final=entropy_of_entanglement(final_vec),
+        predicted=_verdict(point["case"], point["subcase"], point["predicted"], roots),
+        observed=classify_pair(_pi_initial_schmidt()[0], point["final"]),
+        agree=bool(point["agree"]),
+        spectrum=CubicSpectrum(
+            float(point["big_a"]), float(point["big_b"]), float(point["angle"]),
+            point["eigenvalues"], tuple(roots.tolist()),
+        ),
+        entropy_initial=float(point["entropy_initial"]),
+        entropy_final=float(point["entropy_final"]),
     )
 
 
@@ -214,27 +276,19 @@ def boundary_agreement_counts(
     incomparability.  Keys are (case label, expression label); values are
     (matches, points).
     """
-    counts = {
-        (case, expr): [0, 0]
-        for case in ("B_NEG", "B_POS")
-        for expr in ("max_branch", "min_branch")
+    i, j = np.divmod(np.arange(n_phi * n_delta), n_delta)
+    phi = 2.0 * math.pi * i / n_phi
+    delta = 2.0 * math.pi * j / n_delta
+    grid = _certify(np.cos(phi), np.exp(1j * delta) * np.sin(phi))
+    incomparable = grid["observed"] == _INCOMPARABLE
+    implications = {
+        "max_branch": grid["roots"][:, 0] > -SQRT3_HALF,
+        "min_branch": grid["roots"][:, 1] < SQRT3_HALF,
     }
-    for i in range(n_phi):
-        phi = 2.0 * math.pi * i / n_phi
-        for j in range(n_delta):
-            delta = 2.0 * math.pi * j / n_delta
-            p = IppParams(math.cos(phi), np.exp(1j * delta) * math.sin(phi))
-            check = verify_prediction(p)
-            verdict = check.predicted
-            if verdict.subcase is not Subcase.A_GT_QUARTER or verdict.condition is None:
-                continue
-            incomparable = check.observed.label is PairLabel.INCOMPARABLE
-            cond = verdict.condition
-            implications = {
-                "max_branch": cond.expr_max_branch > -SQRT3_HALF,
-                "min_branch": cond.expr_min_branch < SQRT3_HALF,
-            }
-            for expr, implied in implications.items():
-                hit, total = counts[(verdict.case_id.value, expr)]
-                counts[(verdict.case_id.value, expr)] = [hit + (implied == incomparable), total + 1]
-    return {key: (hit, total) for key, (hit, total) in counts.items()}
+    counts = {}
+    for case in (CaseId.B_NEG, CaseId.B_POS):
+        kept = (grid["predicted"] == _CONDITIONAL) & (grid["case"] == _CASE_IDS.index(case))
+        for expr, implied in implications.items():
+            hits = int(np.count_nonzero(implied[kept] == incomparable[kept]))
+            counts[(case.value, expr)] = (hits, int(np.count_nonzero(kept)))
+    return counts

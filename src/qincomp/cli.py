@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cases import BOUNDARY_NOTE, predict_case, verify_prediction
+from .cases import BOUNDARY_NOTE, predict_case
 from .linalg import JacobiConvergenceError
 from .majorization import classify_pair
 from .qubits import IppParams, UnitaryParams
@@ -24,7 +24,7 @@ from .sweep import (
     _csv_line,
     _json_row,
     _json_value,
-    _point_columns,
+    _point_row,
     records_to_csv,
     records_to_json,
     summarize,
@@ -88,7 +88,10 @@ def parse_schmidt_arg(text: str) -> np.ndarray:
         raise ValueError("Schmidt coefficients must be finite")
     if np.any(values < 0.0):
         raise ValueError("Schmidt coefficients must be nonnegative")
-    if abs(float(values.sum()) - 1.0) > SCHMIDT_ARG_SUM_TOL:
+    # finite values can still sum past the largest float; inf fails below
+    with np.errstate(over="ignore"):
+        total = float(values.sum())
+    if abs(total - 1.0) > SCHMIDT_ARG_SUM_TOL:
         raise ValueError("Schmidt coefficients must sum to 1")
     return values
 
@@ -157,7 +160,7 @@ def _ipp_from_args(args: argparse.Namespace) -> IppParams:
 
 
 def _cmd_ipp_demo(args: argparse.Namespace) -> int:
-    _emit(args.format, _point_columns(verify_prediction(_ipp_from_args(args))))
+    _emit(args.format, _point_row(_ipp_from_args(args)))
     return 0
 
 
@@ -209,10 +212,6 @@ def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qincomp",
@@ -220,55 +219,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("schmidt", help="Schmidt vector and entropy of a state file")
-    p.add_argument("state_file")
-    _add_format(p)
-    p.set_defaults(func=_cmd_schmidt)
+    def command(name: str, help_text: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        # argparse reads "-..." as a value, not an option, when this matches
+        # it; its own pattern has no exponent (-1e-3) or imaginary part
+        p._negative_number_matcher = _COMPLEX_RE
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check-pair", help="Nielsen verdict for two Schmidt vectors")
+    p = command("schmidt", "Schmidt vector and entropy of a state file", _cmd_schmidt)
+    p.add_argument("state_file")
+
+    p = command("check-pair", "Nielsen verdict for two Schmidt vectors", _cmd_check_pair)
     p.add_argument("vec_a")
     p.add_argument("vec_b")
-    _add_format(p)
-    p.set_defaults(func=_cmd_check_pair)
 
-    p = sub.add_parser("gamma-demo", help="anti-unitary scenario at chosen angles")
+    p = command("gamma-demo", "anti-unitary scenario at chosen angles", _cmd_gamma_demo)
     p.add_argument("--theta", type=float, default=math.pi / 2.0)
     p.add_argument("--phi-a", type=float, default=0.0)
     p.add_argument("--phi-b", type=float, default=0.0)
-    _add_format(p)
-    p.set_defaults(func=_cmd_gamma_demo)
 
-    p = sub.add_parser("ipp-demo", help="superposition-map scenario at chosen amplitudes")
+    p = command("ipp-demo", "superposition-map scenario at chosen amplitudes", _cmd_ipp_demo)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_ipp_demo)
 
-    p = sub.add_parser("sweep-real", help="classify real parameters on a circle grid")
+    p = command("sweep-real", "classify real parameters on a circle grid", _cmd_sweep_real)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--summary", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_sweep_real)
 
-    p = sub.add_parser("sweep-complex", help="classify a (phi, delta) parameter grid")
+    p = command("sweep-complex", "classify a (phi, delta) parameter grid", _cmd_sweep_complex)
     p.add_argument("--n-phi", type=int, required=True)
     p.add_argument("--n-delta", type=int, required=True)
     p.add_argument("--summary", action="store_true")
-    _add_format(p)
-    p.set_defaults(func=_cmd_sweep_complex)
 
-    p = sub.add_parser("sweep-gamma", help="angle-grid check of the parameter-free spectrum")
+    p = command("sweep-gamma", "angle-grid check of the parameter-free spectrum", _cmd_sweep_gamma)
     p.add_argument("--n-theta", type=int, required=True)
     p.add_argument("--n-a", type=int, required=True)
     p.add_argument("--n-b", type=int, required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_sweep_gamma)
 
-    p = sub.add_parser("case-analyze", help="predicted case for chosen amplitudes")
+    p = command("case-analyze", "predicted case for chosen amplitudes", _cmd_case_analyze)
     p.add_argument("--alpha", required=True)
     p.add_argument("--beta", required=True)
-    _add_format(p)
-    p.set_defaults(func=_cmd_case_analyze)
 
     return parser
 

@@ -43,10 +43,11 @@ def is_normalized(v: np.ndarray, tol: float = NORM_TOL) -> bool:
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True iff m equals its conjugate transpose entrywise within tol."""
+    """True iff m, or every matrix of an (N, n, n) stack m, equals its
+    conjugate transpose entrywise within tol."""
     m = np.asarray(m, dtype=complex)
-    return m.ndim == 2 and m.shape[0] == m.shape[1] and bool(
-        np.max(np.abs(m - m.conj().T)) <= tol
+    return m.ndim in (2, 3) and m.shape[-1] == m.shape[-2] and bool(
+        np.all(np.abs(m - m.conj().swapaxes(-1, -2)) <= tol)
     )
 
 
@@ -67,27 +68,28 @@ def _det3(m: np.ndarray) -> complex:
 
 
 def _cubic_roots(
-    t: float, big_a: float, big_b: float
-) -> tuple[float, tuple[float, float, float], np.ndarray]:
+    t: float, big_a: np.ndarray, big_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roots of x^3 - 3Ax + B and the eigenvalues (t - x)/3 they label.
 
-    Returns the eigen-angle, with cos(3*angle) = -B / (2 sqrt(A^3)) clamped
-    to [-1, 1] and angle in [0, pi/3]; the roots 2 sqrt(A) cos(2 pi/3 + angle),
-    2 sqrt(A) cos(angle) and 2 sqrt(A) cos(2 pi/3 - angle), in that order; and
-    the eigenvalues descending.  A below 1e-15 is the fully degenerate
-    spectrum: angle 0, roots 0, every eigenvalue t/3.
+    Takes scalars or equal-shape arrays of A and B.  Returns the eigen-angle,
+    with cos(3*angle) = -B / (2 sqrt(A^3)) clamped to [-1, 1] and angle in
+    [0, pi/3]; the roots 2 sqrt(A) cos(2 pi/3 + angle), 2 sqrt(A) cos(angle)
+    and 2 sqrt(A) cos(2 pi/3 - angle), in that order along a new last axis;
+    and the eigenvalues descending along that axis.  A below 1e-15 is the
+    fully degenerate spectrum: angle 0, roots 0, every eigenvalue t/3.
     """
-    if big_a < DEGENERATE_A_TOL:
-        return 0.0, (0.0, 0.0, 0.0), np.full(3, t / 3.0)
-    cos3 = np.clip(-big_b / (2.0 * math.sqrt(big_a**3)), -1.0, 1.0)
-    angle = float(np.arccos(cos3)) / 3.0
-    root = 2.0 * math.sqrt(big_a)
-    xs = (
-        root * math.cos(2.0 * math.pi / 3.0 + angle),
-        root * math.cos(angle),
-        root * math.cos(2.0 * math.pi / 3.0 - angle),
-    )
-    return angle, xs, np.sort([(t - x) / 3.0 for x in xs])[::-1]
+    big_a = np.asarray(big_a, dtype=float)
+    degenerate = big_a < DEGENERATE_A_TOL
+    # A = 1 on degenerate entries keeps the formula finite; they are reset below
+    safe_a = np.where(degenerate, 1.0, big_a)
+    cos3 = np.clip(-np.asarray(big_b, dtype=float) / (2.0 * np.sqrt(safe_a**3)), -1.0, 1.0)
+    angle = np.where(degenerate, 0.0, np.arccos(cos3) / 3.0)
+    root = 2.0 * np.sqrt(safe_a)
+    third = 2.0 * math.pi / 3.0
+    cosines = np.cos(np.stack([third + angle, angle, third - angle], axis=-1))
+    roots = np.where(degenerate[..., None], 0.0, root[..., None] * cosines)
+    return angle, roots, np.sort((t - roots) / 3.0, axis=-1)[..., ::-1]
 
 
 def eigenvalues_hermitian_trig(m: np.ndarray) -> np.ndarray:
@@ -111,51 +113,100 @@ def eigenvalues_hermitian_trig(m: np.ndarray) -> np.ndarray:
     return _cubic_roots(t, big_a, big_b)[2]
 
 
-def _off_diagonal_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m - np.diag(np.diag(m))))
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Pivot rounds of a round-robin tournament on n indices.
+
+    Each round holds floor(n/2) disjoint pairs (p, q) with p < q, as index
+    arrays P and Q; over the n - 1 (n even) or n (n odd) rounds every pair
+    appears exactly once.  Circle method: index 0 stays put, the others
+    rotate one place per round; with n odd, a phantom index n sits out the
+    pair it lands in.
+    """
+    m = n + n % 2
+    ring = list(range(1, m))
+    rounds = []
+    for _ in range(m - 1):
+        seats = [0, *ring]
+        pairs = [sorted((seats[i], seats[m - 1 - i])) for i in range(m // 2)]
+        pairs = [(p, q) for p, q in pairs if q < n]
+        if pairs:
+            rounds.append((np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])))
+        ring = ring[-1:] + ring[:-1]
+    return rounds
+
+
+def _norms(a: np.ndarray, off_diagonal: bool = False) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack, or of its off-diagonal part."""
+    squares = a.real**2 + a.imag**2
+    if off_diagonal:
+        diagonal = np.arange(a.shape[-1])
+        squares[:, diagonal, diagonal] = 0.0
+    return np.sqrt(np.sum(squares.reshape(len(a), -1), axis=1))
 
 
 def eigenvalues_hermitian_jacobi(
     m: np.ndarray, sweep_cap: int = JACOBI_SWEEP_CAP
 ) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix via cyclic complex Jacobi rotations.
+    """Eigenvalues of a Hermitian matrix, or of each matrix of an (N, n, n)
+    stack, via cyclic complex Jacobi rotations.
 
-    Sweeps all upper-triangle pivots, annihilating each with a unitary
-    plane rotation, until the off-diagonal Frobenius mass drops below
-    1e-14 times max(1, ||m||_F).  Raises JacobiConvergenceError if
-    sweep_cap is exhausted.  Returns eigenvalues descending.
+    A sweep visits every upper-triangle pivot once, in round-robin order:
+    each step annihilates floor(n/2) disjoint pivots (p, q) at once in every
+    matrix of the stack, with unitary plane rotations that update only rows
+    and columns p and q.  A matrix stops at the first sweep that starts with
+    its off-diagonal Frobenius mass below tol = 1e-14 max(1, ||m||_F).
+    Pivots of modulus at most tol/n are left alone: were every off-diagonal
+    entry that small the matrix would already stop, while rotating one
+    between (nearly) equal diagonal entries turns by up to 45 degrees and
+    undoes the round's other work, which costs round-robin order its
+    quadratic convergence on repeated eigenvalues.  A stopped matrix, and a
+    pivot left alone, gets the identity rotation (c = 1, s = 0), which
+    leaves the matrix unchanged, so each matrix's eigenvalues do not depend
+    on the rest of the stack.  Raises ValueError if any matrix is not
+    Hermitian and JacobiConvergenceError if any has not stopped after
+    sweep_cap sweeps.  Returns eigenvalues descending along the last axis:
+    shape (n,) for one matrix, (N, n) for a stack.
     """
-    a = _require_hermitian(m, "eigenvalues_hermitian_jacobi").copy()
-    n = a.shape[0]
+    a = _require_hermitian(m, "eigenvalues_hermitian_jacobi")
+    single = a.ndim == 2
+    a = a[None].copy() if single else a.copy()
+    n = a.shape[-1]
     # rotations keep ||a||_F fixed, so the stopping mass is fixed too
-    off_tol = JACOBI_OFF_TOL * max(1.0, float(np.linalg.norm(a)))
+    off_tol = JACOBI_OFF_TOL * np.maximum(1.0, _norms(a))
+    rounds = _round_robin(n)
     for _ in range(sweep_cap):
-        if _off_diagonal_norm(a) < off_tol:
+        active = _norms(a, off_diagonal=True) >= off_tol
+        if not active.any():
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) == 0.0:
-                    continue
-                phase = apq / abs(apq)
-                # Python floats: past |tau| ~ 1e154, tau * tau becomes inf
-                # without an overflow warning and t becomes 0, the limit of
-                # 1/(2 tau); math.hypot would round differently elsewhere
-                tau = float(a[q, q].real - a[p, p].real) / (2.0 * float(abs(apq)))
-                if tau == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                g = np.eye(n, dtype=complex)
-                g[p, p] = c
-                g[p, q] = s * phase
-                g[q, p] = -s * np.conj(phase)
-                g[q, q] = c
-                a = g.conj().T @ a @ g
-    if _off_diagonal_norm(a) >= off_tol:
+        # pivots at or below this modulus get the identity rotation
+        pivot_tol = np.where(active, off_tol / n, np.inf)[:, None]
+        # past |tau| ~ 1e154, tau * tau overflows to inf and t becomes 0,
+        # the limit of 1/(2 tau)
+        with np.errstate(over="ignore"):
+            for p, q in rounds:
+                apq = a[:, p, q]
+                size = np.abs(apq)
+                rotate = size > pivot_tol
+                size = np.where(rotate, size, 1.0)
+                tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * size)
+                t = np.where(
+                    tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                )
+                c = np.where(rotate, 1.0 / np.sqrt(1.0 + t * t), 1.0)
+                # s e^{i arg a_pq}, zero for the identity rotation
+                s = np.where(rotate, t * c, 0.0) * (apq / size)
+                col_c, col_s = c[:, None, :], s[:, None, :]
+                col_p, col_q = a[:, :, p], a[:, :, q]
+                a[:, :, p] = col_c * col_p - col_s.conj() * col_q
+                a[:, :, q] = col_s * col_p + col_c * col_q
+                row_c, row_s = c[:, :, None], s[:, :, None]
+                row_p, row_q = a[:, p, :], a[:, q, :]
+                a[:, p, :] = row_c * row_p - row_s * row_q
+                a[:, q, :] = row_s.conj() * row_p + row_c * row_q
+    off = _norms(a, off_diagonal=True)
+    if np.any(off >= off_tol):
         raise JacobiConvergenceError(
-            f"off-diagonal mass {_off_diagonal_norm(a):.3e} after {sweep_cap} sweeps"
+            f"off-diagonal mass {np.max(off):.3e} after {sweep_cap} sweeps"
         )
-    return np.sort(np.diag(a).real)[::-1]
+    values = np.sort(np.diagonal(a, axis1=1, axis2=2).real, axis=-1)[:, ::-1]
+    return values[0] if single else values

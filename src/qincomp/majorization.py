@@ -29,14 +29,28 @@ class PairVerdict:
     partial_sums_dst: np.ndarray
 
 
+# Label of each pair code 2*forward + backward.
+_LABELS = (
+    PairLabel.INCOMPARABLE,
+    PairLabel.CONVERTIBLE_BACKWARD,
+    PairLabel.CONVERTIBLE_FORWARD,
+    PairLabel.EQUAL,
+)
+
+
 def _descending_padded(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    a = np.sort(np.asarray(a, dtype=float))[::-1]
-    b = np.sort(np.asarray(b, dtype=float))[::-1]
-    n = max(a.size, b.size)
-    return (
-        np.pad(a, (0, n - a.size)),
-        np.pad(b, (0, n - b.size)),
+    """a and b sorted descending along the last axis, zero-padded to one length."""
+    a = np.sort(np.asarray(a, dtype=float), axis=-1)[..., ::-1]
+    b = np.sort(np.asarray(b, dtype=float), axis=-1)[..., ::-1]
+    n = max(a.shape[-1], b.shape[-1])
+    return tuple(
+        np.pad(v, [(0, 0)] * (v.ndim - 1) + [(0, n - v.shape[-1])]) for v in (a, b)
     )
+
+
+def _majorized(sums_a: np.ndarray, sums_b: np.ndarray, tol: float) -> np.ndarray:
+    """Whether every partial sum of a is <= b's + tol, along the last axis."""
+    return np.all(sums_a <= sums_b + tol, axis=-1)
 
 
 def majorizes(b: np.ndarray, a: np.ndarray, tol: float = MAJORIZATION_TOL) -> bool:
@@ -47,23 +61,23 @@ def majorizes(b: np.ndarray, a: np.ndarray, tol: float = MAJORIZATION_TOL) -> bo
     zero-padded.
     """
     a, b = _descending_padded(a, b)
-    return bool(np.all(np.cumsum(a) <= np.cumsum(b) + tol))
+    return bool(_majorized(np.cumsum(a), np.cumsum(b), tol))
+
+
+def _pair_codes(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pair codes (indices into _LABELS) and partial sums of src and dst,
+    pairing vectors along the last axis; leading axes broadcast."""
+    src, dst = _descending_padded(src, dst)
+    sums_src, sums_dst = np.cumsum(src, axis=-1), np.cumsum(dst, axis=-1)
+    forward = _majorized(sums_src, sums_dst, MAJORIZATION_TOL)
+    backward = _majorized(sums_dst, sums_src, MAJORIZATION_TOL)
+    return 2 * forward + backward, sums_src, sums_dst
 
 
 def classify_pair(src: np.ndarray, dst: np.ndarray) -> PairVerdict:
     """Nielsen verdict for converting src into dst under deterministic LOCC."""
-    src, dst = _descending_padded(src, dst)
-    forward = majorizes(dst, src)
-    backward = majorizes(src, dst)
-    if forward and backward:
-        label = PairLabel.EQUAL
-    elif forward:
-        label = PairLabel.CONVERTIBLE_FORWARD
-    elif backward:
-        label = PairLabel.CONVERTIBLE_BACKWARD
-    else:
-        label = PairLabel.INCOMPARABLE
-    return PairVerdict(label, np.cumsum(src), np.cumsum(dst))
+    code, sums_src, sums_dst = _pair_codes(src, dst)
+    return PairVerdict(_LABELS[int(code)], sums_src, sums_dst)
 
 
 def incomparable_strict3(a: np.ndarray, b: np.ndarray) -> bool:

@@ -16,6 +16,28 @@ TWO_PI = 2.0 * math.pi
 IPP_NORM_TOL = 1e-12
 
 
+def _canonical_angles(name: str, values: object) -> np.ndarray:
+    """Angles reduced to [0, 2pi); ValueError naming the angle if any is not finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values % TWO_PI
+
+
+def _unit_amplitudes(alpha: object, beta: object) -> tuple[np.ndarray, np.ndarray]:
+    """Complex arrays alpha, beta, checked finite with |alpha|^2 + |beta|^2 = 1 entrywise."""
+    alpha = np.asarray(alpha, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+        raise ValueError("amplitudes must be finite")
+    # a huge amplitude squares to inf, which fails the norm check below
+    with np.errstate(over="ignore"):
+        norms = np.abs(alpha) * np.abs(alpha) + np.abs(beta) * np.abs(beta)
+    if np.any(np.abs(norms - 1.0) > IPP_NORM_TOL):
+        raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+    return alpha, beta
+
+
 @dataclass(frozen=True)
 class UnitaryParams:
     """Angles (theta, phi_a, phi_b), reduced to the canonical range [0, 2pi)."""
@@ -26,10 +48,7 @@ class UnitaryParams:
 
     def __post_init__(self) -> None:
         for name in ("theta", "phi_a", "phi_b"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value % TWO_PI)
+            object.__setattr__(self, name, float(_canonical_angles(name, getattr(self, name))))
 
 
 @dataclass(frozen=True)
@@ -40,15 +59,9 @@ class IppParams:
     beta: complex
 
     def __post_init__(self) -> None:
-        alpha = complex(self.alpha)
-        beta = complex(self.beta)
-        if not all(math.isfinite(x) for x in (alpha.real, alpha.imag, beta.real, beta.imag)):
-            raise ValueError("amplitudes must be finite")
-        # x * x, unlike x ** 2, gives inf instead of raising OverflowError
-        if abs(abs(alpha) * abs(alpha) + abs(beta) * abs(beta) - 1.0) > IPP_NORM_TOL:
-            raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        alpha, beta = _unit_amplitudes(self.alpha, self.beta)
+        object.__setattr__(self, "alpha", complex(alpha))
+        object.__setattr__(self, "beta", complex(beta))
 
 
 class SpinLabel(Enum):
@@ -77,9 +90,19 @@ def named_ket(label: SpinLabel, which: int) -> np.ndarray:
 
 def general_unitary(p: UnitaryParams) -> np.ndarray:
     """The 2x2 unitary [[cos t, e^{i a} sin t], [-e^{i b} sin t, e^{i(a+b)} cos t]]."""
-    ct, st = math.cos(p.theta), math.sin(p.theta)
-    ea, eb = np.exp(1j * p.phi_a), np.exp(1j * p.phi_b)
-    return np.array([[ct, ea * st], [-eb * st, ea * eb * ct]])
+    return _unitaries(p.theta, p.phi_a, p.phi_b)
+
+
+def _unitaries(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
+    """general_unitary over equal-shape angle arrays: shape (..., 2, 2)."""
+    ct, st = np.cos(theta), np.sin(theta)
+    ea, eb = np.exp(1j * phi_a), np.exp(1j * phi_b)
+    u = np.empty(np.shape(ct) + (2, 2), dtype=complex)
+    u[..., 0, 0] = ct
+    u[..., 0, 1] = ea * st
+    u[..., 1, 0] = -eb * st
+    u[..., 1, 1] = ea * eb * ct
+    return u
 
 
 def apply_antiunitary(p: UnitaryParams, k: np.ndarray) -> np.ndarray:

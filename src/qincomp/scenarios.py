@@ -14,14 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERATE_A_TOL, _cubic_roots, tensor_product
+from .linalg import DEGENERATE_A_TOL, _cubic_roots
 from .qubits import (
     IppParams,
     SpinLabel,
     UnitaryParams,
-    apply_antiunitary,
+    _canonical_angles,
+    _unitaries,
     general_unitary,
-    ipp_image,
     named_ket,
 )
 from .states import BipartiteState
@@ -79,59 +79,80 @@ class CubicSpectrum:
     roots: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        if abs(float(np.sum(self.eigenvalues)) - 1.0) > SPECTRUM_SUM_TOL:
-            raise ValueError("spectrum must sum to 1")
+        _check_spectrum_sum(self.eigenvalues)
 
 
-def _assemble(branch_kets: list[np.ndarray]) -> BipartiteState:
-    """(1/sqrt(3)) sum_i |i>_A |branch_i>_B as a 3x4 bipartite state."""
-    amps = np.concatenate(branch_kets) / math.sqrt(3.0)
-    return BipartiteState(3, len(branch_kets[0]), amps)
+def _check_spectrum_sum(eigenvalues: np.ndarray) -> None:
+    if np.any(np.abs(np.sum(eigenvalues, axis=-1) - 1.0) > SPECTRUM_SUM_TOL):
+        raise ValueError("spectrum must sum to 1")
+
+
+def _amplitudes(branches, image) -> np.ndarray:
+    """(N, 3, 4) amplitude matrices of (1/sqrt(3)) sum_i |i>_A |l1_i>|image(l2_i)>_B.
+
+    image(l2) is an (N, 2) stack of kets for Bob's last qubit.  Row i of
+    each matrix is the Kronecker product of the +1 ket of axis l1_i with
+    the i-th image.
+    """
+    rows = [
+        (named_ket(l1, 0)[:, None] * image(l2)[:, None, :]).reshape(-1, 4)
+        for l1, l2 in branches
+    ]
+    return np.stack(rows, axis=1) / math.sqrt(3.0)
+
+
+def _axis_ket(label: SpinLabel) -> np.ndarray:
+    return named_ket(label, 0)[None, :]
+
+
+def _state(amplitudes: np.ndarray) -> BipartiteState:
+    """The state of a one-matrix amplitude stack."""
+    return BipartiteState(3, 4, amplitudes.reshape(-1))
 
 
 def build_chi_initial() -> BipartiteState:
     """Probe state for the anti-unitary scenario."""
-    return _assemble(
-        [tensor_product(named_ket(l1, 0), named_ket(l2, 0)) for l1, l2 in _CHI_BRANCHES]
+    return _state(_amplitudes(_CHI_BRANCHES, _axis_ket))
+
+
+def _chi_final_amplitudes(theta, phi_a, phi_b) -> np.ndarray:
+    """chi_final's amplitudes over (N,) angle arrays, as an (N, 3, 4) stack."""
+    u = _unitaries(
+        _canonical_angles("theta", theta),
+        _canonical_angles("phi_a", phi_a),
+        _canonical_angles("phi_b", phi_b),
     )
+    return _amplitudes(_CHI_BRANCHES, lambda label: np.conj(u @ named_ket(label, 0)))
 
 
 def chi_final(p: UnitaryParams) -> BipartiteState:
     """Probe state after the anti-unitary acts on Bob's last qubit."""
-    return _assemble(
-        [
-            tensor_product(named_ket(l1, 0), apply_antiunitary(p, named_ket(l2, 0)))
-            for l1, l2 in _CHI_BRANCHES
-        ]
-    )
+    return _state(_chi_final_amplitudes([p.theta], [p.phi_a], [p.phi_b]))
 
 
 def chi_final_unitary_only(p: UnitaryParams) -> BipartiteState:
     """Probe state after only the unitary part acts (no conjugation)."""
     u = general_unitary(p)
-    return _assemble(
-        [
-            tensor_product(named_ket(l1, 0), u @ named_ket(l2, 0))
-            for l1, l2 in _CHI_BRANCHES
-        ]
-    )
+    return _state(_amplitudes(_CHI_BRANCHES, lambda label: (u @ named_ket(label, 0))[None, :]))
 
 
 def build_pi_initial() -> BipartiteState:
     """Probe state for the restricted superposition-map scenario."""
-    return _assemble(
-        [tensor_product(named_ket(l1, 0), named_ket(l2, 0)) for l1, l2 in _PI_BRANCHES]
+    return _state(_amplitudes(_PI_BRANCHES, _axis_ket))
+
+
+def _pi_final_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """pi_final's amplitudes over (N,) amplitude arrays, as an (N, 3, 4)
+    stack: each branch ends in alpha|0_l> + beta|1_l> for its axis l."""
+    return _amplitudes(
+        _PI_BRANCHES,
+        lambda label: alpha[:, None] * named_ket(label, 0) + beta[:, None] * named_ket(label, 1),
     )
 
 
 def pi_final(p: IppParams) -> BipartiteState:
     """Probe state after the superposition map acts on Bob's last qubit."""
-    return _assemble(
-        [
-            tensor_product(named_ket(l1, 0), ipp_image(l2, p))
-            for l1, l2 in _PI_BRANCHES
-        ]
-    )
+    return _state(_pi_final_amplitudes(np.array([p.alpha]), np.array([p.beta])))
 
 
 def _density_from_off_diagonals(k01: complex, k02: complex, k12: complex) -> np.ndarray:
@@ -173,20 +194,29 @@ def pqr(p: IppParams) -> PqrCoefficients:
 
     p is real for every valid parameter pair and Im(r) is exactly -1/2.
     """
-    a, b = p.alpha, p.beta
+    return PqrCoefficients(*(complex(c) for c in _pqr(p.alpha, p.beta)))
+
+
+def _pqr(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """pqr over amplitude arrays (or scalars)."""
     cross = a * np.conj(b) + b * np.conj(a)
-    return PqrCoefficients(
-        p=0.5 * (abs(a) ** 2 - abs(b) ** 2 + cross),
-        q=0.5 * (abs(a) ** 2 + 1j * abs(b) ** 2 + a * np.conj(b) - 1j * b * np.conj(a)),
-        r=0.5 * (cross - 1j),
+    return (
+        0.5 * (np.abs(a) ** 2 - np.abs(b) ** 2 + cross),
+        0.5 * (np.abs(a) ** 2 + 1j * np.abs(b) ** 2 + a * np.conj(b) - 1j * b * np.conj(a)),
+        0.5 * (cross - 1j),
     )
 
 
 def cubic_coefficients(c: PqrCoefficients) -> tuple[float, float]:
     """Cubic data A = (|p|^2+|q|^2+|r|^2)/3 and B = p r conj(q) + conj(p r) q."""
-    big_a = (abs(c.p) ** 2 + abs(c.q) ** 2 + abs(c.r) ** 2) / 3.0
-    big_b = 2.0 * float((c.p * c.r * np.conj(c.q)).real)
-    return float(big_a), big_b
+    big_a, big_b = _cubic_ab(c.p, c.q, c.r)
+    return float(big_a), float(big_b)
+
+
+def _cubic_ab(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cubic_coefficients over arrays (or scalars) of p, q, r."""
+    big_a = (np.abs(p) ** 2 + np.abs(q) ** 2 + np.abs(r) ** 2) / 3.0
+    return big_a, 2.0 * (p * r * np.conj(q)).real
 
 
 def real_ab(alpha: float, beta: float) -> tuple[float, float]:
@@ -214,9 +244,18 @@ def spectrum_from_ab(big_a: float, big_b: float) -> CubicSpectrum:
     """
     big_a = float(big_a)
     big_b = float(big_b)
-    if big_a < 0.0:
+    angle, roots, eigenvalues = _spectra(np.array(big_a), np.array(big_b))
+    return CubicSpectrum(big_a, big_b, float(angle), eigenvalues, tuple(roots.tolist()))
+
+
+def _spectra(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """spectrum_from_ab over arrays of (A, B): eigen-angles, roots and
+    eigenvalues as linalg's cubic formula returns them, after the same
+    domain and sum checks."""
+    if np.any(big_a < 0.0):
         raise ValueError("A must be nonnegative")
-    if big_a >= DEGENERATE_A_TOL and big_b * big_b > 4.0 * big_a**3 + CUBIC_DOMAIN_TOL:
+    if np.any((big_a >= DEGENERATE_A_TOL) & (big_b * big_b > 4.0 * big_a**3 + CUBIC_DOMAIN_TOL)):
         raise ValueError("B^2 exceeds 4A^3: cubic has no valid spectrum")
     angle, roots, eigenvalues = _cubic_roots(1.0, big_a, big_b)
-    return CubicSpectrum(big_a, big_b, angle, eigenvalues, roots)
+    _check_spectrum_sum(eigenvalues)
+    return angle, roots, eigenvalues

@@ -34,8 +34,13 @@ class BipartiteState:
 
 def reduced_density_a(s: BipartiteState) -> np.ndarray:
     """Trace out subsystem B: entry (i, k) = sum_j amp(i,j) * conj(amp(k,j))."""
-    mat = s.amplitudes.reshape(s.dim_a, s.dim_b)
-    return mat @ mat.conj().T
+    return _reduced_densities(s.amplitudes.reshape(s.dim_a, s.dim_b))
+
+
+def _reduced_densities(mats: np.ndarray) -> np.ndarray:
+    """reduced_density_a of one (dim_a, dim_b) amplitude matrix or of an
+    (N, dim_a, dim_b) stack, in one (stacked) matmul."""
+    return mats @ mats.conj().swapaxes(-1, -2)
 
 
 def schmidt_vector(s: BipartiteState) -> np.ndarray:
@@ -44,14 +49,24 @@ def schmidt_vector(s: BipartiteState) -> np.ndarray:
     Truncated to min(dim_a, dim_b) entries; eigenvalue noise below zero
     is clamped to 0.  Invariant under a global phase on the state.
     """
-    vals = eigenvalues_hermitian_jacobi(reduced_density_a(s))
-    vals = vals[: min(s.dim_a, s.dim_b)]
-    return np.clip(vals, 0.0, None)
+    return _schmidt_vectors(s.amplitudes.reshape(s.dim_a, s.dim_b))
 
 
-def entropy_of_entanglement(v: np.ndarray) -> float:
-    """Shannon entropy of a Schmidt vector in bits, with 0*log(0) = 0."""
+def _schmidt_vectors(mats: np.ndarray) -> np.ndarray:
+    """schmidt_vector of one amplitude matrix, or of each matrix of an
+    (N, dim_a, dim_b) stack with one stacked Jacobi call; each matrix must
+    have unit norm."""
+    if np.any(np.abs(np.sum(np.abs(mats) ** 2, axis=(-2, -1)) - 1.0) > NORM_TOL):
+        raise ValueError("state amplitudes must have unit norm")
+    vals = eigenvalues_hermitian_jacobi(_reduced_densities(mats))
+    return np.clip(vals[..., : min(mats.shape[-2:])], 0.0, None)
+
+
+def entropy_of_entanglement(v: np.ndarray) -> float | np.ndarray:
+    """Shannon entropy in bits, with 0*log(0) = 0, of a Schmidt vector or of
+    each vector along the last axis of an array (then an array)."""
     v = np.asarray(v, dtype=float)
-    v = np.where(v < ENTROPY_CLAMP, 0.0, v)
-    positive = v[v > 0.0]
-    return float(-np.sum(positive * np.log2(positive)))
+    positive = v >= ENTROPY_CLAMP
+    terms = np.where(positive, v * np.log2(np.where(positive, v, 1.0)), 0.0)
+    entropy = -np.sum(terms, axis=-1)
+    return float(entropy) if entropy.ndim == 0 else entropy

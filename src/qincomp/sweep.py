@@ -1,8 +1,10 @@
 """Parameter sweeps with per-point classification records and summaries.
 
-Every record comes from cases.verify_prediction, which cross-checks the
-trigonometric spectrum against the Jacobi spectrum of the directly
-constructed state and raises ContractViolationError on disagreement.
+A sweep builds its parameter grid as arrays and certifies it in blocks of
+BLOCK_POINTS points with the grid kernel behind cases.verify_prediction,
+which cross-checks the trigonometric spectrum against the Jacobi spectrum
+of the directly constructed state and raises ContractViolationError on
+disagreement.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ from enum import Enum
 
 import numpy as np
 
-from .cases import ContractViolationError, Prediction, PredictionCheck, verify_prediction
-from .majorization import PairLabel
-from .qubits import IppParams, UnitaryParams
-from .scenarios import CHI_FINAL_SCHMIDT, chi_final
-from .states import schmidt_vector
+from .cases import _PREDICTIONS, ContractViolationError, Prediction, _certify
+from .majorization import _LABELS, PairLabel
+from .qubits import IppParams
+from .scenarios import CHI_FINAL_SCHMIDT, _chi_final_amplitudes
+from .states import _schmidt_vectors
 
 GAMMA_DEVIATION_TOL = 1e-10
+# Grid points per call of the certified kernel (and of the stacked Jacobi):
+# bounds the size of every array temporary, whatever the grid size.
+BLOCK_POINTS = 4096
 
 CSV_HEADER = "phi,delta,A,B,lam1,lam2,lam3,entropy_i,entropy_f,observed,predicted,agree"
 _COLUMNS = tuple(CSV_HEADER.split(","))
@@ -58,24 +63,42 @@ class GammaSweepSummary:
     max_deviation: float
 
 
-def _point_columns(check: PredictionCheck) -> dict[str, object]:
-    """The per-point columns A .. agree of a sweep row."""
-    spectrum = check.spectrum
-    values = (
-        spectrum.big_a,
-        spectrum.big_b,
-        *spectrum.eigenvalues.tolist(),
-        check.entropy_initial,
-        check.entropy_final,
-        check.observed.label,
-        check.predicted.predicted,
-        check.agree,
-    )
-    return dict(zip(_COLUMNS[2:], values))
+def _blocks(total: int):
+    """Index arrays of the consecutive blocks of at most BLOCK_POINTS grid points."""
+    for start in range(0, total, BLOCK_POINTS):
+        yield np.arange(start, min(start + BLOCK_POINTS, total))
 
 
-def _evaluate(phi: float, delta: float | None, p: IppParams) -> SweepRecord:
-    return SweepRecord(phi, delta, *_point_columns(verify_prediction(p)).values())
+def _point_columns(alpha: np.ndarray, beta: np.ndarray) -> list[list]:
+    """Columns A .. agree of the sweep rows of (N,) amplitude arrays, as
+    lists of Python values, from one call of the certified grid kernel."""
+    grid = _certify(alpha, beta)
+    return [
+        grid["big_a"].tolist(),
+        grid["big_b"].tolist(),
+        *grid["eigenvalues"].T.tolist(),
+        grid["entropy_initial"].tolist(),
+        grid["entropy_final"].tolist(),
+        np.array(_LABELS, dtype=object)[grid["observed"]].tolist(),
+        np.array(_PREDICTIONS, dtype=object)[grid["predicted"]].tolist(),
+        grid["agree"].tolist(),
+    ]
+
+
+def _point_row(p: IppParams) -> dict[str, object]:
+    """The columns A .. agree of the sweep row of one parameter point."""
+    columns = _point_columns(np.array([p.alpha]), np.array([p.beta]))
+    return dict(zip(_COLUMNS[2:], (column[0] for column in columns)))
+
+
+def _records(
+    phi: np.ndarray, delta: np.ndarray | None, alpha: np.ndarray, beta: np.ndarray
+) -> list[SweepRecord]:
+    deltas = [None] * len(phi) if delta is None else delta.tolist()
+    return [
+        SweepRecord(*fields)
+        for fields in zip(phi.tolist(), deltas, *_point_columns(alpha, beta))
+    ]
 
 
 def sweep_real(n: int) -> list[SweepRecord]:
@@ -83,9 +106,9 @@ def sweep_real(n: int) -> list[SweepRecord]:
     if n < 2:
         raise ValueError("sweep_real requires n >= 2")
     records = []
-    for k in range(n):
+    for k in _blocks(n):
         phi = 2.0 * math.pi * k / n
-        records.append(_evaluate(phi, None, IppParams(math.cos(phi), math.sin(phi))))
+        records += _records(phi, None, np.cos(phi), np.sin(phi))
     return records
 
 
@@ -94,12 +117,11 @@ def sweep_complex(n_phi: int, n_delta: int) -> list[SweepRecord]:
     if n_phi < 2 or n_delta < 1:
         raise ValueError("sweep_complex requires n_phi >= 2 and n_delta >= 1")
     records = []
-    for k in range(n_phi):
+    for index in _blocks(n_phi * n_delta):
+        k, j = np.divmod(index, n_delta)
         phi = 2.0 * math.pi * k / n_phi
-        for j in range(n_delta):
-            delta = 2.0 * math.pi * j / n_delta
-            p = IppParams(math.cos(phi), np.exp(1j * delta) * math.sin(phi))
-            records.append(_evaluate(phi, delta, p))
+        delta = 2.0 * math.pi * j / n_delta
+        records += _records(phi, delta, np.cos(phi), np.exp(1j * delta) * np.sin(phi))
     return records
 
 
@@ -121,14 +143,15 @@ def sweep_gamma(
     if n_theta < 1 or n_a < 1 or n_b < 1:
         raise ValueError("sweep_gamma requires positive grid sizes")
     worst = 0.0
-    for i in range(n_theta):
-        theta = theta0 + 2.0 * math.pi * i / n_theta
-        for j in range(n_a):
-            phi_a = phi_a0 + 2.0 * math.pi * j / n_a
-            for k in range(n_b):
-                phi_b = phi_b0 + 2.0 * math.pi * k / n_b
-                vec = schmidt_vector(chi_final(UnitaryParams(theta, phi_a, phi_b)))
-                worst = max(worst, float(np.max(np.abs(vec - CHI_FINAL_SCHMIDT))))
+    for index in _blocks(n_theta * n_a * n_b):
+        i, j, k = np.unravel_index(index, (n_theta, n_a, n_b))
+        amplitudes = _chi_final_amplitudes(
+            theta0 + 2.0 * math.pi * i / n_theta,
+            phi_a0 + 2.0 * math.pi * j / n_a,
+            phi_b0 + 2.0 * math.pi * k / n_b,
+        )
+        vecs = _schmidt_vectors(amplitudes)
+        worst = max(worst, float(np.max(np.abs(vecs - CHI_FINAL_SCHMIDT))))
     if worst >= GAMMA_DEVIATION_TOL:
         raise ContractViolationError(
             f"final Schmidt vector deviates by {worst:.3e} from its parameter-free value"

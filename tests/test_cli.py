@@ -6,6 +6,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -116,9 +117,12 @@ class TestCheckPairCommand:
         assert payload["partial_sums_dst"] == [1.0, 1.0]
 
     def test_bad_vector_exits_2(self, capsys):
-        for bad in ("0.5,0.4", "nan,1", "inf,0"):
-            assert main(["check-pair", bad, "0.5,0.5"]) == 2
-            assert main(["check-pair", "0.5,0.5", bad]) == 2
+        # 1e308,1e308 overflows its sum: rejected without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in ("0.5,0.4", "nan,1", "inf,0", "1e308,1e308"):
+                assert main(["check-pair", bad, "0.5,0.5"]) == 2
+                assert main(["check-pair", "0.5,0.5", bad]) == 2
 
 
 class TestGammaDemoCommand:
@@ -141,8 +145,22 @@ class TestGammaDemoCommand:
         assert payload["observed"] == "INCOMPARABLE"
         assert payload["lam_f1"] == pytest.approx(0.622008467928146, abs=1e-10)
 
+    def test_negative_exponent_value(self, capsys):
+        # argparse's own negative-number pattern has no exponent form
+        assert main(["gamma-demo", "--theta", "-1e-3"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["gamma-demo", "--theta=-1e-3"]) == 0
+        assert spaced == capsys.readouterr().out
+
 
 class TestIppDemoCommand:
+    def test_negative_exponent_value(self, capsys):
+        # cos(pi) and sin(pi): a valid pair whose beta has an exponent
+        assert main(["ipp-demo", "--alpha", "1", "--beta", "-1.2246467991473532e-16"]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["ipp-demo", "--alpha", "1", "--beta=-1.2246467991473532e-16"]) == 0
+        assert spaced == capsys.readouterr().out
+
     def test_flipping_point(self, capsys):
         assert main(["ipp-demo", "--alpha", "0", "--beta", "1"]) == 0
         header, row = capsys.readouterr().out.splitlines()

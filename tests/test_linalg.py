@@ -185,3 +185,52 @@ class TestJacobiSolver:
         m = density_from_off_diagonals(0.5, 0.5, 0.5)
         with pytest.raises(JacobiConvergenceError):
             eigenvalues_hermitian_jacobi(m, sweep_cap=0)
+
+
+def random_hermitian_stack(rng, count, n):
+    m = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    return m + m.conj().swapaxes(-1, -2)
+
+
+class TestStackedJacobi:
+    def test_rows_equal_single_matrix_calls_exactly(self):
+        # converged and zero-pivot matrices get identity rotations, which
+        # leave them unchanged, so no row depends on the rest of the stack
+        rng = np.random.default_rng(31)
+        zero_pivot = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 3.0]], dtype=complex)
+        stack = np.concatenate(
+            [
+                np.diag([3.0, 1.0, 2.0])[None].astype(complex),
+                (np.eye(3) / 3.0)[None],
+                zero_pivot[None],
+                1e6 * random_hermitian_stack(rng, 1, 3),
+                random_hermitian_stack(rng, 12, 3),
+            ]
+        )
+        rows = eigenvalues_hermitian_jacobi(stack)
+        assert rows.shape == (16, 3)
+        for matrix, row in zip(stack, rows):
+            np.testing.assert_array_equal(row, eigenvalues_hermitian_jacobi(matrix))
+
+    def test_stacks_match_library_solver(self):
+        rng = np.random.default_rng(37)
+        for n in range(2, 34):
+            stack = random_hermitian_stack(rng, 3, n)
+            expected = np.sort(np.linalg.eigvalsh(stack), axis=-1)[:, ::-1]
+            np.testing.assert_allclose(
+                eigenvalues_hermitian_jacobi(stack),
+                expected,
+                rtol=0,
+                atol=1e-12 * np.max(np.abs(expected)),
+            )
+
+    def test_non_hermitian_member_rejected(self):
+        stack = random_hermitian_stack(np.random.default_rng(41), 4, 3)
+        stack[2, 0, 1] += 1.0
+        with pytest.raises(ValueError):
+            eigenvalues_hermitian_jacobi(stack)
+
+    def test_sweep_cap_raises_on_stack(self):
+        stack = random_hermitian_stack(np.random.default_rng(43), 4, 3)
+        with pytest.raises(JacobiConvergenceError):
+            eigenvalues_hermitian_jacobi(stack, sweep_cap=0)

@@ -16,6 +16,7 @@ from qincomp.scenarios import (
     spectrum_from_ab,
 )
 from qincomp.states import schmidt_vector
+from qincomp import sweep
 from qincomp.sweep import (
     CSV_HEADER,
     ContractViolationError,
@@ -184,6 +185,15 @@ class TestSweepGamma:
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError):
             sweep_gamma(0, 1, 1)
+
+
+class TestBlocks:
+    def test_block_boundaries_leave_results_unchanged(self, monkeypatch):
+        real, grid, gamma = sweep_real(50), sweep_complex(9, 5), sweep_gamma(3, 4, 5)
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 7)
+        assert sweep_real(50) == real
+        assert sweep_complex(9, 5) == grid
+        assert sweep_gamma(3, 4, 5).max_deviation == gamma.max_deviation
 
 
 class TestSummarize:
