@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .majorization import _LABELS, PairLabel, PairVerdict, _pair_codes, classify_pair
+from .majorization import _LABELS, PairLabel, PairVerdict, _pair_codes
 from .qubits import IppParams, _unit_amplitudes
 from .scenarios import (
     CubicSpectrum,
@@ -39,6 +39,10 @@ from .states import _schmidt_vectors, entropy_of_entanglement, schmidt_vector
 CASE_BAND = 1e-12
 SOLVER_AGREE_TOL = 1e-10
 SQRT3_HALF = math.sqrt(3.0) / 2.0
+# Grid points per call of the certified kernel (and of the stacked Jacobi)
+# in the sweeps and boundary_agreement_counts, so array temporaries stay
+# bounded for any grid.  A chosen round number, not a measured optimum.
+BLOCK_POINTS = 4096
 
 BOUNDARY_NOTE = (
     "two candidate boundary expressions exist for the A>1/4 subcases; the "
@@ -201,6 +205,12 @@ def _pi_initial_schmidt() -> tuple[np.ndarray, float]:
     return vec, entropy_of_entanglement(vec)
 
 
+def _blocks(total: int):
+    """Index arrays of the consecutive blocks of at most BLOCK_POINTS grid points."""
+    for start in range(0, total, BLOCK_POINTS):
+        yield np.arange(start, min(start + BLOCK_POINTS, total))
+
+
 def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     """The certified grid kernel: predict from (A, B) and check against the
     directly classified pair at every point of (N,) amplitude arrays.
@@ -212,8 +222,9 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     arrays with one entry (or row) per point: big_a, big_b, and angle,
     roots and eigenvalues as spectrum_from_ab gives them; final, the Jacobi
     Schmidt vector, and its entropy_final; the codes case, subcase,
-    predicted and observed (an index into majorization's labels); agree;
-    and entropy_initial.
+    predicted and observed (an index into majorization's labels), with the
+    partial sums sums_initial and sums_final that observed was read from;
+    agree; and entropy_initial.
     """
     alpha, beta = _unit_amplitudes(alpha, beta)
     big_a, big_b = _cubic_ab(*_pqr(alpha, beta))
@@ -229,7 +240,7 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
         )
     initial_vec, initial_entropy = _pi_initial_schmidt()
     case, subcase, predicted = _decide(big_a, big_b)
-    observed = _pair_codes(initial_vec, final)[0]
+    observed, sums_initial, sums_final = _pair_codes(initial_vec, final)
     incomparable_if = _condition(case, roots)[1]
     agree = np.where(
         predicted == _CONDITIONAL,
@@ -241,7 +252,9 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
         "eigenvalues": eigenvalues, "final": final,
         "entropy_final": entropy_of_entanglement(final), "case": case,
         "subcase": subcase, "predicted": predicted, "observed": observed,
-        "agree": agree, "entropy_initial": np.full(len(final), initial_entropy),
+        "sums_initial": np.broadcast_to(sums_initial, sums_final.shape),
+        "sums_final": sums_final, "agree": agree,
+        "entropy_initial": np.full(len(final), initial_entropy),
     }
 
 
@@ -254,7 +267,9 @@ def verify_prediction(p: IppParams) -> PredictionCheck:
     roots = point["roots"]
     return PredictionCheck(
         predicted=_verdict(point["case"], point["subcase"], point["predicted"], roots),
-        observed=classify_pair(_pi_initial_schmidt()[0], point["final"]),
+        observed=PairVerdict(
+            _LABELS[point["observed"]], point["sums_initial"], point["sums_final"]
+        ),
         agree=bool(point["agree"]),
         spectrum=CubicSpectrum(
             float(point["big_a"]), float(point["big_b"]), float(point["angle"]),
@@ -276,10 +291,15 @@ def boundary_agreement_counts(
     incomparability.  Keys are (case label, expression label); values are
     (matches, points).
     """
-    i, j = np.divmod(np.arange(n_phi * n_delta), n_delta)
-    phi = 2.0 * math.pi * i / n_phi
-    delta = 2.0 * math.pi * j / n_delta
-    grid = _certify(np.cos(phi), np.exp(1j * delta) * np.sin(phi))
+    columns = ("observed", "roots", "predicted", "case")
+    blocks = []
+    for index in _blocks(n_phi * n_delta):
+        i, j = np.divmod(index, n_delta)
+        phi = 2.0 * math.pi * i / n_phi
+        delta = 2.0 * math.pi * j / n_delta
+        grid = _certify(np.cos(phi), np.exp(1j * delta) * np.sin(phi))
+        blocks.append([grid[name] for name in columns])
+    grid = dict(zip(columns, map(np.concatenate, zip(*blocks))))
     incomparable = grid["observed"] == _INCOMPARABLE
     implications = {
         "max_branch": grid["roots"][:, 0] > -SQRT3_HALF,

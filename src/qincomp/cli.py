@@ -33,19 +33,23 @@ from .sweep import (
     sweep_real,
 )
 
-_FLOAT = r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-_COMPLEX_RE = re.compile(rf"^({_FLOAT})(?:({_FLOAT})i)?$")
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_FLOAT = rf"[+-]?{_UNSIGNED}"
+# re, re+im i or re-im i (the imaginary part carries its own sign), or im i
+_COMPLEX_RE = re.compile(rf"^(?:({_FLOAT})(?:([+-]{_UNSIGNED})i)?|({_FLOAT})i)$")
 
 SCHMIDT_ARG_SUM_TOL = 1e-10
 
 
 def parse_complex(text: str) -> complex:
-    """Parse the re[+im i] literal form, e.g. 0.5+0.5i or -1."""
+    """Parse the re[+im i] or im i literal form, e.g. 0.5+0.5i, -1 or -0.8i."""
     match = _COMPLEX_RE.match(text.strip().replace(" ", ""))
     if match is None:
-        raise ValueError(f"malformed complex literal: {text!r} (expected re[+im i])")
-    imag = float(match.group(2)) if match.group(2) is not None else 0.0
-    return complex(float(match.group(1)), imag)
+        raise ValueError(f"malformed complex literal: {text!r} (expected re[+im i] or im i)")
+    real, imag, pure_imag = match.groups()
+    if pure_imag is not None:
+        return complex(0.0, float(pure_imag))
+    return complex(float(real), float(imag) if imag is not None else 0.0)
 
 
 def parse_state_file(path: str) -> BipartiteState:
@@ -222,7 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name: str, help_text: str, func) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         # argparse reads "-..." as a value, not an option, when this matches
-        # it; its own pattern has no exponent (-1e-3) or imaginary part
+        # it; its own pattern has no exponent (-1e-3) or imaginary part.  The
+        # attribute is private: an argparse that ignores it falls back to its
+        # own pattern, and "--beta=-1e-3" works either way.
         p._negative_number_matcher = _COMPLEX_RE
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.set_defaults(func=func)

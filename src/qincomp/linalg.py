@@ -27,9 +27,16 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     for v in (a, b):
-        if not is_normalized(v):
+        if v.ndim != 1 or not is_normalized(v):
             raise ValueError("tensor_product operands must be normalized kets")
-    return np.kron(a, b)
+    return _kron(a, b)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """tensor_product over stacks, unchecked: kets along the last axis of a
+    and b, leading axes broadcast."""
+    out = a[..., :, None] * b[..., None, :]
+    return out.reshape(out.shape[:-2] + (-1,))
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
@@ -37,9 +44,11 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=complex).conj().T
 
 
-def is_normalized(v: np.ndarray, tol: float = NORM_TOL) -> bool:
-    """True iff the squared-modulus sum of v is 1 within tol."""
-    return abs(float(np.sum(np.abs(np.asarray(v)) ** 2)) - 1.0) <= tol
+def is_normalized(v: np.ndarray, tol: float = NORM_TOL, axis: object = None) -> bool:
+    """True iff the squared-modulus sum of v is 1 within tol; with axis (an
+    int or a tuple, as numpy takes it), iff every sum along it is."""
+    sums = np.sum(np.abs(np.asarray(v)) ** 2, axis=axis)
+    return bool(np.all(np.abs(sums - 1.0) <= tol))
 
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:

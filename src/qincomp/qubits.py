@@ -115,9 +115,23 @@ def apply_antiunitary(p: UnitaryParams, k: np.ndarray) -> np.ndarray:
         raise ValueError("apply_antiunitary acts on single-qubit kets")
     if not is_normalized(k, NORM_TOL):
         raise ValueError("apply_antiunitary requires a normalized ket")
-    return np.conj(general_unitary(p) @ k)
+    return _antiunitary_images(general_unitary(p), k)
+
+
+def _antiunitary_images(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """apply_antiunitary, unchecked, with a unitary or a stack of them
+    (from _unitaries): conj(u k), shape (..., 2)."""
+    return np.conj(u @ k)
 
 
 def ipp_image(label: SpinLabel, p: IppParams) -> np.ndarray:
     """Image alpha|0_label> + beta|1_label> of the restricted superposition map."""
-    return p.alpha * named_ket(label, 0) + p.beta * named_ket(label, 1)
+    return _ipp_images(label, p.alpha, p.beta)
+
+
+def _ipp_images(label: SpinLabel, alpha: object, beta: object) -> np.ndarray:
+    """ipp_image over equal-shape amplitude arrays (or scalars), unchecked:
+    shape alpha.shape + (2,)."""
+    alpha = np.asarray(alpha)[..., None]
+    beta = np.asarray(beta)[..., None]
+    return alpha * named_ket(label, 0) + beta * named_ket(label, 1)

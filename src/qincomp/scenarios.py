@@ -14,12 +14,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERATE_A_TOL, _cubic_roots
+from .linalg import DEGENERATE_A_TOL, _cubic_roots, _kron
 from .qubits import (
     IppParams,
     SpinLabel,
     UnitaryParams,
+    _antiunitary_images,
     _canonical_angles,
+    _ipp_images,
     _unitaries,
     general_unitary,
     named_ket,
@@ -94,10 +96,7 @@ def _amplitudes(branches, image) -> np.ndarray:
     each matrix is the Kronecker product of the +1 ket of axis l1_i with
     the i-th image.
     """
-    rows = [
-        (named_ket(l1, 0)[:, None] * image(l2)[:, None, :]).reshape(-1, 4)
-        for l1, l2 in branches
-    ]
+    rows = [_kron(named_ket(l1, 0), image(l2)) for l1, l2 in branches]
     return np.stack(rows, axis=1) / math.sqrt(3.0)
 
 
@@ -122,7 +121,7 @@ def _chi_final_amplitudes(theta, phi_a, phi_b) -> np.ndarray:
         _canonical_angles("phi_a", phi_a),
         _canonical_angles("phi_b", phi_b),
     )
-    return _amplitudes(_CHI_BRANCHES, lambda label: np.conj(u @ named_ket(label, 0)))
+    return _amplitudes(_CHI_BRANCHES, lambda label: _antiunitary_images(u, named_ket(label, 0)))
 
 
 def chi_final(p: UnitaryParams) -> BipartiteState:
@@ -144,10 +143,7 @@ def build_pi_initial() -> BipartiteState:
 def _pi_final_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """pi_final's amplitudes over (N,) amplitude arrays, as an (N, 3, 4)
     stack: each branch ends in alpha|0_l> + beta|1_l> for its axis l."""
-    return _amplitudes(
-        _PI_BRANCHES,
-        lambda label: alpha[:, None] * named_ket(label, 0) + beta[:, None] * named_ket(label, 1),
-    )
+    return _amplitudes(_PI_BRANCHES, lambda label: _ipp_images(label, alpha, beta))
 
 
 def pi_final(p: IppParams) -> BipartiteState:

@@ -49,15 +49,21 @@ def schmidt_vector(s: BipartiteState) -> np.ndarray:
     Truncated to min(dim_a, dim_b) entries; eigenvalue noise below zero
     is clamped to 0.  Invariant under a global phase on the state.
     """
-    return _schmidt_vectors(s.amplitudes.reshape(s.dim_a, s.dim_b))
+    # BipartiteState has checked the unit norm
+    return _schmidt(s.amplitudes.reshape(s.dim_a, s.dim_b))
 
 
 def _schmidt_vectors(mats: np.ndarray) -> np.ndarray:
-    """schmidt_vector of one amplitude matrix, or of each matrix of an
-    (N, dim_a, dim_b) stack with one stacked Jacobi call; each matrix must
-    have unit norm."""
-    if np.any(np.abs(np.sum(np.abs(mats) ** 2, axis=(-2, -1)) - 1.0) > NORM_TOL):
+    """schmidt_vector of each matrix of an (N, dim_a, dim_b) amplitude stack,
+    with one stacked Jacobi call, after BipartiteState's unit-norm check on
+    each matrix."""
+    if not is_normalized(mats, NORM_TOL, axis=(-2, -1)):
         raise ValueError("state amplitudes must have unit norm")
+    return _schmidt(mats)
+
+
+def _schmidt(mats: np.ndarray) -> np.ndarray:
+    """schmidt_vector of one amplitude matrix or of an (N, dim_a, dim_b) stack, unchecked."""
     vals = eigenvalues_hermitian_jacobi(_reduced_densities(mats))
     return np.clip(vals[..., : min(mats.shape[-2:])], 0.0, None)
 

@@ -1,7 +1,7 @@
 """Parameter sweeps with per-point classification records and summaries.
 
 A sweep builds its parameter grid as arrays and certifies it in blocks of
-BLOCK_POINTS points with the grid kernel behind cases.verify_prediction,
+cases.BLOCK_POINTS points with the grid kernel behind cases.verify_prediction,
 which cross-checks the trigonometric spectrum against the Jacobi spectrum
 of the directly constructed state and raises ContractViolationError on
 disagreement.
@@ -16,16 +16,13 @@ from enum import Enum
 
 import numpy as np
 
-from .cases import _PREDICTIONS, ContractViolationError, Prediction, _certify
+from .cases import _PREDICTIONS, ContractViolationError, Prediction, _blocks, _certify
 from .majorization import _LABELS, PairLabel
 from .qubits import IppParams
 from .scenarios import CHI_FINAL_SCHMIDT, _chi_final_amplitudes
 from .states import _schmidt_vectors
 
 GAMMA_DEVIATION_TOL = 1e-10
-# Grid points per call of the certified kernel (and of the stacked Jacobi):
-# bounds the size of every array temporary, whatever the grid size.
-BLOCK_POINTS = 4096
 
 CSV_HEADER = "phi,delta,A,B,lam1,lam2,lam3,entropy_i,entropy_f,observed,predicted,agree"
 _COLUMNS = tuple(CSV_HEADER.split(","))
@@ -61,12 +58,6 @@ class GammaSweepSummary:
     n_b: int
     grid_points: int
     max_deviation: float
-
-
-def _blocks(total: int):
-    """Index arrays of the consecutive blocks of at most BLOCK_POINTS grid points."""
-    for start in range(0, total, BLOCK_POINTS):
-        yield np.arange(start, min(start + BLOCK_POINTS, total))
 
 
 def _point_columns(alpha: np.ndarray, beta: np.ndarray) -> list[list]:

@@ -16,9 +16,10 @@ from qincomp.cases import (
     prediction_consistent,
     verify_prediction,
 )
-from qincomp.majorization import PairLabel
+from qincomp.majorization import PairLabel, classify_pair
 from qincomp.qubits import IppParams
-from qincomp.scenarios import cubic_coefficients, pqr
+from qincomp.scenarios import build_pi_initial, cubic_coefficients, pi_final, pqr
+from qincomp.states import schmidt_vector
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -157,6 +158,16 @@ class TestVerifyPrediction:
         assert check.predicted.condition.incomparable
         assert check.observed.label is PairLabel.INCOMPARABLE
         assert check.agree
+
+    def test_observed_verdict_is_classify_pair(self):
+        initial = schmidt_vector(build_pi_initial())
+        for alpha, beta in ((1, 0), (0, 1), (SQ2, SQ2), (0.6, 0.8j), (0.8, -0.6)):
+            p = IppParams(alpha, beta)
+            observed = verify_prediction(p).observed
+            direct = classify_pair(initial, schmidt_vector(pi_final(p)))
+            assert observed.label is direct.label
+            assert np.array_equal(observed.partial_sums_src, direct.partial_sums_src)
+            assert np.array_equal(observed.partial_sums_dst, direct.partial_sums_dst)
 
     def test_agreement_over_complex_grid(self):
         agreements = 0

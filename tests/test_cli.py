@@ -35,9 +35,13 @@ class TestParsers:
         assert parse_complex("0.5+0.5i") == 0.5 + 0.5j
         assert parse_complex("0-1i") == -1j
         assert parse_complex("1.5e0-2.5e-1i") == 1.5 - 0.25j
+        # the real part must not swallow the leading digits: 0.1i is not 1j
+        assert parse_complex("0.1i") == 0.1j
+        assert parse_complex("-0.8i") == -0.8j
+        assert parse_complex("+2e-1i") == 0.2j
 
     def test_parse_complex_rejects_garbage(self):
-        for text in ("abc", "1+i", "i", "1+2j", "", "1 + 2"):
+        for text in ("abc", "1+i", "i", "1+2j", "", "1 + 2", "0.50.5i", "0.5+-0.5i", "1-2"):
             with pytest.raises(ValueError):
                 parse_complex(text)
 
@@ -154,12 +158,14 @@ class TestGammaDemoCommand:
 
 
 class TestIppDemoCommand:
-    def test_negative_exponent_value(self, capsys):
-        # cos(pi) and sin(pi): a valid pair whose beta has an exponent
-        assert main(["ipp-demo", "--alpha", "1", "--beta", "-1.2246467991473532e-16"]) == 0
-        spaced = capsys.readouterr().out
-        assert main(["ipp-demo", "--alpha", "1", "--beta=-1.2246467991473532e-16"]) == 0
-        assert spaced == capsys.readouterr().out
+    def test_negative_values(self, capsys):
+        # cos(pi) and sin(pi), a valid pair whose beta has an exponent, and
+        # a negative pure imaginary beta
+        for alpha, beta in (("1", "-1.2246467991473532e-16"), ("0.6", "-0.8i")):
+            assert main(["ipp-demo", "--alpha", alpha, "--beta", beta]) == 0
+            spaced = capsys.readouterr().out
+            assert main(["ipp-demo", "--alpha", alpha, f"--beta={beta}"]) == 0
+            assert spaced == capsys.readouterr().out
 
     def test_flipping_point(self, capsys):
         assert main(["ipp-demo", "--alpha", "0", "--beta", "1"]) == 0
@@ -183,6 +189,9 @@ class TestIppDemoCommand:
 
     def test_unnormalized_params_exit_2(self, capsys):
         assert main(["ipp-demo", "--alpha", "1", "--beta", "1"]) == 2
+        # |beta| = 0.1, read as a value even with its minus sign
+        for beta in ("0.1i", "-0.1i"):
+            assert main(["ipp-demo", "--alpha", "0", "--beta", beta]) == 2
 
     def test_malformed_literal_exits_2(self, capsys):
         assert main(["ipp-demo", "--alpha", "abc", "--beta", "1"]) == 2

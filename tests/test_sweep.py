@@ -16,7 +16,7 @@ from qincomp.scenarios import (
     spectrum_from_ab,
 )
 from qincomp.states import schmidt_vector
-from qincomp import sweep
+from qincomp import cases, sweep
 from qincomp.sweep import (
     CSV_HEADER,
     ContractViolationError,
@@ -190,10 +190,12 @@ class TestSweepGamma:
 class TestBlocks:
     def test_block_boundaries_leave_results_unchanged(self, monkeypatch):
         real, grid, gamma = sweep_real(50), sweep_complex(9, 5), sweep_gamma(3, 4, 5)
-        monkeypatch.setattr(sweep, "BLOCK_POINTS", 7)
+        counts = cases.boundary_agreement_counts(n_phi=30, n_delta=7)
+        monkeypatch.setattr(cases, "BLOCK_POINTS", 7)
         assert sweep_real(50) == real
         assert sweep_complex(9, 5) == grid
         assert sweep_gamma(3, 4, 5).max_deviation == gamma.max_deviation
+        assert cases.boundary_agreement_counts(n_phi=30, n_delta=7) == counts
 
 
 class TestSummarize:
