@@ -10,13 +10,11 @@ operation's parameter space.
 """
 
 from .cases import (
-    BoundaryCondition,
     CaseId,
     CaseVerdict,
     Prediction,
     PredictionCheck,
     Subcase,
-    boundary_agreement_counts,
     predict_case,
     prediction_consistent,
     verify_prediction,
@@ -57,7 +55,6 @@ from .scenarios import (
     chi_final,
     chi_final_unitary_only,
     chi_initial_density_closed_form,
-    chi_final_density_closed_form,
     cubic_coefficients,
     pi_final,
     pi_final_density_closed_form,
@@ -81,7 +78,6 @@ from .sweep import (
 
 __all__ = [
     "BipartiteState",
-    "BoundaryCondition",
     "CHI_FINAL_SCHMIDT",
     "CHI_INITIAL_SCHMIDT",
     "CaseId",
@@ -102,11 +98,9 @@ __all__ = [
     "SweepRecord",
     "UnitaryParams",
     "apply_antiunitary",
-    "boundary_agreement_counts",
     "build_chi_initial",
     "build_pi_initial",
     "chi_final",
-    "chi_final_density_closed_form",
     "chi_final_unitary_only",
     "chi_initial_density_closed_form",
     "classify_pair",

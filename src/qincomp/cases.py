@@ -2,16 +2,17 @@
 from the sign of B and the position of A relative to 1/4, and verify the
 prediction against direct numerical classification.
 
-For A > 1/4 the prediction is conditional on a boundary expression.  Two
-sign-symmetric candidate forms exist.  At eigen-angle in [0, pi/3], B > 0
-forces the largest final root above the initial one, so incomparability
-hinges on the smallest roots: governing expression 2 sqrt(A) cos(angle),
-incomparable iff it is below sqrt(3)/2.  B < 0 forces the smallest final
-root below the initial one, so the largest roots govern: expression
-2 sqrt(A) cos(2 pi/3 + angle), incomparable iff it is above -sqrt(3)/2.
-This assignment is confirmed empirically by boundary_agreement_counts
-(the B < 0, A > 1/4 region turns out to be unrealizable, so its branch
-is exercised only analytically).
+Every valid (alpha, beta) has B >= (3/2)(A - 1/4).  With a = |alpha|,
+b = |beta| and delta = arg beta - arg alpha, B - (3/2)(A - 1/4) equals b^2
+times a 15-term polynomial in (a, b, cos delta, sin delta) that is positive
+on the whole (phi, delta) torus; its minimum is about 0.065.
+tests/test_cases.py proves the identity and certifies the polynomial above
+0.005.  So A above 1/4 + CASE_BAND forces B above 1.5 CASE_BAND, and no
+amplitudes realize A > 1/4 with B not above 0: predict_case refuses such
+data.  For A > 1/4 the prediction is conditional.  At eigen-angle in
+[0, pi/3], B > 0 forces the largest final root above the initial one, so
+incomparability hinges on the smallest roots: it holds iff
+2 sqrt(A) cos(angle) is below sqrt(3)/2.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .scenarios import (
     _pqr,
     _spectra,
     build_pi_initial,
-    spectrum_from_ab,
 )
 from .states import _schmidt_vectors, entropy_of_entanglement, schmidt_vector
 
@@ -40,16 +40,9 @@ CASE_BAND = 1e-12
 SOLVER_AGREE_TOL = 1e-10
 SQRT3_HALF = math.sqrt(3.0) / 2.0
 # Grid points per call of the certified kernel (and of the stacked Jacobi)
-# in the sweeps and boundary_agreement_counts, so array temporaries stay
-# bounded for any grid.  A chosen round number, not a measured optimum.
+# in the sweeps, so array temporaries stay bounded for any grid.  A chosen
+# round number, not a measured optimum.
 BLOCK_POINTS = 4096
-
-BOUNDARY_NOTE = (
-    "two candidate boundary expressions exist for the A>1/4 subcases; the "
-    "min-branch governs B>0 and the max-branch governs B<0, fixed by the root "
-    "ranges at eigen-angle in [0, pi/3] and confirmed by "
-    "boundary_agreement_counts"
-)
 
 
 class CaseId(Enum):
@@ -73,22 +66,15 @@ class Prediction(Enum):
 
 
 @dataclass(frozen=True)
-class BoundaryCondition:
-    """Both candidate boundary expressions plus the validated implication."""
-
-    expr_max_branch: float
-    expr_min_branch: float
-    governing: str
-    incomparable: bool
-
-
-@dataclass(frozen=True)
 class CaseVerdict:
+    """A predicted verdict; a CONDITIONAL one also carries its boundary
+    expression and whether that expression implies incomparability."""
+
     case_id: CaseId
     subcase: Subcase
     predicted: Prediction
     condition_value: float | None = None
-    condition: BoundaryCondition | None = None
+    condition: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -120,13 +106,14 @@ _PREDICTIONS = tuple(Prediction)
 _CONDITIONAL = _PREDICTIONS.index(Prediction.CONDITIONAL)
 _INCOMPARABLE = _LABELS.index(PairLabel.INCOMPARABLE)
 # The decision table: the prediction, as an index into _PREDICTIONS, for
-# each (case, subcase).
+# each (case, subcase), or _UNREALIZABLE where A > 1/4 and B is not above 0.
+_UNREALIZABLE = -1
 _DECISION = np.array(
     [
-        [_PREDICTIONS.index(p) for p in row]
+        [_UNREALIZABLE if p is None else _PREDICTIONS.index(p) for p in row]
         for row in (
-            (Prediction.INCOMPARABLE_OR_INCREASE, Prediction.INCOMPARABLE, Prediction.CONDITIONAL),
-            (Prediction.ENTANGLEMENT_INCREASE, Prediction.NOT_INCOMPARABLE, Prediction.NOT_INCOMPARABLE),
+            (Prediction.INCOMPARABLE_OR_INCREASE, Prediction.INCOMPARABLE, None),
+            (Prediction.ENTANGLEMENT_INCREASE, Prediction.NOT_INCOMPARABLE, None),
             (Prediction.INCOMPARABLE_OR_INCREASE, Prediction.INCOMPARABLE, Prediction.CONDITIONAL),
         )
     ]
@@ -149,53 +136,48 @@ def _band_class(values: np.ndarray, centre: float) -> np.ndarray:
 
 
 def _decide(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Case, subcase and prediction codes of arrays of cubic data."""
+    """Case, subcase and prediction codes of arrays of cubic data; ValueError
+    if any point has A above 1/4 and B not above 0."""
     case, subcase = _band_class(big_b, 0.0), _band_class(big_a, 0.25)
-    return case, subcase, _DECISION[case, subcase]
+    predicted = _DECISION[case, subcase]
+    if np.any(predicted == _UNREALIZABLE):
+        raise ValueError("A above 1/4 needs B above 0: no amplitudes realize these cubic data")
+    return case, subcase, predicted
 
 
-def _condition(case: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Governing boundary expression and whether it implies incomparability.
-
-    B > 0 is governed by the min branch, 2 sqrt(A) cos(angle), incomparable
-    below sqrt(3)/2; B < 0 by the max branch, 2 sqrt(A) cos(2 pi/3 + angle),
-    incomparable above -sqrt(3)/2.
-    """
-    min_branch = case == _CASE_IDS.index(CaseId.B_POS)
-    value = np.where(min_branch, roots[..., 1], roots[..., 0])
-    return value, np.where(min_branch, value < SQRT3_HALF, value > -SQRT3_HALF)
+def _condition(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary expression 2 sqrt(A) cos(angle) (the second root) and
+    whether it implies incomparability: it is below sqrt(3)/2."""
+    value = roots[..., 1]
+    return value, value < SQRT3_HALF
 
 
-def _verdict(case: int, subcase: int, predicted: int, roots: np.ndarray | None) -> CaseVerdict:
+def _verdict(case: int, subcase: int, predicted: int, roots: np.ndarray) -> CaseVerdict:
     """The CaseVerdict of one point's codes; the roots are read only for a
     CONDITIONAL prediction."""
     case_id, sub, prediction = _CASE_IDS[case], _SUBCASES[subcase], _PREDICTIONS[predicted]
     if prediction is not Prediction.CONDITIONAL:
         return CaseVerdict(case_id, sub, prediction)
-    value, incomparable = _condition(np.array(case), roots)
-    condition = BoundaryCondition(
-        float(roots[0]),
-        float(roots[1]),
-        "min_branch" if case_id is CaseId.B_POS else "max_branch",
-        bool(incomparable),
-    )
-    return CaseVerdict(case_id, sub, prediction, float(value), condition)
+    value, incomparable = _condition(roots)
+    return CaseVerdict(case_id, sub, prediction, float(value), bool(incomparable))
 
 
 def predict_case(big_a: float, big_b: float) -> CaseVerdict:
-    """Predicted verdict for the cubic data (A, B) of a final-state spectrum."""
-    big_a, big_b = float(big_a), float(big_b)
-    case, subcase, predicted = (int(code) for code in _decide(np.array(big_a), np.array(big_b)))
-    roots = None
-    if predicted == _CONDITIONAL:
-        roots = np.array(spectrum_from_ab(big_a, big_b).roots)
+    """Predicted verdict for the cubic data (A, B) of a final-state spectrum.
+
+    ValueError unless (A, B) is finite, in the cubic's domain and realized
+    by some amplitudes (A above 1/4 needs B above 0).
+    """
+    big_a, big_b = np.array(float(big_a)), np.array(float(big_b))
+    roots = _spectra(big_a, big_b)[1]
+    case, subcase, predicted = (int(code) for code in _decide(big_a, big_b))
     return _verdict(case, subcase, predicted, roots)
 
 
 def prediction_consistent(verdict: CaseVerdict, label: PairLabel) -> bool:
     """Whether an observed pair label is consistent with a predicted verdict."""
     if verdict.predicted is Prediction.CONDITIONAL:
-        return verdict.condition.incomparable == (label is PairLabel.INCOMPARABLE)
+        return verdict.condition == (label is PairLabel.INCOMPARABLE)
     return label in _ADMITS[verdict.predicted]
 
 
@@ -241,7 +223,7 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     initial_vec, initial_entropy = _pi_initial_schmidt()
     case, subcase, predicted = _decide(big_a, big_b)
     observed, sums_initial, sums_final = _pair_codes(initial_vec, final)
-    incomparable_if = _condition(case, roots)[1]
+    incomparable_if = _condition(roots)[1]
     agree = np.where(
         predicted == _CONDITIONAL,
         incomparable_if == (observed == _INCOMPARABLE),
@@ -278,37 +260,3 @@ def verify_prediction(p: IppParams) -> PredictionCheck:
         entropy_initial=float(point["entropy_initial"]),
         entropy_final=float(point["entropy_final"]),
     )
-
-
-def boundary_agreement_counts(
-    n_phi: int = 240, n_delta: int = 24
-) -> dict[tuple[str, str], tuple[int, int]]:
-    """Empirical arbitration of the candidate boundary expressions.
-
-    Sweeps parameters alpha = cos(phi), beta = e^{i delta} sin(phi),
-    keeps the A > 1/4 points off the zero-band of B, and counts how often
-    each candidate expression's implication matches observed
-    incomparability.  Keys are (case label, expression label); values are
-    (matches, points).
-    """
-    columns = ("observed", "roots", "predicted", "case")
-    blocks = []
-    for index in _blocks(n_phi * n_delta):
-        i, j = np.divmod(index, n_delta)
-        phi = 2.0 * math.pi * i / n_phi
-        delta = 2.0 * math.pi * j / n_delta
-        grid = _certify(np.cos(phi), np.exp(1j * delta) * np.sin(phi))
-        blocks.append([grid[name] for name in columns])
-    grid = dict(zip(columns, map(np.concatenate, zip(*blocks))))
-    incomparable = grid["observed"] == _INCOMPARABLE
-    implications = {
-        "max_branch": grid["roots"][:, 0] > -SQRT3_HALF,
-        "min_branch": grid["roots"][:, 1] < SQRT3_HALF,
-    }
-    counts = {}
-    for case in (CaseId.B_NEG, CaseId.B_POS):
-        kept = (grid["predicted"] == _CONDITIONAL) & (grid["case"] == _CASE_IDS.index(case))
-        for expr, implied in implications.items():
-            hits = int(np.count_nonzero(implied[kept] == incomparable[kept]))
-            counts[(case.value, expr)] = (hits, int(np.count_nonzero(kept)))
-    return counts

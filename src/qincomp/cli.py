@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .cases import BOUNDARY_NOTE, predict_case
+from .cases import predict_case
 from .linalg import JacobiConvergenceError
 from .majorization import classify_pair
 from .qubits import IppParams, UnitaryParams
@@ -171,7 +171,6 @@ def _cmd_ipp_demo(args: argparse.Namespace) -> int:
 def _cmd_case_analyze(args: argparse.Namespace) -> int:
     big_a, big_b = cubic_coefficients(pqr(_ipp_from_args(args)))
     verdict = predict_case(big_a, big_b)
-    condition = verdict.condition
     row = {
         "A": big_a,
         "B": big_b,
@@ -179,11 +178,8 @@ def _cmd_case_analyze(args: argparse.Namespace) -> int:
         "subcase": verdict.subcase,
         "predicted": verdict.predicted,
         "condition_value": verdict.condition_value,
-        "expr_max_branch": None if condition is None else condition.expr_max_branch,
-        "expr_min_branch": None if condition is None else condition.expr_min_branch,
-        "governing": None if condition is None else condition.governing,
     }
-    _emit(args.format, row, {**_json_row(row), "note": BOUNDARY_NOTE})
+    _emit(args.format, row)
     return 0
 
 

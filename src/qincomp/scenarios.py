@@ -169,11 +169,6 @@ def chi_initial_density_closed_form() -> np.ndarray:
     return _density_from_off_diagonals(0.5, 0.5, 0.5)
 
 
-def chi_final_density_closed_form() -> np.ndarray:
-    """Closed-form final reduced density matrix of the anti-unitary scenario."""
-    return _density_from_off_diagonals(0.5, 0.5, -0.5j)
-
-
 def pi_initial_density_closed_form() -> np.ndarray:
     """Closed-form initial reduced density matrix of the superposition scenario."""
     return _density_from_off_diagonals(0.5, 0.5, -0.5j)
@@ -248,6 +243,8 @@ def _spectra(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """spectrum_from_ab over arrays of (A, B): eigen-angles, roots and
     eigenvalues as linalg's cubic formula returns them, after the same
     domain and sum checks."""
+    if not (np.all(np.isfinite(big_a)) and np.all(np.isfinite(big_b))):
+        raise ValueError("A and B must be finite")
     if np.any(big_a < 0.0):
         raise ValueError("A must be nonnegative")
     if np.any((big_a >= DEGENERATE_A_TOL) & (big_b * big_b > 4.0 * big_a**3 + CUBIC_DOMAIN_TOL)):

@@ -1,6 +1,7 @@
 """Tests for the (A, B) case analysis and prediction verification."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,14 +12,19 @@ from qincomp.cases import (
     CaseVerdict,
     Prediction,
     Subcase,
-    boundary_agreement_counts,
     predict_case,
     prediction_consistent,
     verify_prediction,
 )
 from qincomp.majorization import PairLabel, classify_pair
 from qincomp.qubits import IppParams
-from qincomp.scenarios import build_pi_initial, cubic_coefficients, pi_final, pqr
+from qincomp.scenarios import (
+    build_pi_initial,
+    cubic_coefficients,
+    pi_final,
+    pqr,
+    spectrum_from_ab,
+)
 from qincomp.states import schmidt_vector
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -44,10 +50,6 @@ class TestPredictCase:
         assert verdict.subcase is Subcase.A_LT_QUARTER
         assert verdict.predicted is Prediction.ENTANGLEMENT_INCREASE
 
-    def test_zero_b_large_a_is_not_incomparable(self):
-        verdict = predict_case(0.3, 0.0)
-        assert verdict.predicted is Prediction.NOT_INCOMPARABLE
-
     def test_positive_b_small_a(self):
         verdict = predict_case(0.2, 0.1)
         assert verdict.case_id is CaseId.B_POS
@@ -67,31 +69,30 @@ class TestPredictCase:
         assert verdict.case_id is CaseId.B_POS
         assert verdict.subcase is Subcase.A_GT_QUARTER
         assert verdict.predicted is Prediction.CONDITIONAL
-        cond = verdict.condition
-        assert cond is not None
-        assert cond.governing == "min_branch"
-        assert verdict.condition_value == pytest.approx(cond.expr_min_branch)
-        assert cond.incomparable == (cond.expr_min_branch < SQRT3_HALF)
+        # the condition is 2 sqrt(A) cos(angle), the middle cubic root
+        assert verdict.condition_value == spectrum_from_ab(1 / 3, 0.25).roots[1]
+        assert verdict.condition == (verdict.condition_value < SQRT3_HALF)
         # at the Hadamard point the smallest-root expression stays below
         # the threshold, so incomparability is predicted
-        assert cond.incomparable
+        assert verdict.condition is True
 
-    def test_negative_b_large_a_conditional_metadata(self):
-        verdict = predict_case(1 / 3, -0.25)
-        assert verdict.case_id is CaseId.B_NEG
-        assert verdict.predicted is Prediction.CONDITIONAL
-        cond = verdict.condition
-        assert cond.governing == "max_branch"
-        assert verdict.condition_value == pytest.approx(cond.expr_max_branch)
-        assert cond.incomparable == (cond.expr_max_branch > -SQRT3_HALF)
-
-    def test_sign_symmetry_of_branch_expressions(self):
-        # flipping B swaps the cubic roots about their mean, so the two
-        # candidate expressions trade places up to sign
-        pos = predict_case(0.3, 0.1).condition
-        neg = predict_case(0.3, -0.1).condition
-        assert pos.expr_min_branch == pytest.approx(-neg.expr_max_branch, abs=1e-12)
-        assert pos.expr_max_branch == pytest.approx(-neg.expr_min_branch, abs=1e-12)
+    @pytest.mark.parametrize(
+        "func, big_a, big_b",
+        [
+            pytest.param(predict_case, math.nan, 0.1, id="nan_a"),
+            pytest.param(predict_case, math.inf, 0.0, id="inf_a"),
+            pytest.param(predict_case, -0.1, 0.0, id="negative_a"),
+            pytest.param(predict_case, 0.2, 0.5, id="b_squared_above_4a_cubed"),
+            pytest.param(spectrum_from_ab, math.nan, 0.0, id="spectrum_nan_a"),
+            # A above 1/4 with B not above 0: no amplitudes realize these
+            pytest.param(predict_case, 1 / 3, -0.25, id="negative_b_large_a"),
+            pytest.param(predict_case, 0.3, -0.1, id="small_negative_b_large_a"),
+            pytest.param(predict_case, 0.3, 0.0, id="zero_b_large_a"),
+        ],
+    )
+    def test_refuses_invalid_or_unrealizable_data(self, func, big_a, big_b):
+        with pytest.raises(ValueError):
+            func(big_a, big_b)
 
     def test_band_width_on_b(self):
         assert predict_case(0.2, 5e-13).case_id is CaseId.B_ZERO
@@ -132,7 +133,7 @@ class TestPredictionConsistent:
 
     def test_conditional_prediction_follows_condition(self):
         verdict = predict_case(1 / 3, 0.25)
-        assert verdict.condition.incomparable
+        assert verdict.condition
         assert prediction_consistent(verdict, PairLabel.INCOMPARABLE)
         assert not prediction_consistent(verdict, PairLabel.CONVERTIBLE_FORWARD)
 
@@ -155,7 +156,7 @@ class TestVerifyPrediction:
     def test_hadamard_point(self):
         check = verify_prediction(IppParams(SQ2, SQ2))
         assert check.predicted.predicted is Prediction.CONDITIONAL
-        assert check.predicted.condition.incomparable
+        assert check.predicted.condition
         assert check.observed.label is PairLabel.INCOMPARABLE
         assert check.agree
 
@@ -183,54 +184,95 @@ class TestVerifyPrediction:
         assert agreements == total
 
 
-class TestBoundaryArbitration:
-    def test_agreement_counts_frozen_grid(self):
-        counts = boundary_agreement_counts(n_phi=120, n_delta=12)
-        # the B < 0 side of A > 1/4 never occurs, so only the B > 0 rows
-        # collect points; there the min-branch expression is the one whose
-        # implication always matches observed incomparability
-        assert counts[("B_NEG", "max_branch")] == (0, 0)
-        assert counts[("B_NEG", "min_branch")] == (0, 0)
-        assert counts[("B_POS", "min_branch")] == (608, 608)
-        assert counts[("B_POS", "max_branch")] == (284, 608)
+# B - (3/2)(A - 1/4) = b^2 H(a, b, c, s) for a = |alpha|, b = |beta|,
+# c = cos(delta), s = sin(delta), delta = arg(beta) - arg(alpha).  Each term
+# of H is (coefficient, exponent of a, of b, of c, of s).
+H_TERMS = (
+    (Fraction(1), 1, 3, 1, 2),
+    (Fraction(1), 1, 3, 0, 3),
+    (Fraction(-1), 1, 3, 0, 1),
+    (Fraction(-1), 1, 1, 1, 2),
+    (Fraction(-1), 1, 1, 0, 3),
+    (Fraction(1), 1, 1, 0, 1),
+    (Fraction(1), 0, 4, 1, 1),
+    (Fraction(-2), 0, 4, 0, 2),
+    (Fraction(2), 0, 4, 0, 0),
+    (Fraction(-3, 2), 0, 2, 1, 1),
+    (Fraction(3), 0, 2, 0, 2),
+    (Fraction(-3), 0, 2, 0, 0),
+    (Fraction(1, 2), 0, 0, 1, 1),
+    (Fraction(-1), 0, 0, 0, 2),
+    (Fraction(5, 4), 0, 0, 0, 0),
+)
 
-    def test_negative_b_with_large_a_unrealizable(self):
-        # scan the parameter torus: wherever A > 1/4, B stays positive
-        rng = np.random.default_rng(157)
-        phi = rng.uniform(0.0, 2.0 * math.pi, size=20000)
-        delta = rng.uniform(0.0, 2.0 * math.pi, size=20000)
-        alpha = np.cos(phi)
-        beta = np.exp(1j * delta) * np.sin(phi)
-        ab = np.conj(alpha) * beta
-        p = np.abs(alpha) ** 2 - np.abs(beta) ** 2 + 2.0 * ab.real
-        p = 0.5 * p
-        q = 0.5 * (
-            np.abs(alpha) ** 2
-            + 1j * np.abs(beta) ** 2
-            + np.conj(ab)
-            - 1j * ab
+
+def _h(a, b, c, s):
+    """H over arrays (or scalars) of a, b, c, s."""
+    return sum(float(k) * a**i * b**j * c**m * s**n for k, i, j, m, n in H_TERMS)
+
+
+class TestBoundaryArbitration:
+    """A > 1/4 forces B > 0, proved rather than sampled: B - (3/2)(A - 1/4)
+    is b^2 H exactly, and H is positive on the whole (phi, delta) torus."""
+
+    def test_identity_is_exact(self):
+        import sympy
+
+        a, b, c, s = sympy.symbols("a b c s", real=True)
+        h = sum(sympy.Rational(k.numerator, k.denominator) * a**i * b**j * c**m * s**n
+                for k, i, j, m, n in H_TERMS)
+        # the pqr formulas at alpha = a, beta = b e^{i delta}; the global
+        # phase cancels in every one of them
+        alpha, beta = a, b * (c + sympy.I * s)
+        cross = alpha * sympy.conjugate(beta) + beta * sympy.conjugate(alpha)
+        p = (a**2 - b**2 + cross) / 2
+        q = (a**2 + sympy.I * b**2 + alpha * sympy.conjugate(beta)
+             - sympy.I * beta * sympy.conjugate(alpha)) / 2
+        r = (cross - sympy.I) / 2
+        big_a = sum(sympy.expand(z * sympy.conjugate(z)) for z in (p, q, r)) / 3
+        big_b = sympy.expand(2 * sympy.re(sympy.expand(p * r * sympy.conjugate(q))))
+        difference = sympy.expand(big_b - sympy.Rational(3, 2) * (big_a - sympy.Rational(1, 4)) - b**2 * h)
+        _, remainder = sympy.reduced(
+            difference, [a**2 + b**2 - 1, c**2 + s**2 - 1], a, b, c, s, domain="QQ"
         )
-        r = 0.5 * (2.0 * ab.real - 1j)
-        big_a = (np.abs(p) ** 2 + np.abs(q) ** 2 + np.abs(r) ** 2) / 3.0
-        big_b = 2.0 * (p * r * np.conj(q)).real
-        above = big_a > 0.25 + 1e-12
-        assert np.count_nonzero(above) > 1000
-        assert np.all(big_b[above] > 0.0)
+        assert remainder == 0
+
+    def test_h_is_positive_on_the_torus(self):
+        # With a = cos(phi), b = sin(phi), each of a, b has derivative at
+        # most 1 in phi, so |dH/dphi| <= sum |k| (i + j); likewise in delta.
+        d_phi = sum(abs(k) * (i + j) for k, i, j, _, _ in H_TERMS)
+        d_delta = sum(abs(k) * (m + n) for k, _, _, m, n in H_TERMS)
+        assert (d_phi, d_delta) == (53, 32)
+        # Cell-centred grid over [0, 2 pi)^2: every point of the torus lies
+        # within half a cell, pi/cells (widened for the rounded centres), of
+        # a centre in each angle.
+        cells = 4452
+        half = math.pi / cells * (1 + 1e-9)
+        centres = (np.arange(cells) + 0.5) * (2.0 * math.pi / cells)
+        cos, sin = np.cos(centres), np.sin(centres)
+        # H = F G^T with F holding the (a, b) factors and G the (c, s) ones
+        f = np.stack([float(k) * cos**i * sin**j for k, i, j, _, _ in H_TERMS], axis=1)
+        g = np.stack([cos**m * sin**n for _, _, _, m, n in H_TERMS], axis=0)
+        lowest = min(float(np.min(f[rows] @ g)) for rows in np.array_split(np.arange(cells), 16))
+        # Rounding: each term is its coefficient times at most 7 factors of
+        # magnitude <= 1, each factor within a few ulp of the exact cos or
+        # sin, and the 15 terms are summed once; with |coefficients| adding
+        # to 85/4 the float value of H is within 85/4 * 40 * 1.2e-16 < 1e-12
+        # of H at the rounded centre.
+        rounding = 1e-9
+        certified = lowest - (d_phi + d_delta) * half - rounding
+        assert certified > 0.005
 
     def test_vectorized_coefficients_match_module(self):
-        # guard the scan above against drift from the module's formulas
+        # the package's (A, B) satisfy the identity, whatever the global phase
         rng = np.random.default_rng(163)
-        for _ in range(25):
-            phi = rng.uniform(0.0, 2.0 * math.pi)
-            delta = rng.uniform(0.0, 2.0 * math.pi)
-            p = IppParams(math.cos(phi), np.exp(1j * delta) * math.sin(phi))
-            big_a, big_b = cubic_coefficients(pqr(p))
-            alpha, beta = p.alpha, p.beta
-            ab = np.conj(alpha) * beta
-            pv = 0.5 * (abs(alpha) ** 2 - abs(beta) ** 2 + 2.0 * ab.real)
-            qv = 0.5 * (abs(alpha) ** 2 + 1j * abs(beta) ** 2 + np.conj(ab) - 1j * ab)
-            rv = 0.5 * (2.0 * ab.real - 1j)
-            assert big_a == pytest.approx(
-                (abs(pv) ** 2 + abs(qv) ** 2 + abs(rv) ** 2) / 3.0, abs=1e-12
+        for _ in range(2000):
+            phi, delta, phase = rng.uniform(0.0, 2.0 * math.pi, size=3)
+            p = IppParams(
+                np.exp(1j * phase) * math.cos(phi), np.exp(1j * (phase + delta)) * math.sin(phi)
             )
-            assert big_b == pytest.approx(2.0 * (pv * rv * np.conj(qv)).real, abs=1e-12)
+            big_a, big_b = cubic_coefficients(pqr(p))
+            a, b = abs(p.alpha), abs(p.beta)
+            angle = np.angle(p.beta) - np.angle(p.alpha)
+            lhs = big_b - 1.5 * (big_a - 0.25)
+            assert lhs == pytest.approx(b**2 * _h(a, b, math.cos(angle), math.sin(angle)), abs=1e-12)

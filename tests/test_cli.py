@@ -221,9 +221,9 @@ class TestCaseAnalyzeCommand:
         assert fields["subcase"] == "A_EQ_QUARTER"
         assert fields["predicted"] == "INCOMPARABLE"
         assert fields["condition_value"] == ""
-        assert fields["governing"] == ""
+        assert list(fields) == ["A", "B", "case", "subcase", "predicted", "condition_value"]
 
-    def test_hadamard_json_carries_note(self, capsys):
+    def test_hadamard_json_fields(self, capsys):
         alpha = format(1 / math.sqrt(2), ".17g")
         assert main(
             ["case-analyze", "--alpha", alpha, "--beta", alpha, "--format", "json"]
@@ -232,9 +232,8 @@ class TestCaseAnalyzeCommand:
         assert payload["case"] == "B_POS"
         assert payload["subcase"] == "A_GT_QUARTER"
         assert payload["predicted"] == "CONDITIONAL"
-        assert payload["governing"] == "min_branch"
-        assert payload["condition_value"] == pytest.approx(payload["expr_min_branch"])
-        assert "boundary" in payload["note"]
+        assert payload["condition_value"] == pytest.approx(0.837565435283323, abs=1e-14)
+        assert list(payload) == ["A", "B", "case", "subcase", "predicted", "condition_value"]
 
 
 class TestSweepCommands:
