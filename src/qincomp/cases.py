@@ -166,7 +166,7 @@ def predict_case(big_a: float, big_b: float) -> CaseVerdict:
     """Predicted verdict for the cubic data (A, B) of a final-state spectrum.
 
     ValueError unless (A, B) is finite, in the cubic's domain and realized
-    by some amplitudes (A above 1/4 needs B above 0).
+    by some amplitudes (A at least 1/12, and A above 1/4 needs B above 0).
     """
     big_a, big_b = np.array(float(big_a)), np.array(float(big_b))
     roots = _spectra(big_a, big_b)[1]

@@ -1,19 +1,17 @@
-"""Dense complex linear algebra with two independent Hermitian eigensolvers.
+"""Dense complex linear algebra: normalization and Hermitian checks, tensor
+products, and a hand-written cyclic Jacobi Hermitian eigensolver.
 
-The trigonometric solver evaluates the closed-form roots of the 3x3
-characteristic cubic; the cyclic Jacobi solver diagonalizes by plane
-rotations.  They share no code so each can vouch for the other.
+Jacobi is one of the package's two eigen-routes; the other, the closed-form
+trigonometric cubic, lives in scenarios and shares no code with it, so each
+can vouch for the other.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-12
-DEGENERATE_A_TOL = 1e-15
 JACOBI_OFF_TOL = 1e-14
 JACOBI_SWEEP_CAP = 100
 
@@ -39,87 +37,20 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (-1,))
 
 
-def dagger(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(m, dtype=complex).conj().T
-
-
-def is_normalized(v: np.ndarray, tol: float = NORM_TOL, axis: object = None) -> bool:
-    """True iff the squared-modulus sum of v is 1 within tol; with axis (an
-    int or a tuple, as numpy takes it), iff every sum along it is."""
+def is_normalized(v: np.ndarray, axis: object = None) -> bool:
+    """True iff the squared-modulus sum of v is 1 within NORM_TOL; with axis
+    (an int or a tuple, as numpy takes it), iff every sum along it is."""
     sums = np.sum(np.abs(np.asarray(v)) ** 2, axis=axis)
-    return bool(np.all(np.abs(sums - 1.0) <= tol))
+    return bool(np.all(np.abs(sums - 1.0) <= NORM_TOL))
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
+def is_hermitian(m: np.ndarray) -> bool:
     """True iff m, or every matrix of an (N, n, n) stack m, equals its
-    conjugate transpose entrywise within tol."""
+    conjugate transpose entrywise within HERMITIAN_TOL."""
     m = np.asarray(m, dtype=complex)
     return m.ndim in (2, 3) and m.shape[-1] == m.shape[-2] and bool(
-        np.all(np.abs(m - m.conj().swapaxes(-1, -2)) <= tol)
+        np.all(np.abs(m - m.conj().swapaxes(-1, -2)) <= HERMITIAN_TOL)
     )
-
-
-def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if not is_hermitian(m):
-        raise ValueError(f"{what} requires a Hermitian matrix")
-    return m
-
-
-def _det3(m: np.ndarray) -> complex:
-    """Cofactor expansion of a 3x3 determinant (keeps this path LAPACK-free)."""
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def _cubic_roots(
-    t: float, big_a: np.ndarray, big_b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots of x^3 - 3Ax + B and the eigenvalues (t - x)/3 they label.
-
-    Takes scalars or equal-shape arrays of A and B.  Returns the eigen-angle,
-    with cos(3*angle) = -B / (2 sqrt(A^3)) clamped to [-1, 1] and angle in
-    [0, pi/3]; the roots 2 sqrt(A) cos(2 pi/3 + angle), 2 sqrt(A) cos(angle)
-    and 2 sqrt(A) cos(2 pi/3 - angle), in that order along a new last axis;
-    and the eigenvalues descending along that axis.  A below 1e-15 is the
-    fully degenerate spectrum: angle 0, roots 0, every eigenvalue t/3.
-    """
-    big_a = np.asarray(big_a, dtype=float)
-    degenerate = big_a < DEGENERATE_A_TOL
-    # A = 1 on degenerate entries keeps the formula finite; they are reset below
-    safe_a = np.where(degenerate, 1.0, big_a)
-    cos3 = np.clip(-np.asarray(big_b, dtype=float) / (2.0 * np.sqrt(safe_a**3)), -1.0, 1.0)
-    angle = np.where(degenerate, 0.0, np.arccos(cos3) / 3.0)
-    root = 2.0 * np.sqrt(safe_a)
-    third = 2.0 * math.pi / 3.0
-    cosines = np.cos(np.stack([third + angle, angle, third - angle], axis=-1))
-    roots = np.where(degenerate[..., None], 0.0, root[..., None] * cosines)
-    return angle, roots, np.sort((t - roots) / 3.0, axis=-1)[..., ::-1]
-
-
-def eigenvalues_hermitian_trig(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a 3x3 Hermitian matrix via the trigonometric cubic formula.
-
-    Shifts to traceless form D0 = m - (t/3)I, writes the characteristic
-    polynomial as x^3 - 3Ax + B with x = t - 3*lambda, A = (3/2)tr(D0^2),
-    B = 27 det(D0), and evaluates the three cosine roots.  The arccos
-    argument is clamped to [-1, 1].  Returns eigenvalues descending.
-    If A < 1e-15 the matrix is a scalar multiple of the identity up to
-    noise and the common diagonal value t/3 is returned three times.
-    """
-    m = _require_hermitian(m, "eigenvalues_hermitian_trig")
-    if m.shape != (3, 3):
-        raise ValueError("eigenvalues_hermitian_trig requires a 3x3 matrix")
-    t = float(np.trace(m).real)
-    d0 = m - (t / 3.0) * np.eye(3)
-    # tr(D0^2) = ||D0||_F^2 for Hermitian D0
-    big_a = 1.5 * float(np.sum(np.abs(d0) ** 2))
-    big_b = float(_det3(d0).real) * 27.0
-    return _cubic_roots(t, big_a, big_b)[2]
 
 
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -176,7 +107,9 @@ def eigenvalues_hermitian_jacobi(
     sweep_cap sweeps.  Returns eigenvalues descending along the last axis:
     shape (n,) for one matrix, (N, n) for a stack.
     """
-    a = _require_hermitian(m, "eigenvalues_hermitian_jacobi")
+    a = np.asarray(m, dtype=complex)
+    if not is_hermitian(a):
+        raise ValueError("eigenvalues_hermitian_jacobi requires a Hermitian matrix")
     single = a.ndim == 2
     a = a[None].copy() if single else a.copy()
     n = a.shape[-1]

@@ -48,20 +48,22 @@ def _descending_padded(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
-def _majorized(sums_a: np.ndarray, sums_b: np.ndarray, tol: float) -> np.ndarray:
-    """Whether every partial sum of a is <= b's + tol, along the last axis."""
-    return np.all(sums_a <= sums_b + tol, axis=-1)
+def _majorized(sums_a: np.ndarray, sums_b: np.ndarray) -> np.ndarray:
+    """Whether every partial sum of a is <= b's + MAJORIZATION_TOL, along the
+    last axis."""
+    return np.all(sums_a <= sums_b + MAJORIZATION_TOL, axis=-1)
 
 
-def majorizes(b: np.ndarray, a: np.ndarray, tol: float = MAJORIZATION_TOL) -> bool:
-    """True iff a is majorized by b: every partial sum of a is <= b's + tol.
+def majorizes(b: np.ndarray, a: np.ndarray) -> bool:
+    """True iff a is majorized by b: every partial sum of a is <= b's +
+    MAJORIZATION_TOL.
 
     Ties count as satisfying the inequality, so borderline pairs register
     as convertible rather than incomparable.  Unequal lengths are
     zero-padded.
     """
     a, b = _descending_padded(a, b)
-    return bool(_majorized(np.cumsum(a), np.cumsum(b), tol))
+    return bool(_majorized(np.cumsum(a), np.cumsum(b)))
 
 
 def _pair_codes(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -69,8 +71,8 @@ def _pair_codes(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
     pairing vectors along the last axis; leading axes broadcast."""
     src, dst = _descending_padded(src, dst)
     sums_src, sums_dst = np.cumsum(src, axis=-1), np.cumsum(dst, axis=-1)
-    forward = _majorized(sums_src, sums_dst, MAJORIZATION_TOL)
-    backward = _majorized(sums_dst, sums_src, MAJORIZATION_TOL)
+    forward = _majorized(sums_src, sums_dst)
+    backward = _majorized(sums_dst, sums_src)
     return 2 * forward + backward, sums_src, sums_dst
 
 
@@ -78,20 +80,3 @@ def classify_pair(src: np.ndarray, dst: np.ndarray) -> PairVerdict:
     """Nielsen verdict for converting src into dst under deterministic LOCC."""
     code, sums_src, sums_dst = _pair_codes(src, dst)
     return PairVerdict(_LABELS[int(code)], sums_src, sums_dst)
-
-
-def incomparable_strict3(a: np.ndarray, b: np.ndarray) -> bool:
-    """Shortcut incomparability test for strictly decreasing 3-entry vectors.
-
-    Incomparable iff (a1 > b1 and a3 > b3) or (a1 < b1 and a3 < b3).
-    Raises ValueError unless both vectors are strictly decreasing; callers
-    with ties should use classify_pair instead.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (3,) or b.shape != (3,):
-        raise ValueError("incomparable_strict3 requires 3-entry vectors")
-    for v in (a, b):
-        if not (v[0] > v[1] > v[2]):
-            raise ValueError("incomparable_strict3 requires strictly decreasing entries")
-    return bool((a[0] > b[0] and a[2] > b[2]) or (a[0] < b[0] and a[2] < b[2]))

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import NORM_TOL, is_normalized
+from .linalg import is_normalized
 
 TWO_PI = 2.0 * math.pi
 IPP_NORM_TOL = 1e-12
@@ -113,7 +113,7 @@ def apply_antiunitary(p: UnitaryParams, k: np.ndarray) -> np.ndarray:
     k = np.asarray(k, dtype=complex)
     if k.shape != (2,):
         raise ValueError("apply_antiunitary acts on single-qubit kets")
-    if not is_normalized(k, NORM_TOL):
+    if not is_normalized(k):
         raise ValueError("apply_antiunitary requires a normalized ket")
     return _antiunitary_images(general_unitary(p), k)
 

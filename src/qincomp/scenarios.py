@@ -4,7 +4,9 @@ Both scenarios share a qutrit with Alice and give Bob two qubits; the
 candidate operation always acts on Bob's last qubit.  Alongside the
 direct state constructions, this module carries the closed-form reduced
 density matrices, the off-diagonal coefficients (p, q, r), the cubic
-data (A, B), and the trigonometric spectrum of the final state.
+data (A, B), and the package's one cubic-root formula: the trigonometric
+spectrum of the final state, the eigen-route that shares no code with
+linalg's Jacobi.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEGENERATE_A_TOL, _cubic_roots, _kron
+from .linalg import _kron
 from .qubits import (
     IppParams,
     SpinLabel,
@@ -69,16 +71,16 @@ class PqrCoefficients:
 class CubicSpectrum:
     """Roots of x^3 - 3Ax + B via x = 1 - 3*lambda, with the eigen-angle kept.
 
-    roots holds the three x-roots in the order linalg's cubic formula labels
-    them (the 2 pi/3 + angle branch first); all three are 0 when A is
-    degenerate.
+    roots holds the three x-roots 2 sqrt(A) cos(...) in the order the cubic
+    formula of spectrum_from_ab labels them (the 2 pi/3 + angle branch
+    first).
     """
 
     big_a: float
     big_b: float
     eigen_angle: float
     eigenvalues: np.ndarray
-    roots: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    roots: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         _check_spectrum_sum(self.eigenvalues)
@@ -231,7 +233,8 @@ def spectrum_from_ab(big_a: float, big_b: float) -> CubicSpectrum:
     The eigen-angle satisfies cos(3*angle) = -B / (2 sqrt(A^3)), clamped to
     [-1, 1], with angle in [0, pi/3].  Eigenvalues are returned descending
     (the natural labeling at this angle branch puts the smallest root in
-    the middle slot).  A below 1e-15 is the fully degenerate spectrum.
+    the middle slot).  ValueError unless (A, B) is finite, in the cubic's
+    domain and has A >= 1/12, as every amplitude pair does.
     """
     big_a = float(big_a)
     big_b = float(big_b)
@@ -240,15 +243,25 @@ def spectrum_from_ab(big_a: float, big_b: float) -> CubicSpectrum:
 
 
 def _spectra(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """spectrum_from_ab over arrays of (A, B): eigen-angles, roots and
-    eigenvalues as linalg's cubic formula returns them, after the same
-    domain and sum checks."""
+    """spectrum_from_ab over equal-shape arrays of (A, B): the eigen-angles;
+    the roots 2 sqrt(A) cos(2 pi/3 + angle), 2 sqrt(A) cos(angle) and
+    2 sqrt(A) cos(2 pi/3 - angle), in that order along a new last axis; and
+    the eigenvalues (1 - root)/3, descending along that axis.
+
+    A below 1/12 is refused as unrealizable: Im r = -1/2 exactly, so
+    3A = |p|^2 + |q|^2 + |r|^2 >= |r|^2 >= 1/4 for every amplitude pair.
+    """
     if not (np.all(np.isfinite(big_a)) and np.all(np.isfinite(big_b))):
         raise ValueError("A and B must be finite")
-    if np.any(big_a < 0.0):
-        raise ValueError("A must be nonnegative")
-    if np.any((big_a >= DEGENERATE_A_TOL) & (big_b * big_b > 4.0 * big_a**3 + CUBIC_DOMAIN_TOL)):
+    if np.any(big_a < 1.0 / 12.0):
+        raise ValueError("A below 1/12: no amplitudes realize these cubic data")
+    if np.any(big_b * big_b > 4.0 * big_a**3 + CUBIC_DOMAIN_TOL):
         raise ValueError("B^2 exceeds 4A^3: cubic has no valid spectrum")
-    angle, roots, eigenvalues = _cubic_roots(1.0, big_a, big_b)
+    cos3 = np.clip(-big_b / (2.0 * np.sqrt(big_a**3)), -1.0, 1.0)
+    angle = np.arccos(cos3) / 3.0
+    third = 2.0 * math.pi / 3.0
+    cosines = np.cos(np.stack([third + angle, angle, third - angle], axis=-1))
+    roots = (2.0 * np.sqrt(big_a))[..., None] * cosines
+    eigenvalues = np.sort((1.0 - roots) / 3.0, axis=-1)[..., ::-1]
     _check_spectrum_sum(eigenvalues)
     return angle, roots, eigenvalues

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NORM_TOL, eigenvalues_hermitian_jacobi, is_normalized
+from .linalg import eigenvalues_hermitian_jacobi, is_normalized
 
 SCHMIDT_SUM_TOL = 1e-10
 ENTROPY_CLAMP = 1e-13
@@ -26,7 +26,7 @@ class BipartiteState:
         amps = np.array(self.amplitudes, dtype=complex)
         if amps.shape != (self.dim_a * self.dim_b,):
             raise ValueError("amplitude count must equal dim_a * dim_b")
-        if not is_normalized(amps, NORM_TOL):
+        if not is_normalized(amps):
             raise ValueError("state amplitudes must have unit norm")
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
@@ -57,7 +57,7 @@ def _schmidt_vectors(mats: np.ndarray) -> np.ndarray:
     """schmidt_vector of each matrix of an (N, dim_a, dim_b) amplitude stack,
     with one stacked Jacobi call, after BipartiteState's unit-norm check on
     each matrix."""
-    if not is_normalized(mats, NORM_TOL, axis=(-2, -1)):
+    if not is_normalized(mats, axis=(-2, -1)):
         raise ValueError("state amplitudes must have unit norm")
     return _schmidt(mats)
 

@@ -116,20 +116,12 @@ def sweep_complex(n_phi: int, n_delta: int) -> list[SweepRecord]:
     return records
 
 
-def sweep_gamma(
-    n_theta: int,
-    n_a: int,
-    n_b: int,
-    theta0: float = 0.0,
-    phi_a0: float = 0.0,
-    phi_b0: float = 0.0,
-) -> GammaSweepSummary:
+def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
     """Max deviation of the anti-unitary scenario's final Schmidt vector from
-    its parameter-free value, over an (n_theta x n_a x n_b) angle grid.
+    its parameter-free value, over an (n_theta x n_a x n_b) angle grid whose
+    axes start at 0.
 
-    The optional offsets shift each grid axis, so single-point grids can
-    probe any chosen parameter triple.  Deviation at or above 1e-10 is an
-    internal contract violation.
+    Deviation at or above 1e-10 is an internal contract violation.
     """
     if n_theta < 1 or n_a < 1 or n_b < 1:
         raise ValueError("sweep_gamma requires positive grid sizes")
@@ -137,9 +129,9 @@ def sweep_gamma(
     for index in _blocks(n_theta * n_a * n_b):
         i, j, k = np.unravel_index(index, (n_theta, n_a, n_b))
         amplitudes = _chi_final_amplitudes(
-            theta0 + 2.0 * math.pi * i / n_theta,
-            phi_a0 + 2.0 * math.pi * j / n_a,
-            phi_b0 + 2.0 * math.pi * k / n_b,
+            2.0 * math.pi * i / n_theta,
+            2.0 * math.pi * j / n_a,
+            2.0 * math.pi * k / n_b,
         )
         vecs = _schmidt_vectors(amplitudes)
         worst = max(worst, float(np.max(np.abs(vecs - CHI_FINAL_SCHMIDT))))

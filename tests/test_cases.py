@@ -82,6 +82,9 @@ class TestPredictCase:
             pytest.param(predict_case, math.nan, 0.1, id="nan_a"),
             pytest.param(predict_case, math.inf, 0.0, id="inf_a"),
             pytest.param(predict_case, -0.1, 0.0, id="negative_a"),
+            # A below 1/12: Im r = -1/2 keeps every realizable A at or above it
+            pytest.param(predict_case, 0.0, 0.0, id="zero_a"),
+            pytest.param(predict_case, 0.05, 0.0, id="a_below_twelfth"),
             pytest.param(predict_case, 0.2, 0.5, id="b_squared_above_4a_cubed"),
             pytest.param(spectrum_from_ab, math.nan, 0.0, id="spectrum_nan_a"),
             # A above 1/4 with B not above 0: no amplitudes realize these

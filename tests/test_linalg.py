@@ -1,4 +1,4 @@
-"""Tests for the complex linear algebra layer and the two eigensolvers."""
+"""Tests for the complex linear algebra layer and the Jacobi eigensolver."""
 
 import math
 
@@ -7,9 +7,7 @@ import pytest
 
 from qincomp.linalg import (
     JacobiConvergenceError,
-    dagger,
     eigenvalues_hermitian_jacobi,
-    eigenvalues_hermitian_trig,
     is_hermitian,
     is_normalized,
     tensor_product,
@@ -56,7 +54,7 @@ def test_tensor_product_preserves_normalization():
         b = rng.normal(size=4) + 1j * rng.normal(size=4)
         a /= np.linalg.norm(a)
         b /= np.linalg.norm(b)
-        assert is_normalized(tensor_product(a, b), 1e-12)
+        assert is_normalized(tensor_product(a, b))
 
 
 def test_tensor_product_rejects_unnormalized():
@@ -64,69 +62,10 @@ def test_tensor_product_rejects_unnormalized():
         tensor_product(np.array([1.0, 1.0]), KET_0Z)
 
 
-def test_dagger_identity():
-    np.testing.assert_array_equal(dagger(np.eye(2)), np.eye(2))
-
-
-def test_dagger_by_hand():
-    m = np.array([[0, 1j], [0, 0]])
-    np.testing.assert_array_equal(dagger(m), np.array([[0, 0], [-1j, 0]]))
-
-
-def test_dagger_involution():
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    np.testing.assert_array_equal(dagger(dagger(m)), m)
-
-
 def test_is_hermitian():
     assert is_hermitian(np.eye(3))
     assert not is_hermitian(np.array([[0, 1j], [1j, 0]]))
     assert not is_hermitian(np.zeros((2, 3)))
-
-
-class TestTrigSolver:
-    def test_all_half_off_diagonals(self):
-        rho = density_from_off_diagonals(0.5, 0.5, 0.5)
-        np.testing.assert_allclose(
-            eigenvalues_hermitian_trig(rho), [2 / 3, 1 / 6, 1 / 6], atol=1e-12
-        )
-
-    def test_flipping_final_density(self):
-        rho = density_from_off_diagonals(-0.5, 0.5j, -0.5j)
-        np.testing.assert_allclose(
-            eigenvalues_hermitian_trig(rho), [2 / 3, 1 / 6, 1 / 6], atol=1e-12
-        )
-
-    def test_mixed_phase_off_diagonals(self):
-        rho = density_from_off_diagonals(0.5, 0.5, -0.5j)
-        expected = [1 / 3 + 1 / (2 * math.sqrt(3)), 1 / 3, 1 / 3 - 1 / (2 * math.sqrt(3))]
-        np.testing.assert_allclose(eigenvalues_hermitian_trig(rho), expected, atol=1e-12)
-
-    def test_degenerate_branch(self):
-        np.testing.assert_allclose(
-            eigenvalues_hermitian_trig(np.eye(3) / 3.0), [1 / 3, 1 / 3, 1 / 3], atol=0
-        )
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValueError):
-            eigenvalues_hermitian_trig(np.eye(2))
-
-    def test_rejects_non_hermitian(self):
-        m = np.eye(3, dtype=complex)
-        m[0, 1] = 1.0
-        with pytest.raises(ValueError):
-            eigenvalues_hermitian_trig(m)
-
-    def test_density_eigenvalues_in_unit_interval(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            v = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-            v /= np.linalg.norm(v)
-            rho = v @ v.conj().T
-            vals = eigenvalues_hermitian_trig(rho)
-            assert np.all(vals >= -1e-12) and np.all(vals <= 1 + 1e-12)
-            assert abs(vals.sum() - np.trace(rho).real) <= 1e-12
 
 
 class TestJacobiSolver:
@@ -141,19 +80,9 @@ class TestJacobiSolver:
             eigenvalues_hermitian_jacobi(rho), [2 / 3, 1 / 6, 1 / 6], atol=1e-12
         )
 
-    def test_agrees_with_trig_on_random_hermitian(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            m = random_hermitian(rng, 3)
-            np.testing.assert_allclose(
-                eigenvalues_hermitian_jacobi(m),
-                eigenvalues_hermitian_trig(m),
-                atol=1e-10,
-            )
-
     def test_agrees_with_library_solver_on_larger_sizes(self):
         rng = np.random.default_rng(23)
-        for n in (2, 4, 5):
+        for n in (2, 3, 4, 5):
             for _ in range(20):
                 m = random_hermitian(rng, n)
                 np.testing.assert_allclose(

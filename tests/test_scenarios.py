@@ -207,11 +207,13 @@ class TestCubicData:
             assert via_shortcut[1] == pytest.approx(via_pqr[1], abs=1e-12)
 
     def test_big_a_floor_over_random_params(self):
-        # |r| >= 1/2 pins A at or above 1/12
+        # Im r = -1/2 exactly, so 3A >= |r|^2 >= 1/4 pins A at or above 1/12
         rng = np.random.default_rng(137)
         for _ in range(1000):
-            big_a, _ = cubic_coefficients(pqr(random_ipp_params(rng)))
-            assert big_a >= 1 / 12 - 1e-12
+            c = pqr(random_ipp_params(rng))
+            assert c.r.imag == -0.5
+            big_a, _ = cubic_coefficients(c)
+            assert big_a >= 1 / 12
 
 
 class TestSpectrumFromAB:
@@ -228,8 +230,10 @@ class TestSpectrumFromAB:
         np.testing.assert_allclose(spec.eigenvalues, HADAMARD_SPECTRUM, atol=1e-12)
 
     def test_degenerate_input(self):
-        spec = spectrum_from_ab(0.0, 0.0)
-        np.testing.assert_allclose(spec.eigenvalues, [1 / 3, 1 / 3, 1 / 3], atol=0)
+        # A below 1/12 is unrealizable, the degenerate spectrum A = 0 included
+        for big_a in (0.0, 0.05):
+            with pytest.raises(ValueError, match="1/12"):
+                spectrum_from_ab(big_a, 0.0)
 
     def test_rejects_negative_a(self):
         with pytest.raises(ValueError):
@@ -237,7 +241,7 @@ class TestSpectrumFromAB:
 
     def test_rejects_domain_violation(self):
         with pytest.raises(ValueError):
-            spectrum_from_ab(0.01, 1.0)
+            spectrum_from_ab(0.25, 1.0)
 
     def test_eigen_angle_range_and_sum(self):
         rng = np.random.default_rng(139)
@@ -269,4 +273,4 @@ class TestSpectrumFromAB:
         from qincomp.scenarios import CubicSpectrum
 
         with pytest.raises(ValueError):
-            CubicSpectrum(0.25, 0.0, 0.1, np.array([0.5, 0.4, 0.2]))
+            CubicSpectrum(0.25, 0.0, 0.1, np.array([0.5, 0.4, 0.2]), (0.0, 0.0, 0.0))

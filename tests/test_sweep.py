@@ -179,7 +179,8 @@ class TestSweepGamma:
         assert summary.max_deviation < 1e-10
 
     def test_offset_reaches_flipper(self):
-        summary = sweep_gamma(1, 1, 1, theta0=math.pi / 2)
+        # the theta axis 0, pi/2, pi, 3pi/2 holds the flipper (pi/2, 0, 0)
+        summary = sweep_gamma(4, 1, 1)
         assert summary.max_deviation < 1e-10
 
     def test_rejects_empty_axis(self):
