@@ -12,6 +12,7 @@ from qincomp.linalg import (
     is_normalized,
     tensor_product,
 )
+from qincomp.scenarios import spectrum_from_ab
 
 SQ2 = 1.0 / math.sqrt(2.0)
 KET_0X = np.array([SQ2, SQ2], dtype=complex)
@@ -79,6 +80,26 @@ class TestJacobiSolver:
         np.testing.assert_allclose(
             eigenvalues_hermitian_jacobi(rho), [2 / 3, 1 / 6, 1 / 6], atol=1e-12
         )
+
+    def test_agrees_with_trig_on_random_hermitian(self):
+        # reference: the trigonometric cubic formula of spectrum_from_ab, fed
+        # the traceless part D of m scaled to ||D||_F = 1 (so A = 3/2) and
+        # shifted to trace 1; B = 27 det(D0)
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            m = random_hermitian(rng, 3)
+            mean = float(np.trace(m).real) / 3.0
+            d = m - mean * np.eye(3)
+            scale = float(np.linalg.norm(d))
+            d0 = d / scale
+            big_a = 1.5 * float(np.sum(np.abs(d0) ** 2))
+            big_b = 27.0 * float(np.linalg.det(d0).real)
+            lambdas = np.array(spectrum_from_ab(big_a, big_b).eigenvalues)
+            np.testing.assert_allclose(
+                eigenvalues_hermitian_jacobi(m),
+                mean + scale * (lambdas - 1.0 / 3.0),
+                atol=1e-10,
+            )
 
     def test_agrees_with_library_solver_on_larger_sizes(self):
         rng = np.random.default_rng(23)
