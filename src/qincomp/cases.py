@@ -39,10 +39,6 @@ from .states import _schmidt_vectors, entropy_of_entanglement, schmidt_vector
 CASE_BAND = 1e-12
 SOLVER_AGREE_TOL = 1e-10
 SQRT3_HALF = math.sqrt(3.0) / 2.0
-# Grid points per call of the certified kernel (and of the stacked Jacobi)
-# in the sweeps, so array temporaries stay bounded for any grid.  A chosen
-# round number, not a measured optimum.
-BLOCK_POINTS = 4096
 
 
 class CaseId(Enum):
@@ -187,12 +183,6 @@ def _pi_initial_schmidt() -> tuple[np.ndarray, float]:
     return vec, entropy_of_entanglement(vec)
 
 
-def _blocks(total: int):
-    """Index arrays of the consecutive blocks of at most BLOCK_POINTS grid points."""
-    for start in range(0, total, BLOCK_POINTS):
-        yield np.arange(start, min(start + BLOCK_POINTS, total))
-
-
 def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     """The certified grid kernel: predict from (A, B) and check against the
     directly classified pair at every point of (N,) amplitude arrays.
@@ -206,7 +196,9 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     Schmidt vector, and its entropy_final; the codes case, subcase,
     predicted and observed (an index into majorization's labels), with the
     partial sums sums_initial and sums_final that observed was read from;
-    agree; and entropy_initial.
+    agree; and entropy_initial.  A sweep's result columns are these arrays
+    (the labels and predictions mapped to their enums); verify_prediction
+    reads one point of them.
     """
     alpha, beta = _unit_amplitudes(alpha, beta)
     big_a, big_b = _cubic_ab(*_pqr(alpha, beta))

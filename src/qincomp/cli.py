@@ -21,9 +21,8 @@ from .scenarios import build_chi_initial, chi_final, cubic_coefficients, pqr
 from .states import BipartiteState, entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
-    _csv_line,
-    _json_row,
-    _json_value,
+    _json_cells,
+    _json_rows,
     _point_row,
     records_to_csv,
     records_to_json,
@@ -101,15 +100,16 @@ def parse_schmidt_arg(text: str) -> np.ndarray:
 
 
 def _emit(fmt: str, row: dict[str, object], payload: object = None) -> None:
-    """Print row as a header line and a value line, or as JSON.
+    """Print row as a header line and a value line, or as one JSON object,
+    through the sweep formatters: each value is a column of length 1.
 
     payload, when given, is printed as the JSON output instead of row.
     """
+    columns = {name: np.atleast_1d(value) for name, value in row.items()}
     if fmt == "json":
-        print(json.dumps(_json_row(row) if payload is None else payload, indent=2))
+        print(json.dumps(_json_rows(columns)[0] if payload is None else payload, indent=2))
     else:
-        print(",".join(row))
-        print(_csv_line(row))
+        sys.stdout.write(records_to_csv(columns))
 
 
 def _cmd_schmidt(args: argparse.Namespace) -> int:
@@ -120,7 +120,7 @@ def _cmd_schmidt(args: argparse.Namespace) -> int:
     _emit(
         args.format,
         row,
-        {"schmidt": [_json_value(v) for v in vec], "entropy": _json_value(entropy)},
+        {"schmidt": _json_cells(vec), "entropy": _json_cells(np.atleast_1d(entropy))[0]},
     )
     return 0
 
@@ -134,8 +134,8 @@ def _cmd_check_pair(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "label": verdict.label.value,
-                    "partial_sums_src": [_json_value(v) for v in verdict.partial_sums_src],
-                    "partial_sums_dst": [_json_value(v) for v in verdict.partial_sums_dst],
+                    "partial_sums_src": _json_cells(verdict.partial_sums_src),
+                    "partial_sums_dst": _json_cells(verdict.partial_sums_dst),
                 },
                 indent=2,
             )
@@ -183,26 +183,26 @@ def _cmd_case_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_records(args: argparse.Namespace, records) -> None:
+def _print_result(args: argparse.Namespace, result) -> None:
     if args.summary:
-        summary = summarize(records)
+        summary = summarize(result)
         row = {"total": summary["total"]}
         row.update((f"count_{k}", v) for k, v in summary["counts"].items())
         row.update((f"frac_{k}", v) for k, v in summary["fractions"].items())
         _emit(args.format, row, summary)
     elif args.format == "json":
-        print(records_to_json(records))
+        print(records_to_json(result))
     else:
-        sys.stdout.write(records_to_csv(records))
+        sys.stdout.write(records_to_csv(result))
 
 
 def _cmd_sweep_real(args: argparse.Namespace) -> int:
-    _print_records(args, sweep_real(args.n))
+    _print_result(args, sweep_real(args.n))
     return 0
 
 
 def _cmd_sweep_complex(args: argparse.Namespace) -> int:
-    _print_records(args, sweep_complex(args.n_phi, args.n_delta))
+    _print_result(args, sweep_complex(args.n_phi, args.n_delta))
     return 0
 
 

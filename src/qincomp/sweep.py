@@ -1,28 +1,37 @@
-"""Parameter sweeps with per-point classification records and summaries.
+"""Parameter sweeps as columnar results, their summaries, and the one
+CSV/JSON formatter that every command's output goes through.
 
 A sweep builds its parameter grid as arrays and certifies it in blocks of
-cases.BLOCK_POINTS points with the grid kernel behind cases.verify_prediction,
+BLOCK_POINTS points with the grid kernel behind cases.verify_prediction,
 which cross-checks the trigonometric spectrum against the Jacobi spectrum
 of the directly constructed state and raises ContractViolationError on
-disagreement.
+disagreement.  Its result is a dict of numpy columns keyed by the
+CSV_HEADER names, one entry per grid point: floats, None for a real
+sweep's delta, the PairLabel and Prediction enums, and bools.  The
+formatters pick a cell format once per column, from its dtype.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .cases import _PREDICTIONS, ContractViolationError, Prediction, _blocks, _certify
+from .cases import _PREDICTIONS, ContractViolationError, _certify
 from .majorization import _LABELS, PairLabel
 from .qubits import IppParams
 from .scenarios import CHI_FINAL_SCHMIDT, _chi_final_amplitudes
 from .states import _schmidt_vectors
 
 GAMMA_DEVIATION_TOL = 1e-10
+# Grid points per call of the certified kernel (and of the stacked Jacobi)
+# in the sweeps, and rows per formatting step, so array temporaries stay
+# bounded for any grid.  A chosen round number, not a measured optimum.
+BLOCK_POINTS = 4096
 
 CSV_HEADER = "phi,delta,A,B,lam1,lam2,lam3,entropy_i,entropy_f,observed,predicted,agree"
 _COLUMNS = tuple(CSV_HEADER.split(","))
@@ -33,22 +42,10 @@ _CATEGORY = {
     PairLabel.EQUAL: "equal",
     PairLabel.CONVERTIBLE_FORWARD: "convertible",
 }
+_LABEL_ENUMS = np.array(_LABELS, dtype=object)
+_PREDICTION_ENUMS = np.array(_PREDICTIONS, dtype=object)
 
-
-@dataclass(frozen=True)
-class SweepRecord:
-    phi: float
-    delta: float | None
-    big_a: float
-    big_b: float
-    lam1: float
-    lam2: float
-    lam3: float
-    entropy_initial: float
-    entropy_final: float
-    observed: PairLabel
-    predicted: Prediction
-    agree: bool
+Columns = dict[str, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -60,60 +57,60 @@ class GammaSweepSummary:
     max_deviation: float
 
 
-def _point_columns(alpha: np.ndarray, beta: np.ndarray) -> list[list]:
-    """Columns A .. agree of the sweep rows of (N,) amplitude arrays, as
-    lists of Python values, from one call of the certified grid kernel."""
+def _blocks(total: int):
+    """Index arrays of the consecutive blocks of at most BLOCK_POINTS grid points."""
+    for start in range(0, total, BLOCK_POINTS):
+        yield np.arange(start, min(start + BLOCK_POINTS, total))
+
+
+def _columns(alpha: np.ndarray, beta: np.ndarray) -> Columns:
+    """Columns A .. agree of (N,) amplitude arrays, from one call of the
+    certified grid kernel."""
     grid = _certify(alpha, beta)
-    return [
-        grid["big_a"].tolist(),
-        grid["big_b"].tolist(),
-        *grid["eigenvalues"].T.tolist(),
-        grid["entropy_initial"].tolist(),
-        grid["entropy_final"].tolist(),
-        np.array(_LABELS, dtype=object)[grid["observed"]].tolist(),
-        np.array(_PREDICTIONS, dtype=object)[grid["predicted"]].tolist(),
-        grid["agree"].tolist(),
-    ]
+    lam = grid["eigenvalues"]
+    return {
+        "A": grid["big_a"], "B": grid["big_b"],
+        "lam1": lam[:, 0], "lam2": lam[:, 1], "lam3": lam[:, 2],
+        "entropy_i": grid["entropy_initial"], "entropy_f": grid["entropy_final"],
+        "observed": _LABEL_ENUMS[grid["observed"]],
+        "predicted": _PREDICTION_ENUMS[grid["predicted"]],
+        "agree": grid["agree"],
+    }
 
 
-def _point_row(p: IppParams) -> dict[str, object]:
-    """The columns A .. agree of the sweep row of one parameter point."""
-    columns = _point_columns(np.array([p.alpha]), np.array([p.beta]))
-    return dict(zip(_COLUMNS[2:], (column[0] for column in columns)))
+def _point_row(p: IppParams) -> Columns:
+    """The columns A .. agree of one parameter point, each of length 1."""
+    return _columns(np.array([p.alpha]), np.array([p.beta]))
 
 
-def _records(
-    phi: np.ndarray, delta: np.ndarray | None, alpha: np.ndarray, beta: np.ndarray
-) -> list[SweepRecord]:
-    deltas = [None] * len(phi) if delta is None else delta.tolist()
-    return [
-        SweepRecord(*fields)
-        for fields in zip(phi.tolist(), deltas, *_point_columns(alpha, beta))
-    ]
+def _joined(blocks: list[Columns]) -> Columns:
+    return {name: np.concatenate([block[name] for block in blocks]) for name in _COLUMNS}
 
 
-def sweep_real(n: int) -> list[SweepRecord]:
+def sweep_real(n: int) -> Columns:
     """Classify n equally spaced real parameter points phi in [0, 2pi)."""
     if n < 2:
         raise ValueError("sweep_real requires n >= 2")
-    records = []
+    blocks = []
     for k in _blocks(n):
         phi = 2.0 * math.pi * k / n
-        records += _records(phi, None, np.cos(phi), np.sin(phi))
-    return records
+        delta = np.full(len(k), None)
+        blocks.append({"phi": phi, "delta": delta, **_columns(np.cos(phi), np.sin(phi))})
+    return _joined(blocks)
 
 
-def sweep_complex(n_phi: int, n_delta: int) -> list[SweepRecord]:
+def sweep_complex(n_phi: int, n_delta: int) -> Columns:
     """Classify the (phi, delta) grid with alpha = cos(phi), beta = e^{i delta} sin(phi)."""
     if n_phi < 2 or n_delta < 1:
         raise ValueError("sweep_complex requires n_phi >= 2 and n_delta >= 1")
-    records = []
+    blocks = []
     for index in _blocks(n_phi * n_delta):
         k, j = np.divmod(index, n_delta)
         phi = 2.0 * math.pi * k / n_phi
         delta = 2.0 * math.pi * j / n_delta
-        records += _records(phi, delta, np.cos(phi), np.exp(1j * delta) * np.sin(phi))
-    return records
+        beta = np.exp(1j * delta) * np.sin(phi)
+        blocks.append({"phi": phi, "delta": delta, **_columns(np.cos(phi), beta)})
+    return _joined(blocks)
 
 
 def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
@@ -142,12 +139,11 @@ def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
     return GammaSweepSummary(n_theta, n_a, n_b, n_theta * n_a * n_b, worst)
 
 
-def summarize(records: list[SweepRecord]) -> dict[str, dict[str, float]]:
-    """Category counts and fractions over a record sequence."""
-    counts = {name: 0 for name in ("incomparable", "increase", "equal", "convertible")}
-    for record in records:
-        counts[_CATEGORY[record.observed]] += 1
-    total = len(records)
+def summarize(result: Columns) -> dict[str, dict[str, float]]:
+    """Category counts and fractions over the observed column of a sweep result."""
+    tally = Counter(result["observed"].tolist())
+    counts = {name: tally[label] for label, name in _CATEGORY.items()}
+    total = len(result["observed"])
     fractions = {name: count / total for name, count in counts.items()}
     return {"counts": counts, "fractions": fractions, "total": total}
 
@@ -157,48 +153,49 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _csv_cell(value: object) -> str:
-    """15-digit float, "" for None, true/false for bools, an enum's value."""
-    if isinstance(value, float):
-        return format_float(value)
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Enum):
-        return value.value
-    return str(value)
+def _csv_cells(column: np.ndarray) -> list[str]:
+    """The CSV cells of a column: 15-digit floats, "" for None, true/false
+    for bools, an enum's value, or else str."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        return list(map(format_float, values))
+    if column.dtype.kind == "b":
+        return ["true" if value else "false" for value in values]
+    if isinstance(values[0], Enum):
+        return [value.value for value in values]
+    if values[0] is None:
+        return [""] * len(values)
+    return list(map(str, values))
 
 
-def _json_value(value: object) -> object:
-    if isinstance(value, float):
-        return float(format_float(value))
-    if isinstance(value, Enum):
-        return value.value
-    return value
+def _json_cells(column: np.ndarray) -> list:
+    """The JSON values of a column: floats rounded to 15 significant digits,
+    an enum's value, or else the value itself."""
+    values = column.tolist()
+    if column.dtype.kind == "f":
+        return [float(format_float(value)) for value in values]
+    if isinstance(values[0], Enum):
+        return [value.value for value in values]
+    return values
 
 
-def _csv_line(row: dict[str, object]) -> str:
-    """One CSV line holding the values of an output row."""
-    return ",".join(_csv_cell(value) for value in row.values())
+def _json_rows(result: Columns) -> list[dict[str, object]]:
+    """The rows of a columnar result as JSON objects keyed by column name."""
+    names = list(result)
+    return [dict(zip(names, row)) for row in zip(*map(_json_cells, result.values()))]
 
 
-def _json_row(row: dict[str, object]) -> dict[str, object]:
-    """An output row as a JSON object, floats rounded to 15 significant digits."""
-    return {name: _json_value(value) for name, value in row.items()}
+def records_to_csv(result: Columns) -> str:
+    """CSV text: a header line of the column names, then one line per row,
+    formatted a block of rows at a time."""
+    columns = list(result.values())
+    parts = [",".join(result)]
+    for index in _blocks(len(columns[0])):
+        cells = [_csv_cells(column[index]) for column in columns]
+        parts.append("\n".join(map(",".join, zip(*cells))))
+    return "\n".join(parts) + "\n"
 
 
-def _record_row(record: SweepRecord) -> dict[str, object]:
-    return dict(zip(_COLUMNS, vars(record).values()))
-
-
-def records_to_csv(records: list[SweepRecord]) -> str:
-    """CSV text with the fixed sweep header."""
-    lines = [CSV_HEADER]
-    lines.extend(_csv_line(_record_row(record)) for record in records)
-    return "\n".join(lines) + "\n"
-
-
-def records_to_json(records: list[SweepRecord]) -> str:
-    """JSON array of records with the same field names as the CSV columns."""
-    return json.dumps([_json_row(_record_row(record)) for record in records], indent=2)
+def records_to_json(result: Columns) -> str:
+    """JSON array of row objects with the same field names as the CSV columns."""
+    return json.dumps(_json_rows(result), indent=2)

@@ -192,16 +192,13 @@ def test_criterion_08_dual_route_oracle_equivalence():
 
 
 def test_criterion_09_real_sweep_properties():
-    records = sweep_real(3600)
-    predicted_inc = [r for r in records if r.predicted is Prediction.INCOMPARABLE]
-    clause_predictions = all(
-        r.observed is PairLabel.INCOMPARABLE for r in predicted_inc
-    )
-    high_a = [r for r in records if r.big_a > 0.25 + 1e-12]
-    clause_positive_b = all(r.big_b > 0.0 for r in high_a)
-    fraction = (
-        sum(r.observed is PairLabel.INCOMPARABLE for r in records) / len(records)
-    )
+    result = sweep_real(3600)
+    incomparable = result["observed"] == PairLabel.INCOMPARABLE
+    predicted_inc = result["predicted"] == Prediction.INCOMPARABLE
+    clause_predictions = bool(np.all(incomparable[predicted_inc]))
+    high_a = result["A"] > 0.25 + 1e-12
+    clause_positive_b = bool(np.all(result["B"][high_a] > 0.0))
+    fraction = int(np.count_nonzero(incomparable)) / len(incomparable)
     clause_fraction = fraction > 0.5
     ok = clause_predictions and clause_positive_b and clause_fraction
     _report(
@@ -209,8 +206,8 @@ def test_criterion_09_real_sweep_properties():
         "real sweep n=3600: predicted-INCOMPARABLE always observed "
         "INCOMPARABLE; A>1/4 forces B>0; incomparable fraction exceeds 0.5",
         ok,
-        f"predicted-INC observed-INC {sum(r.observed is PairLabel.INCOMPARABLE for r in predicted_inc)}"
-        f"/{len(predicted_inc)}; A>1/4 points all B>0: {clause_positive_b}; "
+        f"predicted-INC observed-INC {np.count_nonzero(incomparable[predicted_inc])}"
+        f"/{np.count_nonzero(predicted_inc)}; A>1/4 points all B>0: {clause_positive_b}; "
         f"incomparable fraction {fraction:.4f}",
     )
 

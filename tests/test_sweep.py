@@ -16,7 +16,7 @@ from qincomp.scenarios import (
     spectrum_from_ab,
 )
 from qincomp.states import schmidt_vector
-from qincomp import cases, sweep
+from qincomp import sweep
 from qincomp.sweep import (
     CSV_HEADER,
     ContractViolationError,
@@ -30,10 +30,20 @@ from qincomp.sweep import (
 )
 
 
+def _lam(result):
+    """The (N, 3) spectra of a sweep result, one row per point."""
+    return np.column_stack([result["lam1"], result["lam2"], result["lam3"]])
+
+
 class TestSweepReal:
+    def test_result_is_columns(self):
+        result = sweep_real(6)
+        assert list(result) == CSV_HEADER.split(",")
+        for column in result.values():
+            assert isinstance(column, np.ndarray) and column.shape == (6,)
+
     def test_four_point_labels(self):
-        records = sweep_real(4)
-        assert [r.observed for r in records] == [
+        assert sweep_real(4)["observed"].tolist() == [
             PairLabel.EQUAL,
             PairLabel.INCOMPARABLE,
             PairLabel.EQUAL,
@@ -41,99 +51,89 @@ class TestSweepReal:
         ]
 
     def test_identity_row(self):
-        record = sweep_real(4)[0]
-        assert record.phi == 0.0
-        assert record.delta is None
-        assert record.big_a == pytest.approx(0.25, abs=1e-12)
-        assert record.big_b == pytest.approx(0.0, abs=1e-12)
-        assert record.predicted is Prediction.NOT_INCOMPARABLE
-        assert record.entropy_final == pytest.approx(record.entropy_initial, abs=1e-12)
-        assert record.agree
+        result = sweep_real(4)
+        assert result["phi"][0] == 0.0
+        assert result["delta"][0] is None
+        assert result["A"][0] == pytest.approx(0.25, abs=1e-12)
+        assert result["B"][0] == pytest.approx(0.0, abs=1e-12)
+        assert result["predicted"][0] is Prediction.NOT_INCOMPARABLE
+        assert result["entropy_f"][0] == pytest.approx(result["entropy_i"][0], abs=1e-12)
+        assert result["agree"][0]
 
     def test_flipping_row(self):
-        record = sweep_real(4)[1]
-        assert record.phi == pytest.approx(math.pi / 2)
-        assert record.big_a == pytest.approx(0.25, abs=1e-12)
-        assert record.big_b == pytest.approx(0.25, abs=1e-12)
-        assert record.predicted is Prediction.INCOMPARABLE
-        assert record.lam1 == pytest.approx(2 / 3, abs=1e-12)
-        assert record.lam2 == pytest.approx(1 / 6, abs=1e-12)
-        assert record.agree
+        result = sweep_real(4)
+        assert result["phi"][1] == pytest.approx(math.pi / 2)
+        assert result["A"][1] == pytest.approx(0.25, abs=1e-12)
+        assert result["B"][1] == pytest.approx(0.25, abs=1e-12)
+        assert result["predicted"][1] is Prediction.INCOMPARABLE
+        assert result["lam1"][1] == pytest.approx(2 / 3, abs=1e-12)
+        assert result["lam2"][1] == pytest.approx(1 / 6, abs=1e-12)
+        assert result["agree"][1]
 
     def test_hadamard_row(self):
-        record = sweep_real(8)[1]
-        assert record.phi == pytest.approx(math.pi / 4)
-        assert record.observed is PairLabel.INCOMPARABLE
-        assert record.predicted is Prediction.CONDITIONAL
-        assert record.agree
+        result = sweep_real(8)
+        assert result["phi"][1] == pytest.approx(math.pi / 4)
+        assert result["observed"][1] is PairLabel.INCOMPARABLE
+        assert result["predicted"][1] is Prediction.CONDITIONAL
+        assert result["agree"][1]
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             sweep_real(1)
 
     def test_record_invariants(self):
-        for record in sweep_real(60):
-            lam = (record.lam1, record.lam2, record.lam3)
-            assert sum(lam) == pytest.approx(1.0, abs=1e-10)
-            assert record.lam1 >= record.lam2 >= record.lam3 >= -1e-12
-            assert record.delta is None
-            assert record.agree
-            if record.observed is PairLabel.CONVERTIBLE_BACKWARD:
-                assert record.entropy_final > record.entropy_initial - 1e-12
-            if record.observed is PairLabel.CONVERTIBLE_FORWARD:
-                assert record.entropy_final < record.entropy_initial + 1e-12
-            if record.observed is PairLabel.EQUAL:
-                assert record.entropy_final == pytest.approx(
-                    record.entropy_initial, abs=1e-10
-                )
+        result = sweep_real(60)
+        lam1, lam2, lam3 = result["lam1"], result["lam2"], result["lam3"]
+        observed = result["observed"]
+        gain = result["entropy_f"] - result["entropy_i"]
+        assert _lam(result).sum(axis=1) == pytest.approx(np.ones(60), abs=1e-10)
+        assert np.all((lam1 >= lam2) & (lam2 >= lam3) & (lam3 >= -1e-12))
+        assert result["delta"].tolist() == [None] * 60
+        assert result["agree"].all()
+        assert np.all(gain[observed == PairLabel.CONVERTIBLE_BACKWARD] > -1e-12)
+        assert np.all(gain[observed == PairLabel.CONVERTIBLE_FORWARD] < 1e-12)
+        equal = observed == PairLabel.EQUAL
+        assert result["entropy_f"][equal] == pytest.approx(result["entropy_i"][equal], abs=1e-10)
 
     def test_records_match_external_jacobi_route(self):
         # re-derive a few spectra from scratch and compare with the stored
         # trig values
-        for record in sweep_real(12)[::3]:
-            p = IppParams(math.cos(record.phi), math.sin(record.phi))
+        result = sweep_real(12)
+        for k in range(0, 12, 3):
+            phi = result["phi"][k]
+            p = IppParams(math.cos(phi), math.sin(phi))
             direct = schmidt_vector(pi_final(p))
             closed = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(p))
-            np.testing.assert_allclose(
-                [record.lam1, record.lam2, record.lam3], direct, atol=1e-10
-            )
+            np.testing.assert_allclose(_lam(result)[k], direct, atol=1e-10)
             np.testing.assert_allclose(direct, closed, atol=1e-10)
 
 
 class TestSweepComplex:
     def test_single_delta_matches_real_sweep(self):
-        complex_records = sweep_complex(4, 1)
-        real_records = sweep_real(4)
-        for cr, rr in zip(complex_records, real_records):
-            assert cr.delta == 0.0
-            assert rr.delta is None
-            assert cr.phi == rr.phi
-            assert cr.big_a == pytest.approx(rr.big_a, abs=1e-12)
-            assert cr.big_b == pytest.approx(rr.big_b, abs=1e-12)
-            assert (cr.lam1, cr.lam2, cr.lam3) == pytest.approx(
-                (rr.lam1, rr.lam2, rr.lam3), abs=1e-12
-            )
-            assert cr.observed is rr.observed
-            assert cr.predicted is rr.predicted
-            assert cr.agree is rr.agree
+        grid, real = sweep_complex(4, 1), sweep_real(4)
+        assert grid["delta"].tolist() == [0.0] * 4
+        assert real["delta"].tolist() == [None] * 4
+        np.testing.assert_array_equal(grid["phi"], real["phi"])
+        assert grid["A"] == pytest.approx(real["A"], abs=1e-12)
+        assert grid["B"] == pytest.approx(real["B"], abs=1e-12)
+        assert _lam(grid) == pytest.approx(_lam(real), abs=1e-12)
+        assert grid["observed"].tolist() == real["observed"].tolist()
+        assert grid["predicted"].tolist() == real["predicted"].tolist()
+        assert grid["agree"].tolist() == real["agree"].tolist()
 
     def test_grid_shape_and_agreement(self):
-        records = sweep_complex(18, 6)
-        assert len(records) == 108
-        assert all(r.agree for r in records)
-        deltas = {r.delta for r in records}
-        assert len(deltas) == 6
+        grid = sweep_complex(18, 6)
+        assert len(grid["phi"]) == 108
+        assert grid["agree"].all()
+        assert len(set(grid["delta"].tolist())) == 6
 
     def test_complex_records_match_external_jacobi_route(self):
-        for record in sweep_complex(7, 5):
-            p = IppParams(
-                math.cos(record.phi),
-                np.exp(1j * record.delta) * math.sin(record.phi),
-            )
+        grid = sweep_complex(7, 5)
+        for k in range(len(grid["phi"])):
+            phi, delta = grid["phi"][k], grid["delta"][k]
+            p = IppParams(math.cos(phi), np.exp(1j * delta) * math.sin(phi))
             closed = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(p))
-            np.testing.assert_allclose(
-                [record.lam1, record.lam2, record.lam3], closed, atol=1e-10
-            )
+            np.testing.assert_allclose(_lam(grid)[k], closed, atol=1e-10)
 
     def test_coefficient_route_ill_conditioned_at_double_root(self):
         # one ulp inside the discriminant boundary B^2 = 4A^3 the arccos
@@ -157,13 +157,14 @@ class TestSweepComplex:
             sweep_complex(4, 0)
 
     def test_zero_delta_column_equals_real_sweep(self):
-        by_phi = {r.phi: r for r in sweep_real(6)}
-        for record in sweep_complex(6, 4):
-            if record.delta == 0.0:
-                mate = by_phi[record.phi]
-                assert record.big_a == pytest.approx(mate.big_a, abs=1e-12)
-                assert record.big_b == pytest.approx(mate.big_b, abs=1e-12)
-                assert record.observed is mate.observed
+        real = sweep_real(6)
+        by_phi = {phi: k for k, phi in enumerate(real["phi"].tolist())}
+        grid = sweep_complex(6, 4)
+        for k in np.flatnonzero(grid["delta"] == 0.0):
+            mate = by_phi[grid["phi"][k]]
+            assert grid["A"][k] == pytest.approx(real["A"][mate], abs=1e-12)
+            assert grid["B"][k] == pytest.approx(real["B"][mate], abs=1e-12)
+            assert grid["observed"][k] is real["observed"][mate]
 
 
 class TestSweepGamma:
@@ -188,13 +189,21 @@ class TestSweepGamma:
             sweep_gamma(0, 1, 1)
 
 
+def _assert_same_columns(got, want):
+    assert list(got) == list(want)
+    for name, column in want.items():
+        np.testing.assert_array_equal(got[name], column, err_msg=name, strict=True)
+
+
 class TestBlocks:
     def test_block_boundaries_leave_results_unchanged(self, monkeypatch):
         real, grid, gamma = sweep_real(50), sweep_complex(9, 5), sweep_gamma(3, 4, 5)
-        monkeypatch.setattr(cases, "BLOCK_POINTS", 7)
-        assert sweep_real(50) == real
-        assert sweep_complex(9, 5) == grid
+        text = records_to_csv(grid)
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 7)
+        _assert_same_columns(sweep_real(50), real)
+        _assert_same_columns(sweep_complex(9, 5), grid)
         assert sweep_gamma(3, 4, 5).max_deviation == gamma.max_deviation
+        assert records_to_csv(grid) == text
 
 
 class TestSummarize:
