@@ -21,6 +21,7 @@ from .scenarios import build_chi_initial, chi_final, cubic_coefficients, pqr
 from .states import BipartiteState, entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
+    _csv_blocks,
     _json_cells,
     _json_rows,
     _point_row,
@@ -193,7 +194,9 @@ def _print_result(args: argparse.Namespace, result) -> None:
     elif args.format == "json":
         print(records_to_json(result))
     else:
-        sys.stdout.write(records_to_csv(result))
+        # every block is certified before the first is formatted, so a sweep
+        # that exits 3 has written nothing
+        sys.stdout.writelines(_csv_blocks(result))
 
 
 def _cmd_sweep_real(args: argparse.Namespace) -> int:

@@ -8,6 +8,8 @@ can vouch for the other.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
@@ -53,35 +55,48 @@ def is_hermitian(m: np.ndarray) -> bool:
     )
 
 
-def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Pivot rounds of a round-robin tournament on n indices.
+@functools.cache
+def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Pivot rounds of a round-robin tournament on n indices, as row-major
+    flat indices into an n x n matrix.
 
-    Each round holds floor(n/2) disjoint pairs (p, q) with p < q, as index
-    arrays P and Q; over the n - 1 (n even) or n (n odd) rounds every pair
-    appears exactly once.  Circle method: index 0 stays put, the others
-    rotate one place per round; with n odd, a phantom index n sits out the
-    pair it lands in.
+    Each round holds k = floor(n/2) disjoint pairs (p, q) with p < q; over
+    the n - 1 (n even) or n (n odd) rounds every pair appears exactly once.
+    Circle method: index 0 stays put, the others rotate one place per round;
+    with n odd, a phantom index n sits out the pair it lands in.  A round is
+    (gather, columns, rows): gather lists the k pivots (p, q), the k entries
+    (p, p) and the k entries (q, q), then columns; columns is the (2, n, k)
+    block of columns p and q, rows the (2, k, n) block of rows p and q.
+    Cached per n; the arrays are read-only.
     """
     m = n + n % 2
     ring = list(range(1, m))
+    line = np.arange(n)
     rounds = []
     for _ in range(m - 1):
         seats = [0, *ring]
         pairs = [sorted((seats[i], seats[m - 1 - i])) for i in range(m // 2)]
         pairs = [(p, q) for p, q in pairs if q < n]
         if pairs:
-            rounds.append((np.array([p for p, _ in pairs]), np.array([q for _, q in pairs])))
+            p, q = np.array(pairs).T
+            columns = np.stack([line[:, None] * n + p, line[:, None] * n + q])
+            rows = np.stack([p[:, None] * n + line, q[:, None] * n + line])
+            gather = np.concatenate([p * n + q, p * (n + 1), q * (n + 1), columns.ravel()])
+            for index in (gather, columns, rows):
+                index.flags.writeable = False
+            rounds.append((gather, columns, rows))
         ring = ring[-1:] + ring[:-1]
-    return rounds
+    return tuple(rounds)
 
 
-def _norms(a: np.ndarray, off_diagonal: bool = False) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, or of its off-diagonal part."""
-    squares = a.real**2 + a.imag**2
+def _norms(flat: np.ndarray, n: int, off_diagonal: bool = False) -> np.ndarray:
+    """Frobenius norm of each matrix of an (n*n, N) stack of row-major
+    matrices, one per column, or of its off-diagonal part.  Each matrix's
+    squares are summed as one contiguous row, in numpy's pairwise order."""
+    squares = flat.real**2 + flat.imag**2
     if off_diagonal:
-        diagonal = np.arange(a.shape[-1])
-        squares[:, diagonal, diagonal] = 0.0
-    return np.sqrt(np.sum(squares.reshape(len(a), -1), axis=1))
+        squares[:: n + 1] = 0.0
+    return np.sqrt(np.sum(np.ascontiguousarray(squares.T), axis=1))
 
 
 def eigenvalues_hermitian_jacobi(
@@ -92,63 +107,78 @@ def eigenvalues_hermitian_jacobi(
 
     A sweep visits every upper-triangle pivot once, in round-robin order:
     each step annihilates floor(n/2) disjoint pivots (p, q) at once in every
-    matrix of the stack, with unitary plane rotations that update only rows
+    matrix still rotating, with unitary plane rotations that update only rows
     and columns p and q.  A matrix stops at the first sweep that starts with
-    its off-diagonal Frobenius mass below tol = 1e-14 max(1, ||m||_F).
-    Pivots of modulus at most tol/n are left alone: were every off-diagonal
-    entry that small the matrix would already stop, while rotating one
-    between (nearly) equal diagonal entries turns by up to 45 degrees and
-    undoes the round's other work, which costs round-robin order its
-    quadratic convergence on repeated eigenvalues.  A stopped matrix, and a
-    pivot left alone, gets the identity rotation (c = 1, s = 0), which
-    leaves the matrix unchanged, so each matrix's eigenvalues do not depend
-    on the rest of the stack.  Raises ValueError if any matrix is not
-    Hermitian and JacobiConvergenceError if any has not stopped after
-    sweep_cap sweeps.  Returns eigenvalues descending along the last axis:
-    shape (n,) for one matrix, (N, n) for a stack.
+    its off-diagonal Frobenius mass below tol = 1e-14 max(1, ||m||_F), and
+    is not touched again.  Pivots of modulus at most tol/n are left alone
+    (the identity rotation, c = 1 and s = 0): were every off-diagonal entry
+    that small the matrix would already stop, while rotating one between
+    (nearly) equal diagonal entries turns by up to 45 degrees and undoes the
+    round's other work, which costs round-robin order its quadratic
+    convergence on repeated eigenvalues.  So each matrix's eigenvalues do
+    not depend on the rest of the stack.  The stack is held matrix-last, as
+    (n*n, N), so that every step works on rows of N contiguous entries.
+    Raises ValueError if any matrix is not Hermitian and
+    JacobiConvergenceError if any has not stopped after sweep_cap sweeps.
+    Returns eigenvalues descending along the last axis: shape (n,) for one
+    matrix, (N, n) for a stack.
     """
     a = np.asarray(m, dtype=complex)
     if not is_hermitian(a):
         raise ValueError("eigenvalues_hermitian_jacobi requires a Hermitian matrix")
     single = a.ndim == 2
-    a = a[None].copy() if single else a.copy()
+    stack = a[None] if single else a
     n = a.shape[-1]
-    # rotations keep ||a||_F fixed, so the stopping mass is fixed too
-    off_tol = JACOBI_OFF_TOL * np.maximum(1.0, _norms(a))
+    flat = stack.reshape(len(stack), n * n).T.copy()
+    k = n // 2
     rounds = _round_robin(n)
-    for _ in range(sweep_cap):
-        active = _norms(a, off_diagonal=True) >= off_tol
-        if not active.any():
+    values = np.empty((len(stack), n))
+    # the matrices still rotating, as their stack indices, and their stopping
+    # masses: rotations keep ||a||_F fixed, so these are fixed too
+    live = np.arange(len(stack))
+    off_tol = JACOBI_OFF_TOL * np.maximum(1.0, _norms(flat, n))
+    for sweep in range(sweep_cap + 1):
+        off = _norms(flat, n, off_diagonal=True)
+        rotating = off >= off_tol
+        if not rotating.all():
+            values[live[~rotating]] = flat[:: n + 1, ~rotating].real.T
+            live, off, off_tol = live[rotating], off[rotating], off_tol[rotating]
+            flat = flat[:, rotating]
+        if not live.size:
             break
+        if sweep == sweep_cap:
+            raise JacobiConvergenceError(
+                f"off-diagonal mass {np.max(off):.3e} after {sweep_cap} sweeps"
+            )
         # pivots at or below this modulus get the identity rotation
-        pivot_tol = np.where(active, off_tol / n, np.inf)[:, None]
-        # past |tau| ~ 1e154, tau * tau overflows to inf and t becomes 0,
-        # the limit of 1/(2 tau)
-        with np.errstate(over="ignore"):
-            for p, q in rounds:
-                apq = a[:, p, q]
+        pivot_tol = off_tol / n
+        # past |tau| ~ 1e154, tau * tau overflows to inf and t becomes 0, the
+        # limit of 1/(2 tau); a pivot of size 0 gives nan, replaced below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for gather, columns, rows in rounds:
+                picked = flat.take(gather, axis=0)
+                apq = picked[:k]
                 size = np.abs(apq)
+                tau = (picked[2 * k : 3 * k].real - picked[k : 2 * k].real) / (2.0 * size)
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                # s e^{i arg a_pq}
+                s = (t * c) * (apq / size)
                 rotate = size > pivot_tol
-                size = np.where(rotate, size, 1.0)
-                tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * size)
-                t = np.where(
-                    tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                )
-                c = np.where(rotate, 1.0 / np.sqrt(1.0 + t * t), 1.0)
-                # s e^{i arg a_pq}, zero for the identity rotation
-                s = np.where(rotate, t * c, 0.0) * (apq / size)
-                col_c, col_s = c[:, None, :], s[:, None, :]
-                col_p, col_q = a[:, :, p], a[:, :, q]
-                a[:, :, p] = col_c * col_p - col_s.conj() * col_q
-                a[:, :, q] = col_s * col_p + col_c * col_q
-                row_c, row_s = c[:, :, None], s[:, :, None]
-                row_p, row_q = a[:, p, :], a[:, q, :]
-                a[:, p, :] = row_c * row_p - row_s * row_q
-                a[:, q, :] = row_s.conj() * row_p + row_c * row_q
-    off = _norms(a, off_diagonal=True)
-    if np.any(off >= off_tol):
-        raise JacobiConvergenceError(
-            f"off-diagonal mass {np.max(off):.3e} after {sweep_cap} sweeps"
-        )
-    values = np.sort(np.diagonal(a, axis1=1, axis2=2).real, axis=-1)[:, ::-1]
+                c = np.where(rotate, c, 1.0)
+                s = np.where(rotate, s, 0.0)
+                # columns p, q times J = [[c, s], [-conj(s), c]], then rows
+                # p, q times J^H from the left; x - y is x + (-y) bit for bit.
+                # The products with the swapped halves are made in place, so a
+                # round allocates one block-sized array per update, not three.
+                cross = np.concatenate([-s.conj(), s]).reshape(2, 1, k, -1)
+                cols = picked[3 * k :].reshape(2, n, k, -1)
+                new = c * cols
+                new += np.multiply(cross, cols[::-1], out=cols[::-1])
+                flat[columns] = new
+                rows_pq = flat.take(rows, axis=0)
+                new = c[:, None] * rows_pq
+                new += np.multiply(cross.conj().swapaxes(1, 2), rows_pq[::-1], out=rows_pq[::-1])
+                flat[rows] = new
+    values = np.sort(values, axis=-1)[:, ::-1]
     return values[0] if single else values

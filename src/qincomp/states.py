@@ -44,10 +44,14 @@ def _reduced_densities(mats: np.ndarray) -> np.ndarray:
 
 
 def schmidt_vector(s: BipartiteState) -> np.ndarray:
-    """Descending eigenvalues of the A-side reduced density matrix.
+    """Descending Schmidt coefficients: the min(dim_a, dim_b) eigenvalues of
+    the shared nonzero spectrum, from the smaller side's Gram matrix.
 
-    Truncated to min(dim_a, dim_b) entries; eigenvalue noise below zero
-    is clamped to 0.  Invariant under a global phase on the state.
+    With M the (dim_a, dim_b) amplitude matrix, that is M M^H (the A-side
+    reduced density) when dim_a <= dim_b, else M^H M (the transposed B-side
+    one); both have the squared singular values of M as their nonzero
+    spectrum.  Eigenvalue noise below zero is clamped to 0.  Invariant under
+    a global phase on the state.
     """
     # BipartiteState has checked the unit norm
     return _schmidt(s.amplitudes.reshape(s.dim_a, s.dim_b))
@@ -64,8 +68,9 @@ def _schmidt_vectors(mats: np.ndarray) -> np.ndarray:
 
 def _schmidt(mats: np.ndarray) -> np.ndarray:
     """schmidt_vector of one amplitude matrix or of an (N, dim_a, dim_b) stack, unchecked."""
-    vals = eigenvalues_hermitian_jacobi(_reduced_densities(mats))
-    return np.clip(vals[..., : min(mats.shape[-2:])], 0.0, None)
+    dim_a, dim_b = mats.shape[-2:]
+    gram = _reduced_densities(mats if dim_a <= dim_b else mats.conj().swapaxes(-1, -2))
+    return np.clip(eigenvalues_hermitian_jacobi(gram), 0.0, None)
 
 
 def entropy_of_entanglement(v: np.ndarray) -> float | np.ndarray:

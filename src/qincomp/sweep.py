@@ -185,15 +185,19 @@ def _json_rows(result: Columns) -> list[dict[str, object]]:
     return [dict(zip(names, row)) for row in zip(*map(_json_cells, result.values()))]
 
 
-def records_to_csv(result: Columns) -> str:
-    """CSV text: a header line of the column names, then one line per row,
-    formatted a block of rows at a time."""
+def _csv_blocks(result: Columns):
+    """The CSV text of a columnar result in pieces: the header line of the
+    column names, then the lines of each block of BLOCK_POINTS rows."""
     columns = list(result.values())
-    parts = [",".join(result)]
+    yield ",".join(result) + "\n"
     for index in _blocks(len(columns[0])):
         cells = [_csv_cells(column[index]) for column in columns]
-        parts.append("\n".join(map(",".join, zip(*cells))))
-    return "\n".join(parts) + "\n"
+        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def records_to_csv(result: Columns) -> str:
+    """CSV text: a header line of the column names, then one line per row."""
+    return "".join(_csv_blocks(result))
 
 
 def records_to_json(result: Columns) -> str:

@@ -21,6 +21,8 @@ COMMANDS = {
     "sweep-real-n4-summary": ["sweep-real", "--n", "4", "--summary"],
     "ipp-demo": ["ipp-demo", "--alpha", "0.6", "--beta", "0+0.8i"],
     "case-analyze-hadamard": ["case-analyze", *HADAMARD],
+    "sweep-gamma-4x3x2": ["sweep-gamma", "--n-theta", "4", "--n-a", "3", "--n-b", "2"],
+    "gamma-demo": ["gamma-demo"],
 }
 
 

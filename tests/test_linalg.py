@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qincomp.linalg import (
+    JACOBI_SWEEP_CAP,
     JacobiConvergenceError,
     eigenvalues_hermitian_jacobi,
     is_hermitian,
@@ -142,6 +143,17 @@ def random_hermitian_stack(rng, count, n):
     return m + m.conj().swapaxes(-1, -2)
 
 
+def sweeps_to_converge(m):
+    """The smallest sweep_cap at which Jacobi converges on the one matrix m."""
+    for cap in range(JACOBI_SWEEP_CAP + 1):
+        try:
+            eigenvalues_hermitian_jacobi(m, sweep_cap=cap)
+        except JacobiConvergenceError:
+            continue
+        return cap
+    raise AssertionError("no convergence within JACOBI_SWEEP_CAP sweeps")
+
+
 class TestStackedJacobi:
     def test_rows_equal_single_matrix_calls_exactly(self):
         # converged and zero-pivot matrices get identity rotations, which
@@ -157,6 +169,8 @@ class TestStackedJacobi:
                 random_hermitian_stack(rng, 12, 3),
             ]
         )
+        # members stop at different sweeps, so later sweeps rotate only some
+        assert len({sweeps_to_converge(matrix) for matrix in stack}) >= 3
         rows = eigenvalues_hermitian_jacobi(stack)
         assert rows.shape == (16, 3)
         for matrix, row in zip(stack, rows):
@@ -181,6 +195,33 @@ class TestStackedJacobi:
             eigenvalues_hermitian_jacobi(stack)
 
     def test_sweep_cap_raises_on_stack(self):
-        stack = random_hermitian_stack(np.random.default_rng(43), 4, 3)
-        with pytest.raises(JacobiConvergenceError):
-            eigenvalues_hermitian_jacobi(stack, sweep_cap=0)
+        # at every cap below the slowest member's sweep count the stack
+        # raises, also once the other members have stopped
+        rng = np.random.default_rng(43)
+        nearly_diagonal = np.diag([3.0, 1.0, 2.0]).astype(complex)
+        nearly_diagonal[0, 1] = nearly_diagonal[1, 0] = 1e-9
+        stack = np.concatenate(
+            [
+                np.diag([3.0, 1.0, 2.0])[None].astype(complex),
+                nearly_diagonal[None],
+                random_hermitian_stack(rng, 4, 3),
+            ]
+        )
+        needed = [sweeps_to_converge(matrix) for matrix in stack]
+        assert needed[0] == 0 and 0 < needed[1] < max(needed)
+        for cap in range(max(needed)):
+            with pytest.raises(JacobiConvergenceError):
+                eigenvalues_hermitian_jacobi(stack, sweep_cap=cap)
+        np.testing.assert_array_equal(
+            eigenvalues_hermitian_jacobi(stack, sweep_cap=max(needed)),
+            eigenvalues_hermitian_jacobi(stack),
+        )
+
+    def test_input_left_unchanged(self):
+        # one matrix, a stack of one and a stack: the solver rotates a copy
+        rng = np.random.default_rng(47)
+        one = random_hermitian(rng, 4)
+        for m in (one, random_hermitian_stack(rng, 1, 4), random_hermitian_stack(rng, 3, 4)):
+            before = m.copy()
+            eigenvalues_hermitian_jacobi(m)
+            np.testing.assert_array_equal(m, before)

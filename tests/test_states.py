@@ -76,9 +76,23 @@ def test_schmidt_vector_bell():
 
 
 def test_schmidt_vector_truncates_to_smaller_dimension():
+    # tall states take the B-side Gram matrix, wide and square ones the A
+    # side; both must give the squared singular values of the amplitudes
     rng = np.random.default_rng(31)
-    s = random_state(rng, 4, 2)
-    assert schmidt_vector(s).size == 2
+    u = rng.normal(size=(8, 1)) + 1j * rng.normal(size=(8, 1))
+    v = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
+    rank_one = u @ v / np.linalg.norm(u @ v)
+    states = [random_state(rng, *dims) for dims in [(4, 2), (6, 2), (2, 6), (4, 4), (32, 24)]]
+    states.append(BipartiteState(8, 3, rank_one.reshape(-1)))
+    for s in states:
+        m = s.amplitudes.reshape(s.dim_a, s.dim_b)
+        vec = schmidt_vector(s)
+        assert vec.size == min(s.dim_a, s.dim_b)
+        np.testing.assert_allclose(
+            vec, np.linalg.svd(m, compute_uv=False) ** 2, rtol=0, atol=1e-12
+        )
+        swapped = BipartiteState(s.dim_b, s.dim_a, m.T.reshape(-1))
+        np.testing.assert_allclose(schmidt_vector(swapped), vec, rtol=0, atol=1e-13)
 
 
 def test_schmidt_vector_global_phase_invariance():
