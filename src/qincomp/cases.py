@@ -26,14 +26,7 @@ import numpy as np
 
 from .majorization import _LABELS, PairLabel, PairVerdict, _pair_codes
 from .qubits import IppParams, _unit_amplitudes
-from .scenarios import (
-    CubicSpectrum,
-    _cubic_ab,
-    _pi_final_amplitudes,
-    _pqr,
-    _spectra,
-    build_pi_initial,
-)
+from .scenarios import _cubic_ab, _pi_final_amplitudes, _pqr, _spectra, build_pi_initial
 from .states import _schmidt_vectors, entropy_of_entanglement, schmidt_vector
 
 CASE_BAND = 1e-12
@@ -75,13 +68,12 @@ class CaseVerdict:
 
 @dataclass(frozen=True)
 class PredictionCheck:
-    """One certified point: the prediction, the observed pair, and the
-    trig spectrum that agreed with the Jacobi spectrum of the final state."""
+    """One certified point: the prediction, the observed pair, whether they
+    agree, and the entropies of the initial and final states."""
 
     predicted: CaseVerdict
     observed: PairVerdict
     agree: bool
-    spectrum: CubicSpectrum
     entropy_initial: float
     entropy_final: float
 
@@ -99,6 +91,8 @@ class ContractViolationError(RuntimeError):
 _CASE_IDS = (CaseId.B_NEG, CaseId.B_ZERO, CaseId.B_POS)
 _SUBCASES = (Subcase.A_LT_QUARTER, Subcase.A_EQ_QUARTER, Subcase.A_GT_QUARTER)
 _PREDICTIONS = tuple(Prediction)
+_LABEL_ENUMS = np.array(_LABELS, dtype=object)
+_PREDICTION_ENUMS = np.array(_PREDICTIONS, dtype=object)
 _CONDITIONAL = _PREDICTIONS.index(Prediction.CONDITIONAL)
 _INCOMPARABLE = _LABELS.index(PairLabel.INCOMPARABLE)
 # The decision table: the prediction, as an index into _PREDICTIONS, for
@@ -148,10 +142,10 @@ def _condition(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, value < SQRT3_HALF
 
 
-def _verdict(case: int, subcase: int, predicted: int, roots: np.ndarray) -> CaseVerdict:
-    """The CaseVerdict of one point's codes; the roots are read only for a
-    CONDITIONAL prediction."""
-    case_id, sub, prediction = _CASE_IDS[case], _SUBCASES[subcase], _PREDICTIONS[predicted]
+def _verdict(case: int, subcase: int, prediction: Prediction, roots: np.ndarray) -> CaseVerdict:
+    """The CaseVerdict of one point's codes and prediction; the roots are
+    read only for a CONDITIONAL prediction."""
+    case_id, sub = _CASE_IDS[case], _SUBCASES[subcase]
     if prediction is not Prediction.CONDITIONAL:
         return CaseVerdict(case_id, sub, prediction)
     value, incomparable = _condition(roots)
@@ -167,7 +161,7 @@ def predict_case(big_a: float, big_b: float) -> CaseVerdict:
     big_a, big_b = np.array(float(big_a)), np.array(float(big_b))
     roots = _spectra(big_a, big_b)[1]
     case, subcase, predicted = (int(code) for code in _decide(big_a, big_b))
-    return _verdict(case, subcase, predicted, roots)
+    return _verdict(case, subcase, _PREDICTIONS[predicted], roots)
 
 
 def prediction_consistent(verdict: CaseVerdict, label: PairLabel) -> bool:
@@ -191,19 +185,16 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     Jacobi spectrum of the directly built final state (one stacked Jacobi
     call for all points) within SOLVER_AGREE_TOL; otherwise
     ContractViolationError is raised for the first failing point.  Returns
-    arrays with one entry (or row) per point: big_a, big_b, and angle,
-    roots and eigenvalues as spectrum_from_ab gives them; final, the Jacobi
-    Schmidt vector, and its entropy_final; the codes case, subcase,
-    predicted and observed (an index into majorization's labels), with the
-    partial sums sums_initial and sums_final that observed was read from;
-    agree; and entropy_initial.  A sweep's result columns are these arrays
-    (the labels and predictions mapped to their enums); verify_prediction
-    reads one point of them.
+    (N,) arrays under a sweep's column names, in its column order: A, B,
+    the trig eigenvalues lam1 .. lam3, entropy_i and entropy_f, observed
+    and predicted as PairLabel and Prediction objects, and agree.  Then,
+    for verify_prediction, the case and subcase codes, and the (N, 3) roots
+    and final-state partial sums sums_final.
     """
     alpha, beta = _unit_amplitudes(alpha, beta)
     big_a, big_b = _cubic_ab(*_pqr(alpha, beta))
     final = _schmidt_vectors(_pi_final_amplitudes(alpha, beta))
-    angle, roots, eigenvalues = _spectra(big_a, big_b)
+    roots, eigenvalues = _spectra(big_a, big_b)[1:]
     gap = np.max(np.abs(eigenvalues - final), axis=-1)
     failing = np.flatnonzero(gap > SOLVER_AGREE_TOL)
     if failing.size:
@@ -214,7 +205,7 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
         )
     initial_vec, initial_entropy = _pi_initial_schmidt()
     case, subcase, predicted = _decide(big_a, big_b)
-    observed, sums_initial, sums_final = _pair_codes(initial_vec, final)
+    observed, _, sums_final = _pair_codes(initial_vec, final)
     incomparable_if = _condition(roots)[1]
     agree = np.where(
         predicted == _CONDITIONAL,
@@ -222,13 +213,13 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
         _ADMITTED[predicted, observed],
     )
     return {
-        "big_a": big_a, "big_b": big_b, "angle": angle, "roots": roots,
-        "eigenvalues": eigenvalues, "final": final,
-        "entropy_final": entropy_of_entanglement(final), "case": case,
-        "subcase": subcase, "predicted": predicted, "observed": observed,
-        "sums_initial": np.broadcast_to(sums_initial, sums_final.shape),
-        "sums_final": sums_final, "agree": agree,
-        "entropy_initial": np.full(len(final), initial_entropy),
+        "A": big_a, "B": big_b,
+        "lam1": eigenvalues[:, 0], "lam2": eigenvalues[:, 1], "lam3": eigenvalues[:, 2],
+        "entropy_i": np.full(len(final), initial_entropy),
+        "entropy_f": entropy_of_entanglement(final),
+        "observed": _LABEL_ENUMS[observed], "predicted": _PREDICTION_ENUMS[predicted],
+        "agree": agree, "case": case, "subcase": subcase, "roots": roots,
+        "sums_final": sums_final,
     }
 
 
@@ -238,17 +229,11 @@ def verify_prediction(p: IppParams) -> PredictionCheck:
     ContractViolationError where the trig and Jacobi spectra disagree."""
     grid = _certify(np.array([p.alpha]), np.array([p.beta]))
     point = {name: value[0] for name, value in grid.items()}
-    roots = point["roots"]
+    sums_initial = np.cumsum(_pi_initial_schmidt()[0])
     return PredictionCheck(
-        predicted=_verdict(point["case"], point["subcase"], point["predicted"], roots),
-        observed=PairVerdict(
-            _LABELS[point["observed"]], point["sums_initial"], point["sums_final"]
-        ),
+        predicted=_verdict(point["case"], point["subcase"], point["predicted"], point["roots"]),
+        observed=PairVerdict(point["observed"], sums_initial, point["sums_final"]),
         agree=bool(point["agree"]),
-        spectrum=CubicSpectrum(
-            float(point["big_a"]), float(point["big_b"]), float(point["angle"]),
-            point["eigenvalues"], tuple(roots.tolist()),
-        ),
-        entropy_initial=float(point["entropy_initial"]),
-        entropy_final=float(point["entropy_final"]),
+        entropy_initial=float(point["entropy_i"]),
+        entropy_final=float(point["entropy_f"]),
     )

@@ -21,10 +21,10 @@ from .scenarios import build_chi_initial, chi_final, cubic_coefficients, pqr
 from .states import BipartiteState, entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
+    _certified,
     _csv_blocks,
     _json_cells,
     _json_rows,
-    _point_row,
     records_to_csv,
     records_to_json,
     summarize,
@@ -165,7 +165,8 @@ def _ipp_from_args(args: argparse.Namespace) -> IppParams:
 
 
 def _cmd_ipp_demo(args: argparse.Namespace) -> int:
-    _emit(args.format, _point_row(_ipp_from_args(args)))
+    p = _ipp_from_args(args)
+    _emit(args.format, _certified(np.array([p.alpha]), np.array([p.beta])))
     return 0
 
 

@@ -42,7 +42,9 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def is_normalized(v: np.ndarray, axis: object = None) -> bool:
     """True iff the squared-modulus sum of v is 1 within NORM_TOL; with axis
     (an int or a tuple, as numpy takes it), iff every sum along it is."""
-    sums = np.sum(np.abs(np.asarray(v)) ** 2, axis=axis)
+    # a huge amplitude squares to inf, which fails the check below
+    with np.errstate(over="ignore"):
+        sums = np.sum(np.abs(np.asarray(v)) ** 2, axis=axis)
     return bool(np.all(np.abs(sums - 1.0) <= NORM_TOL))
 
 

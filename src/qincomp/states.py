@@ -79,5 +79,6 @@ def entropy_of_entanglement(v: np.ndarray) -> float | np.ndarray:
     v = np.asarray(v, dtype=float)
     positive = v >= ENTROPY_CLAMP
     terms = np.where(positive, v * np.log2(np.where(positive, v, 1.0)), 0.0)
-    entropy = -np.sum(terms, axis=-1)
+    # 0.0 - x, not -x: a product vector's entropy is 0.0, never -0.0
+    entropy = 0.0 - np.sum(terms, axis=-1)
     return float(entropy) if entropy.ndim == 0 else entropy

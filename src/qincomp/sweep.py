@@ -2,13 +2,14 @@
 CSV/JSON formatter that every command's output goes through.
 
 A sweep builds its parameter grid as arrays and certifies it in blocks of
-BLOCK_POINTS points with the grid kernel behind cases.verify_prediction,
-which cross-checks the trigonometric spectrum against the Jacobi spectrum
-of the directly constructed state and raises ContractViolationError on
-disagreement.  Its result is a dict of numpy columns keyed by the
-CSV_HEADER names, one entry per grid point: floats, None for a real
-sweep's delta, the PairLabel and Prediction enums, and bools.  The
-formatters pick a cell format once per column, from its dtype.
+BLOCK_POINTS points with the grid kernel cases._certify, which
+cross-checks the trigonometric spectrum against the Jacobi spectrum of the
+directly constructed state, raises ContractViolationError on disagreement,
+and returns the columns A .. agree under their CSV_HEADER names.  A
+sweep's result is a dict of numpy columns keyed by the CSV_HEADER names,
+one entry per grid point: phi and delta (None in a real sweep), then the
+kernel's columns: floats, the PairLabel and Prediction enums, and bools.
+The formatters pick a cell format once per column, from its dtype.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from .cases import _PREDICTIONS, ContractViolationError, _certify
-from .majorization import _LABELS, PairLabel
-from .qubits import IppParams
+from .cases import ContractViolationError, _certify
+from .majorization import PairLabel
 from .scenarios import CHI_FINAL_SCHMIDT, _chi_final_amplitudes
 from .states import _schmidt_vectors
 
@@ -42,8 +42,6 @@ _CATEGORY = {
     PairLabel.EQUAL: "equal",
     PairLabel.CONVERTIBLE_FORWARD: "convertible",
 }
-_LABEL_ENUMS = np.array(_LABELS, dtype=object)
-_PREDICTION_ENUMS = np.array(_PREDICTIONS, dtype=object)
 
 Columns = dict[str, np.ndarray]
 
@@ -63,24 +61,17 @@ def _blocks(total: int):
         yield np.arange(start, min(start + BLOCK_POINTS, total))
 
 
-def _columns(alpha: np.ndarray, beta: np.ndarray) -> Columns:
-    """Columns A .. agree of (N,) amplitude arrays, from one call of the
-    certified grid kernel."""
+def _grid_angles(*sizes: int):
+    """Per block of the row-major grid of the given axis sizes, each axis's
+    angles 2 pi i / n at the block's points."""
+    for index in _blocks(math.prod(sizes)):
+        yield [2.0 * math.pi * i / n for i, n in zip(np.unravel_index(index, sizes), sizes)]
+
+
+def _certified(alpha: np.ndarray, beta: np.ndarray) -> Columns:
+    """The columns A .. agree of the certified kernel at (N,) amplitude arrays."""
     grid = _certify(alpha, beta)
-    lam = grid["eigenvalues"]
-    return {
-        "A": grid["big_a"], "B": grid["big_b"],
-        "lam1": lam[:, 0], "lam2": lam[:, 1], "lam3": lam[:, 2],
-        "entropy_i": grid["entropy_initial"], "entropy_f": grid["entropy_final"],
-        "observed": _LABEL_ENUMS[grid["observed"]],
-        "predicted": _PREDICTION_ENUMS[grid["predicted"]],
-        "agree": grid["agree"],
-    }
-
-
-def _point_row(p: IppParams) -> Columns:
-    """The columns A .. agree of one parameter point, each of length 1."""
-    return _columns(np.array([p.alpha]), np.array([p.beta]))
+    return {name: grid[name] for name in _COLUMNS[2:]}
 
 
 def _joined(blocks: list[Columns]) -> Columns:
@@ -92,10 +83,9 @@ def sweep_real(n: int) -> Columns:
     if n < 2:
         raise ValueError("sweep_real requires n >= 2")
     blocks = []
-    for k in _blocks(n):
-        phi = 2.0 * math.pi * k / n
-        delta = np.full(len(k), None)
-        blocks.append({"phi": phi, "delta": delta, **_columns(np.cos(phi), np.sin(phi))})
+    for (phi,) in _grid_angles(n):
+        delta = np.full(len(phi), None)
+        blocks.append({"phi": phi, "delta": delta, **_certified(np.cos(phi), np.sin(phi))})
     return _joined(blocks)
 
 
@@ -104,12 +94,9 @@ def sweep_complex(n_phi: int, n_delta: int) -> Columns:
     if n_phi < 2 or n_delta < 1:
         raise ValueError("sweep_complex requires n_phi >= 2 and n_delta >= 1")
     blocks = []
-    for index in _blocks(n_phi * n_delta):
-        k, j = np.divmod(index, n_delta)
-        phi = 2.0 * math.pi * k / n_phi
-        delta = 2.0 * math.pi * j / n_delta
+    for phi, delta in _grid_angles(n_phi, n_delta):
         beta = np.exp(1j * delta) * np.sin(phi)
-        blocks.append({"phi": phi, "delta": delta, **_columns(np.cos(phi), beta)})
+        blocks.append({"phi": phi, "delta": delta, **_certified(np.cos(phi), beta)})
     return _joined(blocks)
 
 
@@ -123,14 +110,8 @@ def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
     if n_theta < 1 or n_a < 1 or n_b < 1:
         raise ValueError("sweep_gamma requires positive grid sizes")
     worst = 0.0
-    for index in _blocks(n_theta * n_a * n_b):
-        i, j, k = np.unravel_index(index, (n_theta, n_a, n_b))
-        amplitudes = _chi_final_amplitudes(
-            2.0 * math.pi * i / n_theta,
-            2.0 * math.pi * j / n_a,
-            2.0 * math.pi * k / n_b,
-        )
-        vecs = _schmidt_vectors(amplitudes)
+    for angles in _grid_angles(n_theta, n_a, n_b):
+        vecs = _schmidt_vectors(_chi_final_amplitudes(*angles))
         worst = max(worst, float(np.max(np.abs(vecs - CHI_FINAL_SCHMIDT))))
     if worst >= GAMMA_DEVIATION_TOL:
         raise ContractViolationError(

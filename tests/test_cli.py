@@ -101,6 +101,24 @@ class TestSchmidtCommand:
         path.write_text("2 2\n1 0\n1 0\n0 0\n0 0\n", encoding="utf-8")
         assert main(["schmidt", str(path)]) == 2
 
+    def test_product_state_entropy_is_positive_zero(self, tmp_path, capsys):
+        path = tmp_path / "product.txt"
+        path.write_text("2 2\n1 0\n0 0\n0 0\n0 0\n", encoding="utf-8")
+        assert main(["schmidt", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "1,0,0"
+        assert main(["schmidt", str(path), "--format", "json"]) == 0
+        entropy = json.loads(capsys.readouterr().out)["entropy"]
+        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+
+    def test_overflowing_amplitude_exits_2(self, tmp_path, capsys):
+        # 1e308 squares past the largest float: rejected without a numpy warning
+        path = tmp_path / "huge.txt"
+        path.write_text("2 2\n1e308 0\n0 0\n0 0\n0 0\n", encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["schmidt", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: state amplitudes must have unit norm")
+
 
 class TestCheckPairCommand:
     def test_forward(self, capsys):

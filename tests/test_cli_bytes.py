@@ -13,16 +13,20 @@ import pytest
 from qincomp.cli import main
 
 EXPECTED = Path(__file__).resolve().parent / "cli_bytes"
+ENTANGLED_2X3 = Path(__file__).resolve().parent / "data" / "entangled-2x3.txt"
 HADAMARD = ["--alpha", "0.7071067811865476", "--beta", "0.7071067811865476"]
 
 COMMANDS = {
     "sweep-real-n4": ["sweep-real", "--n", "4"],
     "sweep-complex-4x2": ["sweep-complex", "--n-phi", "4", "--n-delta", "2"],
+    "sweep-complex-4x2-summary": ["sweep-complex", "--n-phi", "4", "--n-delta", "2", "--summary"],
     "sweep-real-n4-summary": ["sweep-real", "--n", "4", "--summary"],
     "ipp-demo": ["ipp-demo", "--alpha", "0.6", "--beta", "0+0.8i"],
     "case-analyze-hadamard": ["case-analyze", *HADAMARD],
     "sweep-gamma-4x3x2": ["sweep-gamma", "--n-theta", "4", "--n-a", "3", "--n-b", "2"],
     "gamma-demo": ["gamma-demo"],
+    "check-pair-incomparable": ["check-pair", "0.5,0.4,0.1", "0.6,0.2,0.2"],
+    "schmidt-2x3": ["schmidt", str(ENTANGLED_2X3)],
 }
 
 

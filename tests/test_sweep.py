@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qincomp.cases import Prediction
+from qincomp.cases import Prediction, verify_prediction
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel
 from qincomp.qubits import IppParams
@@ -204,6 +204,26 @@ class TestBlocks:
         _assert_same_columns(sweep_complex(9, 5), grid)
         assert sweep_gamma(3, 4, 5).max_deviation == gamma.max_deviation
         assert records_to_csv(grid) == text
+
+
+class TestOneKernel:
+    @pytest.mark.parametrize(
+        "grid", [lambda: sweep_real(8), lambda: sweep_complex(6, 3)], ids=["real-8", "complex-6x3"]
+    )
+    def test_verify_prediction_is_the_sweep_row(self, grid):
+        # the sweeps and verify_prediction read one kernel: every row's
+        # verdict and entropies are the one-point check's, floats bit-equal
+        result = grid()
+        phi, delta = result["phi"], result["delta"]
+        alpha = np.cos(phi)
+        beta = np.sin(phi) if delta[0] is None else np.exp(1j * delta) * np.sin(phi)
+        for i in range(len(phi)):
+            check = verify_prediction(IppParams(alpha[i], beta[i]))
+            assert check.observed.label is result["observed"][i]
+            assert check.predicted.predicted is result["predicted"][i]
+            assert check.agree is bool(result["agree"][i])
+            assert check.entropy_initial.hex() == float(result["entropy_i"][i]).hex()
+            assert check.entropy_final.hex() == float(result["entropy_f"][i]).hex()
 
 
 class TestSummarize:
