@@ -21,12 +21,9 @@ from .scenarios import build_chi_initial, chi_final, cubic_coefficients, pqr
 from .states import BipartiteState, entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
+    _cells,
     _certified,
-    _csv_blocks,
-    _json_cells,
-    _json_rows,
-    records_to_csv,
-    records_to_json,
+    _text,
     summarize,
     sweep_complex,
     sweep_gamma,
@@ -65,6 +62,8 @@ def parse_state_file(path: str) -> BipartiteState:
         dim_a, dim_b = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ValueError("state file dimensions must be integers") from exc
+    if dim_a < 1 or dim_b < 1:
+        raise ValueError("subsystem dimensions must be positive")
     body = lines[1:]
     if len(body) != dim_a * dim_b:
         raise ValueError(
@@ -102,15 +101,20 @@ def parse_schmidt_arg(text: str) -> np.ndarray:
 
 def _emit(fmt: str, row: dict[str, object], payload: object = None) -> None:
     """Print row as a header line and a value line, or as one JSON object,
-    through the sweep formatters: each value is a column of length 1.
+    through the sweep's cell formatter: each value is a column of length 1.
 
     payload, when given, is printed as the JSON output instead of row.
     """
-    columns = {name: np.atleast_1d(value) for name, value in row.items()}
-    if fmt == "json":
-        print(json.dumps(_json_rows(columns)[0] if payload is None else payload, indent=2))
+    if fmt == "json" and payload is not None:
+        print(json.dumps(payload, indent=2))
     else:
-        sys.stdout.write(records_to_csv(columns))
+        columns = {name: np.atleast_1d(value) for name, value in row.items()}
+        sys.stdout.writelines(_text(columns, fmt, lone=True))
+
+
+def _rounded(values) -> list[float]:
+    """Floats rounded to the 15 significant digits of the sweep's cells."""
+    return [float(cell) for cell in _cells(np.atleast_1d(values), "csv")]
 
 
 def _cmd_schmidt(args: argparse.Namespace) -> int:
@@ -118,11 +122,7 @@ def _cmd_schmidt(args: argparse.Namespace) -> int:
     entropy = entropy_of_entanglement(vec)
     row = {f"lam{i + 1}": v for i, v in enumerate(vec)}
     row["entropy"] = entropy
-    _emit(
-        args.format,
-        row,
-        {"schmidt": _json_cells(vec), "entropy": _json_cells(np.atleast_1d(entropy))[0]},
-    )
+    _emit(args.format, row, {"schmidt": _rounded(vec), "entropy": _rounded(entropy)[0]})
     return 0
 
 
@@ -130,19 +130,12 @@ def _cmd_check_pair(args: argparse.Namespace) -> int:
     src = parse_schmidt_arg(args.vec_a)
     dst = parse_schmidt_arg(args.vec_b)
     verdict = classify_pair(src, dst)
-    if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "label": verdict.label.value,
-                    "partial_sums_src": _json_cells(verdict.partial_sums_src),
-                    "partial_sums_dst": _json_cells(verdict.partial_sums_dst),
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(verdict.label.value)
+    payload = {
+        "label": verdict.label.value,
+        "partial_sums_src": _rounded(verdict.partial_sums_src),
+        "partial_sums_dst": _rounded(verdict.partial_sums_dst),
+    }
+    print(json.dumps(payload, indent=2) if args.format == "json" else verdict.label.value)
     return 0
 
 
@@ -192,12 +185,10 @@ def _print_result(args: argparse.Namespace, result) -> None:
         row.update((f"count_{k}", v) for k, v in summary["counts"].items())
         row.update((f"frac_{k}", v) for k, v in summary["fractions"].items())
         _emit(args.format, row, summary)
-    elif args.format == "json":
-        print(records_to_json(result))
     else:
         # every block is certified before the first is formatted, so a sweep
         # that exits 3 has written nothing
-        sys.stdout.writelines(_csv_blocks(result))
+        sys.stdout.writelines(_text(result, args.format))
 
 
 def _cmd_sweep_real(args: argparse.Namespace) -> int:

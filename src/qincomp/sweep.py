@@ -1,5 +1,5 @@
 """Parameter sweeps as columnar results, their summaries, and the one
-CSV/JSON formatter that every command's output goes through.
+CSV/JSON serializer that every command's rows go through.
 
 A sweep builds its parameter grid as arrays and certifies it in blocks of
 BLOCK_POINTS points with the grid kernel cases._certify, which
@@ -9,12 +9,13 @@ and returns the columns A .. agree under their CSV_HEADER names.  A
 sweep's result is a dict of numpy columns keyed by the CSV_HEADER names,
 one entry per grid point: phi and delta (None in a real sweep), then the
 kernel's columns: floats, the PairLabel and Prediction enums, and bools.
-The formatters pick a cell format once per column, from its dtype.
+One cell formatter picks a column's text once, from its dtype, in either
+format; one generator writes a result BLOCK_POINTS rows at a time as CSV
+lines or as the JSON array that json.dumps(..., indent=2) would write.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -134,53 +135,54 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _csv_cells(column: np.ndarray) -> list[str]:
-    """The CSV cells of a column: 15-digit floats, "" for None, true/false
-    for bools, an enum's value, or else str."""
+def _cells(column: np.ndarray, fmt: str) -> list[str]:
+    """The text of each cell of a column in fmt ("csv" or "json"): floats
+    to 15 significant digits (in JSON, the repr of that float, as json.dumps
+    writes it), true/false for bools, an enum's value (quoted in JSON),
+    "" or null for None, or else str."""
     values = column.tolist()
+    in_json = fmt == "json"
     if column.dtype.kind == "f":
-        return list(map(format_float, values))
+        cells = list(map(format_float, values))
+        return [repr(float(cell)) for cell in cells] if in_json else cells
     if column.dtype.kind == "b":
         return ["true" if value else "false" for value in values]
     if isinstance(values[0], Enum):
-        return [value.value for value in values]
+        return [f'"{value.value}"' if in_json else value.value for value in values]
     if values[0] is None:
-        return [""] * len(values)
+        return ["null" if in_json else ""] * len(values)
     return list(map(str, values))
 
 
-def _json_cells(column: np.ndarray) -> list:
-    """The JSON values of a column: floats rounded to 15 significant digits,
-    an enum's value, or else the value itself."""
-    values = column.tolist()
-    if column.dtype.kind == "f":
-        return [float(format_float(value)) for value in values]
-    if isinstance(values[0], Enum):
-        return [value.value for value in values]
-    return values
-
-
-def _json_rows(result: Columns) -> list[dict[str, object]]:
-    """The rows of a columnar result as JSON objects keyed by column name."""
-    names = list(result)
-    return [dict(zip(names, row)) for row in zip(*map(_json_cells, result.values()))]
-
-
-def _csv_blocks(result: Columns):
-    """The CSV text of a columnar result in pieces: the header line of the
-    column names, then the lines of each block of BLOCK_POINTS rows."""
-    columns = list(result.values())
-    yield ",".join(result) + "\n"
+def _text(result: Columns, fmt: str, lone: bool = False):
+    """The CSV or JSON text of a columnar result in pieces, BLOCK_POINTS rows
+    at a time, ending in a newline: the header line of the column names and
+    one line per row, or an array of row objects keyed by column name, laid
+    out as json.dumps(..., indent=2) lays it out.  With lone, the JSON of a
+    one-row result is its row object alone."""
+    names, columns = list(result), list(result.values())
+    if fmt == "json":
+        template = "{\n" + ",\n".join(f'  "{name}": %s' for name in names) + "\n}"
+        if lone:
+            head, sep, tail = "", "", "\n"
+        else:
+            template, head, sep, tail = "  " + template.replace("\n", "\n  "), "[\n", ",\n", "\n]\n"
+        row = template.__mod__
+    else:
+        row, head, sep, tail = ",".join, ",".join(names) + "\n", "\n", "\n"
+    yield head
     for index in _blocks(len(columns[0])):
-        cells = [_csv_cells(column[index]) for column in columns]
-        yield "\n".join(map(",".join, zip(*cells))) + "\n"
+        rows = zip(*(_cells(column[index], fmt) for column in columns))
+        yield (sep if index[0] else "") + sep.join(map(row, rows))
+    yield tail
 
 
 def records_to_csv(result: Columns) -> str:
     """CSV text: a header line of the column names, then one line per row."""
-    return "".join(_csv_blocks(result))
+    return "".join(_text(result, "csv"))
 
 
 def records_to_json(result: Columns) -> str:
-    """JSON array of row objects with the same field names as the CSV columns."""
-    return json.dumps(_json_rows(result), indent=2)
+    """JSON array of row objects with the same field names as the CSV
+    columns, as json.dumps(..., indent=2) writes it: no final newline."""
+    return "".join(_text(result, "json"))[:-1]

@@ -119,6 +119,14 @@ class TestSchmidtCommand:
             assert main(["schmidt", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: state amplitudes must have unit norm")
 
+    @pytest.mark.parametrize("header", ["2 -2", "0 5"])
+    def test_nonpositive_dimension_exits_2(self, tmp_path, capsys, header):
+        # refused as soon as the header is read, before the body is counted
+        path = tmp_path / "bad.txt"
+        path.write_text(header + "\n", encoding="utf-8")
+        assert main(["schmidt", str(path)]) == 2
+        assert capsys.readouterr().err == "error: subsystem dimensions must be positive\n"
+
 
 class TestCheckPairCommand:
     def test_forward(self, capsys):
@@ -323,6 +331,15 @@ class TestSweepCommands:
              "--beta", "0.5000000000000001+0.8660254037844386i"]
         ) == 3
         assert "trig and Jacobi spectra disagree by" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_refused_grid_writes_nothing(self, capsys, fmt):
+        # every block is certified before any is written, so no partial table
+        args = ["sweep-complex", "--n-phi", "12", "--n-delta", "6", "--format", fmt]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "internal contract violation" in captured.err
 
 
 class TestParserErrors:

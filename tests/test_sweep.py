@@ -195,15 +195,35 @@ def _assert_same_columns(got, want):
         np.testing.assert_array_equal(got[name], column, err_msg=name, strict=True)
 
 
+def _json_rows(result):
+    """The rows of a sweep result as the objects json.dumps is given: floats
+    rounded to 15 significant digits, an enum's value, None and bools."""
+    def value(x):
+        if isinstance(x, float):
+            return float(format_float(x))
+        if isinstance(x, (PairLabel, Prediction)):
+            return x.value
+        return x  # None, or a bool
+
+    names, columns = list(result), [column.tolist() for column in result.values()]
+    return [dict(zip(names, map(value, row))) for row in zip(*columns)]
+
+
 class TestBlocks:
     def test_block_boundaries_leave_results_unchanged(self, monkeypatch):
         real, grid, gamma = sweep_real(50), sweep_complex(9, 5), sweep_gamma(3, 4, 5)
         text = records_to_csv(grid)
+        texts = [records_to_json(real), records_to_json(grid)]
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 7)
         _assert_same_columns(sweep_real(50), real)
         _assert_same_columns(sweep_complex(9, 5), grid)
         assert sweep_gamma(3, 4, 5).max_deviation == gamma.max_deviation
         assert records_to_csv(grid) == text
+        assert [records_to_json(real), records_to_json(grid)] == texts
+        # the real grid's delta column is all None; both cross block seams
+        assert all(delta is None for delta in real["delta"])
+        for result, got in zip([real, grid], texts):
+            assert got == json.dumps(_json_rows(result), indent=2)
 
 
 class TestOneKernel:
