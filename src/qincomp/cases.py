@@ -1,6 +1,7 @@
 """Decision procedure over the cubic data (A, B): predict the pair verdict
-from the sign of B and the position of A relative to 1/4, and verify the
-prediction against direct numerical classification.
+from the sign of B and the position of A relative to 1/4; and the one
+certified grid kernel, which checks every prediction against the directly
+classified pair and is the route of every prediction the CLI prints.
 
 Every valid (alpha, beta) has B >= (3/2)(A - 1/4).  With a = |alpha|,
 b = |beta| and delta = arg beta - arg alpha, B - (3/2)(A - 1/4) equals b^2
@@ -24,9 +25,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .majorization import _LABELS, PairLabel, PairVerdict, _pair_codes
-from .qubits import IppParams, _unit_amplitudes
-from .scenarios import _cubic_ab, _pi_final_amplitudes, _pqr, _spectra, build_pi_initial
+from .majorization import _LABELS, PairLabel, _pair_codes
+from .qubits import _unit_amplitudes
+from .scenarios import (
+    _ab_discriminant_root,
+    _cubic_ab,
+    _discriminant_root,
+    _pi_final_amplitudes,
+    _pqr,
+    _spectra,
+    build_pi_initial,
+)
 from .states import _schmidt_vectors, entropy_of_entanglement, schmidt_vector
 
 CASE_BAND = 1e-12
@@ -64,22 +73,6 @@ class CaseVerdict:
     predicted: Prediction
     condition_value: float | None = None
     condition: bool | None = None
-
-
-@dataclass(frozen=True)
-class PredictionCheck:
-    """One certified point: the prediction, the observed pair, whether they
-    agree, and the entropies of the initial and final states."""
-
-    predicted: CaseVerdict
-    observed: PairVerdict
-    agree: bool
-    entropy_initial: float
-    entropy_final: float
-
-    @property
-    def entropy_delta(self) -> float:
-        return self.entropy_final - self.entropy_initial
 
 
 class ContractViolationError(RuntimeError):
@@ -159,16 +152,9 @@ def predict_case(big_a: float, big_b: float) -> CaseVerdict:
     by some amplitudes (A at least 1/12, and A above 1/4 needs B above 0).
     """
     big_a, big_b = np.array(float(big_a)), np.array(float(big_b))
-    roots = _spectra(big_a, big_b)[1]
+    roots = _spectra(big_a, big_b, _ab_discriminant_root(big_a, big_b))[1]
     case, subcase, predicted = (int(code) for code in _decide(big_a, big_b))
     return _verdict(case, subcase, _PREDICTIONS[predicted], roots)
-
-
-def prediction_consistent(verdict: CaseVerdict, label: PairLabel) -> bool:
-    """Whether an observed pair label is consistent with a predicted verdict."""
-    if verdict.predicted is Prediction.CONDITIONAL:
-        return verdict.condition == (label is PairLabel.INCOMPARABLE)
-    return label in _ADMITS[verdict.predicted]
 
 
 @lru_cache(maxsize=1)
@@ -181,20 +167,21 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     """The certified grid kernel: predict from (A, B) and check against the
     directly classified pair at every point of (N,) amplitude arrays.
 
-    The cubic is solved once per point and its spectrum must match the
+    The cubic is solved once per point, with the root of its discriminant
+    taken from p, q, r as a sum of squares, and its spectrum must match the
     Jacobi spectrum of the directly built final state (one stacked Jacobi
     call for all points) within SOLVER_AGREE_TOL; otherwise
     ContractViolationError is raised for the first failing point.  Returns
     (N,) arrays under a sweep's column names, in its column order: A, B,
     the trig eigenvalues lam1 .. lam3, entropy_i and entropy_f, observed
     and predicted as PairLabel and Prediction objects, and agree.  Then,
-    for verify_prediction, the case and subcase codes, and the (N, 3) roots
-    and final-state partial sums sums_final.
+    for case-analyze, the case and subcase codes and the (N, 3) roots.
     """
     alpha, beta = _unit_amplitudes(alpha, beta)
-    big_a, big_b = _cubic_ab(*_pqr(alpha, beta))
+    coefficients = _pqr(alpha, beta)
+    big_a, big_b = _cubic_ab(*coefficients)
+    roots, eigenvalues = _spectra(big_a, big_b, _discriminant_root(*coefficients, big_a, big_b))[1:]
     final = _schmidt_vectors(_pi_final_amplitudes(alpha, beta))
-    roots, eigenvalues = _spectra(big_a, big_b)[1:]
     gap = np.max(np.abs(eigenvalues - final), axis=-1)
     failing = np.flatnonzero(gap > SOLVER_AGREE_TOL)
     if failing.size:
@@ -205,7 +192,7 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
         )
     initial_vec, initial_entropy = _pi_initial_schmidt()
     case, subcase, predicted = _decide(big_a, big_b)
-    observed, _, sums_final = _pair_codes(initial_vec, final)
+    observed = _pair_codes(initial_vec, final)[0]
     incomparable_if = _condition(roots)[1]
     agree = np.where(
         predicted == _CONDITIONAL,
@@ -219,21 +206,4 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
         "entropy_f": entropy_of_entanglement(final),
         "observed": _LABEL_ENUMS[observed], "predicted": _PREDICTION_ENUMS[predicted],
         "agree": agree, "case": case, "subcase": subcase, "roots": roots,
-        "sums_final": sums_final,
     }
-
-
-def verify_prediction(p: IppParams) -> PredictionCheck:
-    """Predict from (A, B) and check against the directly classified pair:
-    the one-point case of the grid kernel, which raises
-    ContractViolationError where the trig and Jacobi spectra disagree."""
-    grid = _certify(np.array([p.alpha]), np.array([p.beta]))
-    point = {name: value[0] for name, value in grid.items()}
-    sums_initial = np.cumsum(_pi_initial_schmidt()[0])
-    return PredictionCheck(
-        predicted=_verdict(point["case"], point["subcase"], point["predicted"], point["roots"]),
-        observed=PairVerdict(point["observed"], sums_initial, point["sums_final"]),
-        agree=bool(point["agree"]),
-        entropy_initial=float(point["entropy_i"]),
-        entropy_final=float(point["entropy_f"]),
-    )

@@ -13,11 +13,11 @@ import sys
 
 import numpy as np
 
-from .cases import predict_case
+from .cases import _certify, _verdict
 from .linalg import JacobiConvergenceError
 from .majorization import classify_pair
 from .qubits import IppParams, UnitaryParams
-from .scenarios import build_chi_initial, chi_final, cubic_coefficients, pqr
+from .scenarios import build_chi_initial, chi_final
 from .states import BipartiteState, entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
@@ -164,11 +164,12 @@ def _cmd_ipp_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_case_analyze(args: argparse.Namespace) -> int:
-    big_a, big_b = cubic_coefficients(pqr(_ipp_from_args(args)))
-    verdict = predict_case(big_a, big_b)
+    p = _ipp_from_args(args)
+    grid = _certify(np.array([p.alpha]), np.array([p.beta]))
+    verdict = _verdict(*(grid[name][0] for name in ("case", "subcase", "predicted", "roots")))
     row = {
-        "A": big_a,
-        "B": big_b,
+        "A": grid["A"],
+        "B": grid["B"],
         "case": verdict.case_id,
         "subcase": verdict.subcase,
         "predicted": verdict.predicted,

@@ -2,11 +2,11 @@
 
 Both scenarios share a qutrit with Alice and give Bob two qubits; the
 candidate operation always acts on Bob's last qubit.  Alongside the
-direct state constructions, this module carries the closed-form reduced
-density matrices, the off-diagonal coefficients (p, q, r), the cubic
-data (A, B), and the package's one cubic-root formula: the trigonometric
-spectrum of the final state, the eigen-route that shares no code with
-linalg's Jacobi.
+direct state constructions, this module carries the off-diagonal
+coefficients (p, q, r) of the final reduced density matrix, the cubic data
+(A, B) with the root of their discriminant, and the package's one
+cubic-root formula: the trigonometric spectrum of the final state, the
+eigen-route that shares no code with linalg's Jacobi.
 """
 
 from __future__ import annotations
@@ -25,16 +25,13 @@ from .qubits import (
     _canonical_angles,
     _ipp_images,
     _unitaries,
-    general_unitary,
     named_ket,
 )
 from .states import BipartiteState
 
 CUBIC_DOMAIN_TOL = 1e-12
-REAL_PARAM_TOL = 1e-12
 SPECTRUM_SUM_TOL = 1e-10
 
-CHI_INITIAL_SCHMIDT = np.array([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
 PI_INITIAL_SCHMIDT = np.array(
     [
         1.0 / 3.0 + 1.0 / (2.0 * math.sqrt(3.0)),
@@ -131,12 +128,6 @@ def chi_final(p: UnitaryParams) -> BipartiteState:
     return _state(_chi_final_amplitudes([p.theta], [p.phi_a], [p.phi_b]))
 
 
-def chi_final_unitary_only(p: UnitaryParams) -> BipartiteState:
-    """Probe state after only the unitary part acts (no conjugation)."""
-    u = general_unitary(p)
-    return _state(_amplitudes(_CHI_BRANCHES, lambda label: (u @ named_ket(label, 0))[None, :]))
-
-
 def build_pi_initial() -> BipartiteState:
     """Probe state for the restricted superposition-map scenario."""
     return _state(_amplitudes(_PI_BRANCHES, _axis_ket))
@@ -151,35 +142,6 @@ def _pi_final_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
 def pi_final(p: IppParams) -> BipartiteState:
     """Probe state after the superposition map acts on Bob's last qubit."""
     return _state(_pi_final_amplitudes(np.array([p.alpha]), np.array([p.beta])))
-
-
-def _density_from_off_diagonals(k01: complex, k02: complex, k12: complex) -> np.ndarray:
-    """(1/3)(I + K) with K Hermitian, zero diagonal, and the given upper entries."""
-    k = np.array(
-        [
-            [0.0, k01, k02],
-            [np.conj(k01), 0.0, k12],
-            [np.conj(k02), np.conj(k12), 0.0],
-        ],
-        dtype=complex,
-    )
-    return (np.eye(3) + k) / 3.0
-
-
-def chi_initial_density_closed_form() -> np.ndarray:
-    """Closed-form initial reduced density matrix: all six off-diagonals 1/2."""
-    return _density_from_off_diagonals(0.5, 0.5, 0.5)
-
-
-def pi_initial_density_closed_form() -> np.ndarray:
-    """Closed-form initial reduced density matrix of the superposition scenario."""
-    return _density_from_off_diagonals(0.5, 0.5, -0.5j)
-
-
-def pi_final_density_closed_form(p: IppParams) -> np.ndarray:
-    """Closed-form final reduced density matrix with off-diagonals (p, q, r)."""
-    c = pqr(p)
-    return _density_from_off_diagonals(c.p, c.q, c.r)
 
 
 def pqr(p: IppParams) -> PqrCoefficients:
@@ -212,53 +174,60 @@ def _cubic_ab(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, 
     return big_a, 2.0 * (p * r * np.conj(q)).real
 
 
-def real_ab(alpha: float, beta: float) -> tuple[float, float]:
-    """Shortcut (A, B) for real parameters, bypassing the (p, q, r) route."""
-    alpha = float(alpha)
-    beta = float(beta)
-    if abs(alpha * alpha + beta * beta - 1.0) > REAL_PARAM_TOL:
-        raise ValueError("real parameters must satisfy alpha^2 + beta^2 = 1")
-    big_a = 0.25 + (2.0 * alpha**2 * beta**2 + 3.0 * alpha * beta * (alpha**2 - beta**2)) / 6.0
-    big_b = (
-        (beta / 4.0)
-        * (alpha**2 - beta**2 + 2.0 * alpha * beta)
-        * (alpha * (2.0 * alpha**2 + 1.0) + beta * (alpha**2 - beta**2))
+def _discriminant_root(p, q, r, big_a: np.ndarray, big_b: np.ndarray) -> np.ndarray:
+    """sqrt(4A^3 - B^2) over arrays of p, q, r and their cubic data, free of
+    cancellation: K = 3 rho_final - I (zero diagonal, upper entries p, q, r)
+    projected off span{I, K} is R = K^2 - 2A I - (B/2A) K, and
+    4A^3 - B^2 = (2A/3) ||R||_F^2, where each entry of R is exactly 0 at a
+    double root.  A >= 1/12, so dividing by A is safe."""
+    pp, qq, rr = np.abs(p) ** 2, np.abs(q) ** 2, np.abs(r) ** 2
+    two_a, b_over_2a = 2.0 * big_a, big_b / (2.0 * big_a)
+    diagonal = (pp + qq - two_a) ** 2 + (pp + rr - two_a) ** 2 + (qq + rr - two_a) ** 2
+    upper = (
+        np.abs(q * np.conj(r) - b_over_2a * p) ** 2
+        + np.abs(p * r - b_over_2a * q) ** 2
+        + np.abs(np.conj(p) * q - b_over_2a * r) ** 2
     )
-    return big_a, big_b
+    return np.sqrt(two_a / 3.0 * (diagonal + 2.0 * upper))
 
 
-def spectrum_from_ab(big_a: float, big_b: float) -> CubicSpectrum:
-    """Trigonometric roots lambda_k = (1/3)[1 - 2 sqrt(A) cos(...)] of the cubic.
-
-    The eigen-angle satisfies cos(3*angle) = -B / (2 sqrt(A^3)), clamped to
-    [-1, 1], with angle in [0, pi/3].  Eigenvalues are returned descending
-    (the natural labeling at this angle branch puts the smallest root in
-    the middle slot).  ValueError unless (A, B) is finite, in the cubic's
-    domain and has A >= 1/12, as every amplitude pair does.
-    """
-    big_a = float(big_a)
-    big_b = float(big_b)
-    angle, roots, eigenvalues = _spectra(np.array(big_a), np.array(big_b))
-    return CubicSpectrum(big_a, big_b, float(angle), eigenvalues, tuple(roots.tolist()))
-
-
-def _spectra(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """spectrum_from_ab over equal-shape arrays of (A, B): the eigen-angles;
-    the roots 2 sqrt(A) cos(2 pi/3 + angle), 2 sqrt(A) cos(angle) and
-    2 sqrt(A) cos(2 pi/3 - angle), in that order along a new last axis; and
-    the eigenvalues (1 - root)/3, descending along that axis.
-
-    A below 1/12 is refused as unrealizable: Im r = -1/2 exactly, so
-    3A = |p|^2 + |q|^2 + |r|^2 >= |r|^2 >= 1/4 for every amplitude pair.
-    """
+def _ab_discriminant_root(big_a: np.ndarray, big_b: np.ndarray) -> np.ndarray:
+    """sqrt(max(4A^3 - B^2, 0)) for cubic data given without p, q, r;
+    ValueError unless (A, B) is finite, in the cubic's domain and has
+    A >= 1/12 (Im r = -1/2 exactly, so 3A >= |r|^2 >= 1/4 for all amplitudes)."""
     if not (np.all(np.isfinite(big_a)) and np.all(np.isfinite(big_b))):
         raise ValueError("A and B must be finite")
     if np.any(big_a < 1.0 / 12.0):
         raise ValueError("A below 1/12: no amplitudes realize these cubic data")
     if np.any(big_b * big_b > 4.0 * big_a**3 + CUBIC_DOMAIN_TOL):
         raise ValueError("B^2 exceeds 4A^3: cubic has no valid spectrum")
-    cos3 = np.clip(-big_b / (2.0 * np.sqrt(big_a**3)), -1.0, 1.0)
-    angle = np.arccos(cos3) / 3.0
+    return np.sqrt(np.maximum(4.0 * big_a**3 - big_b * big_b, 0.0))
+
+
+def spectrum_from_ab(big_a: float, big_b: float) -> CubicSpectrum:
+    """Trigonometric roots lambda_k = (1/3)[1 - 2 sqrt(A) cos(...)] of the cubic.
+
+    The eigen-angle satisfies cos(3*angle) = -B / (2 sqrt(A^3)), with angle
+    in [0, pi/3].  Eigenvalues are returned descending (the natural
+    labeling at this angle branch puts the smallest root in the middle
+    slot).  ValueError unless (A, B) is finite, in the cubic's domain and
+    has A >= 1/12, as every amplitude pair does.
+    """
+    big_a, big_b = float(big_a), float(big_b)
+    cubic = np.array(big_a), np.array(big_b)
+    angle, roots, eigenvalues = _spectra(*cubic, _ab_discriminant_root(*cubic))
+    return CubicSpectrum(big_a, big_b, float(angle), eigenvalues, tuple(roots.tolist()))
+
+
+def _spectra(big_a: np.ndarray, big_b: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, ...]:
+    """spectrum_from_ab over equal-shape arrays of (A, B) and of the root
+    sqrt(4A^3 - B^2) of their discriminant: the eigen-angles, with
+    3*angle = atan2(root, -B); the roots 2 sqrt(A) cos(2 pi/3 + angle),
+    2 sqrt(A) cos(angle) and 2 sqrt(A) cos(2 pi/3 - angle), in that order
+    along a new last axis; and the eigenvalues (1 - root)/3, descending
+    along that axis.
+    """
+    angle = np.arctan2(root, -big_b) / 3.0
     third = 2.0 * math.pi / 3.0
     cosines = np.cos(np.stack([third + angle, angle, third - angle], axis=-1))
     roots = (2.0 * np.sqrt(big_a))[..., None] * cosines

@@ -8,25 +8,27 @@ import math
 
 import numpy as np
 
+from oracles import (
+    CHI_INITIAL_SCHMIDT,
+    chi_final_unitary_only,
+    chi_initial_density_closed_form,
+    point,
+    real_ab,
+)
 from qincomp.cases import Prediction
 from qincomp.majorization import PairLabel, classify_pair, majorizes
 from qincomp.qubits import IppParams, UnitaryParams
 from qincomp.scenarios import (
-    CHI_INITIAL_SCHMIDT,
     PI_INITIAL_SCHMIDT,
     build_chi_initial,
     chi_final,
-    chi_final_unitary_only,
-    chi_initial_density_closed_form,
     cubic_coefficients,
     pi_final,
     pqr,
-    real_ab,
     spectrum_from_ab,
 )
 from qincomp.states import entropy_of_entanglement, reduced_density_a, schmidt_vector
 from qincomp.sweep import sweep_real
-from qincomp.cases import verify_prediction
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -99,9 +101,9 @@ def test_criterion_04_unitary_alone_leaves_reduced_density_fixed():
 def test_criterion_05_flipping_and_hadamard_points():
     flip_ab = real_ab(0.0, 1.0)
     flip_spec = spectrum_from_ab(*flip_ab).eigenvalues
-    flip_obs = verify_prediction(IppParams(0, 1)).observed.label
+    flip_obs = point(0, 1)["observed"]
     had_ab = real_ab(SQ2, SQ2)
-    had_obs = verify_prediction(IppParams(SQ2, SQ2)).observed.label
+    had_obs = point(SQ2, SQ2)["observed"]
     ok = (
         abs(flip_ab[0] - 0.25) < 1e-12
         and abs(flip_ab[1] - 0.25) < 1e-12
@@ -122,17 +124,17 @@ def test_criterion_05_flipping_and_hadamard_points():
 
 def test_criterion_06_identity_point_is_equal():
     spec = spectrum_from_ab(*real_ab(1.0, 0.0)).eigenvalues
-    check = verify_prediction(IppParams(1, 0))
+    observed = point(1, 0)["observed"]
     ok = (
         bool(np.all(np.abs(spec - PI_INITIAL_SCHMIDT) < 1e-12))
-        and check.observed.label is PairLabel.EQUAL
+        and observed is PairLabel.EQUAL
     )
     _report(
         6,
         "identity amplitudes reproduce the initial spectrum within 1e-12 "
         "with verdict EQUAL",
         ok,
-        f"observed {check.observed.label.value}",
+        f"observed {observed.value}",
     )
 
 

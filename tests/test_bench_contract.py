@@ -31,17 +31,11 @@ def bench():
 
 @pytest.mark.parametrize("name", ["real-circle", "complex-torus", "conjugation-grid", "schmidt-files"])
 def test_workload_ops_render_and_check(bench, name, tmp_path):
+    # every operation certifies and checks, the 40 x 18 grid that the
+    # workloads still flag as a known failure included
     workloads, q = bench
-    failures = 0
     for op in workloads.WORKLOADS[name](0, tmp_path):
-        if op.known_failure:
-            # the 40 x 18 grid stops on the discriminant-boundary defect
-            with pytest.raises(q.sweep.ContractViolationError, match="spectra disagree by"):
-                op.run(q)
-            failures += 1
-        else:
-            op.render(q, op.run(q))
-    assert failures == (name == "complex-torus")
+        op.render(q, op.run(q))
 
 
 def test_selftest_reports_no_problems():

@@ -1,4 +1,5 @@
-"""Tests for the (A, B) case analysis and prediction verification."""
+"""Tests for the (A, B) case analysis and the kernel's verification of its
+predictions."""
 
 import math
 from fractions import Fraction
@@ -6,17 +7,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import point
 from qincomp.cases import (
+    _ADMITTED,
+    _PREDICTIONS,
     SQRT3_HALF,
     CaseId,
-    CaseVerdict,
     Prediction,
     Subcase,
+    _verdict,
     predict_case,
-    prediction_consistent,
-    verify_prediction,
 )
-from qincomp.majorization import PairLabel, classify_pair
+from qincomp.majorization import _LABELS, PairLabel, classify_pair
 from qincomp.qubits import IppParams
 from qincomp.scenarios import (
     build_pi_initial,
@@ -107,71 +109,76 @@ class TestPredictCase:
         assert predict_case(0.25 + 5e-12, 0.1).subcase is Subcase.A_GT_QUARTER
 
 
+def _admitted(prediction, label):
+    return bool(_ADMITTED[_PREDICTIONS.index(prediction), _LABELS.index(label)])
+
+
 class TestPredictionConsistent:
-    def _plain(self, predicted):
-        return CaseVerdict(CaseId.B_POS, Subcase.A_LT_QUARTER, predicted)
+    """The pair labels each unconditional prediction admits, read from the
+    table that the kernel's agree column reads."""
 
     def test_incomparable_prediction(self):
-        verdict = self._plain(Prediction.INCOMPARABLE)
-        assert prediction_consistent(verdict, PairLabel.INCOMPARABLE)
-        assert not prediction_consistent(verdict, PairLabel.CONVERTIBLE_FORWARD)
+        assert _admitted(Prediction.INCOMPARABLE, PairLabel.INCOMPARABLE)
+        assert not _admitted(Prediction.INCOMPARABLE, PairLabel.CONVERTIBLE_FORWARD)
 
     def test_increase_prediction(self):
-        verdict = self._plain(Prediction.ENTANGLEMENT_INCREASE)
-        assert prediction_consistent(verdict, PairLabel.CONVERTIBLE_BACKWARD)
-        assert not prediction_consistent(verdict, PairLabel.EQUAL)
+        assert _admitted(Prediction.ENTANGLEMENT_INCREASE, PairLabel.CONVERTIBLE_BACKWARD)
+        assert not _admitted(Prediction.ENTANGLEMENT_INCREASE, PairLabel.EQUAL)
 
     def test_two_way_prediction(self):
-        verdict = self._plain(Prediction.INCOMPARABLE_OR_INCREASE)
-        assert prediction_consistent(verdict, PairLabel.INCOMPARABLE)
-        assert prediction_consistent(verdict, PairLabel.CONVERTIBLE_BACKWARD)
-        assert not prediction_consistent(verdict, PairLabel.CONVERTIBLE_FORWARD)
+        assert _admitted(Prediction.INCOMPARABLE_OR_INCREASE, PairLabel.INCOMPARABLE)
+        assert _admitted(Prediction.INCOMPARABLE_OR_INCREASE, PairLabel.CONVERTIBLE_BACKWARD)
+        assert not _admitted(Prediction.INCOMPARABLE_OR_INCREASE, PairLabel.CONVERTIBLE_FORWARD)
 
     def test_not_incomparable_prediction(self):
-        verdict = self._plain(Prediction.NOT_INCOMPARABLE)
-        assert prediction_consistent(verdict, PairLabel.EQUAL)
-        assert prediction_consistent(verdict, PairLabel.CONVERTIBLE_FORWARD)
-        assert prediction_consistent(verdict, PairLabel.CONVERTIBLE_BACKWARD)
-        assert not prediction_consistent(verdict, PairLabel.INCOMPARABLE)
+        assert _admitted(Prediction.NOT_INCOMPARABLE, PairLabel.EQUAL)
+        assert _admitted(Prediction.NOT_INCOMPARABLE, PairLabel.CONVERTIBLE_FORWARD)
+        assert _admitted(Prediction.NOT_INCOMPARABLE, PairLabel.CONVERTIBLE_BACKWARD)
+        assert not _admitted(Prediction.NOT_INCOMPARABLE, PairLabel.INCOMPARABLE)
 
     def test_conditional_prediction_follows_condition(self):
         verdict = predict_case(1 / 3, 0.25)
         assert verdict.condition
-        assert prediction_consistent(verdict, PairLabel.INCOMPARABLE)
-        assert not prediction_consistent(verdict, PairLabel.CONVERTIBLE_FORWARD)
+        # the table admits nothing for CONDITIONAL; agree reads the condition
+        assert not any(_admitted(Prediction.CONDITIONAL, label) for label in PairLabel)
+        hadamard = point(SQ2, SQ2)  # (A, B) = (1/3, 1/4)
+        assert hadamard["predicted"] is Prediction.CONDITIONAL
+        assert hadamard["observed"] is PairLabel.INCOMPARABLE
+        assert hadamard["agree"]
 
 
 class TestVerifyPrediction:
+    """The kernel's check of a prediction against the observed pair, read
+    at one point."""
+
     def test_identity_point(self):
-        check = verify_prediction(IppParams(1, 0))
-        assert check.predicted.predicted is Prediction.NOT_INCOMPARABLE
-        assert check.observed.label is PairLabel.EQUAL
-        assert check.entropy_delta == pytest.approx(0.0, abs=1e-12)
-        assert check.agree
+        check = point(1, 0)
+        assert check["predicted"] is Prediction.NOT_INCOMPARABLE
+        assert check["observed"] is PairLabel.EQUAL
+        assert check["entropy_f"] - check["entropy_i"] == pytest.approx(0.0, abs=1e-12)
+        assert check["agree"]
 
     def test_flipping_point(self):
-        check = verify_prediction(IppParams(0, 1))
-        assert check.predicted.predicted is Prediction.INCOMPARABLE
-        assert check.observed.label is PairLabel.INCOMPARABLE
-        assert check.entropy_delta == pytest.approx(0.09694739822315, abs=1e-10)
-        assert check.agree
+        check = point(0, 1)
+        assert check["predicted"] is Prediction.INCOMPARABLE
+        assert check["observed"] is PairLabel.INCOMPARABLE
+        assert check["entropy_f"] - check["entropy_i"] == pytest.approx(0.09694739822315, abs=1e-10)
+        assert check["agree"]
 
     def test_hadamard_point(self):
-        check = verify_prediction(IppParams(SQ2, SQ2))
-        assert check.predicted.predicted is Prediction.CONDITIONAL
-        assert check.predicted.condition
-        assert check.observed.label is PairLabel.INCOMPARABLE
-        assert check.agree
+        check = point(SQ2, SQ2)
+        assert check["predicted"] is Prediction.CONDITIONAL
+        verdict = _verdict(check["case"], check["subcase"], check["predicted"], check["roots"])
+        assert verdict.condition
+        assert check["observed"] is PairLabel.INCOMPARABLE
+        assert check["agree"]
 
     def test_observed_verdict_is_classify_pair(self):
         initial = schmidt_vector(build_pi_initial())
         for alpha, beta in ((1, 0), (0, 1), (SQ2, SQ2), (0.6, 0.8j), (0.8, -0.6)):
-            p = IppParams(alpha, beta)
-            observed = verify_prediction(p).observed
-            direct = classify_pair(initial, schmidt_vector(pi_final(p)))
-            assert observed.label is direct.label
-            assert np.array_equal(observed.partial_sums_src, direct.partial_sums_src)
-            assert np.array_equal(observed.partial_sums_dst, direct.partial_sums_dst)
+            observed = point(alpha, beta)["observed"]
+            direct = classify_pair(initial, schmidt_vector(pi_final(IppParams(alpha, beta))))
+            assert observed is direct.label
 
     def test_agreement_over_complex_grid(self):
         agreements = 0
@@ -180,9 +187,8 @@ class TestVerifyPrediction:
             phi = 2.0 * math.pi * i / 60
             for j in range(12):
                 delta = 2.0 * math.pi * j / 12
-                p = IppParams(math.cos(phi), np.exp(1j * delta) * math.sin(phi))
                 total += 1
-                agreements += verify_prediction(p).agree
+                agreements += point(math.cos(phi), np.exp(1j * delta) * math.sin(phi))["agree"]
         assert total == 720
         assert agreements == total
 

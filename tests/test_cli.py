@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qincomp import cases
 from qincomp.cli import main, parse_complex, parse_schmidt_arg, parse_state_file
 from qincomp.sweep import CSV_HEADER
 
@@ -320,21 +321,26 @@ class TestSweepCommands:
         assert payload["grid_points"] == 1
         assert payload["max_deviation"] < 1e-10
 
-    def test_double_root_grid_exits_3(self, capsys):
+    def test_double_root_grid_certifies(self, capsys):
         # the phi = pi/2 column of this grid sits on the discriminant
-        # boundary; the sweep refuses rather than emit uncertified spectra
-        assert main(["sweep-complex", "--n-phi", "12", "--n-delta", "6"]) == 3
-        assert "internal contract violation" in capsys.readouterr().err
+        # boundary, a double root, where the kernel's sum-of-squares root
+        # keeps the trig and Jacobi routes within tolerance
+        assert main(["sweep-complex", "--n-phi", "12", "--n-delta", "6", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert len(rows) == 72
+        assert all(row["agree"] for row in rows)
         # the same grid point through ipp-demo, which is certified the same way
         assert main(
             ["ipp-demo", "--alpha", "6.123233995736766e-17",
              "--beta", "0.5000000000000001+0.8660254037844386i"]
-        ) == 3
-        assert "trig and Jacobi spectra disagree by" in capsys.readouterr().err
+        ) == 0
+        assert capsys.readouterr().out.splitlines()[1].endswith(",INCOMPARABLE,INCOMPARABLE,true")
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_refused_grid_writes_nothing(self, capsys, fmt):
-        # every block is certified before any is written, so no partial table
+    def test_refused_grid_writes_nothing(self, capsys, monkeypatch, fmt):
+        # every block is certified before any is written, so no partial
+        # table; no tolerance at all makes the kernel refuse this grid
+        monkeypatch.setattr(cases, "SOLVER_AGREE_TOL", 0.0)
         args = ["sweep-complex", "--n-phi", "12", "--n-delta", "6", "--format", fmt]
         assert main(args) == 3
         captured = capsys.readouterr()
@@ -364,7 +370,6 @@ def _exit_code_and_stderr(argv):
     return code, err.getvalue()
 
 
-KNOWN_REFUSAL = "internal contract violation: trig and Jacobi spectra disagree by"
 FUZZ = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 NUMBER = st.one_of(
     st.sampled_from(["0", "1", "-1", "0.5", "0.6", "0.8", "0.7071067811865476"]),
@@ -401,16 +406,11 @@ class TestParserFuzz:
     @FUZZ
     @given(COMPLEX_LITERAL, COMPLEX_LITERAL)
     @example("0", "1.3407807929942597e+154")  # |beta|^2 overflows
+    @example("1e-12", "1")  # next to a flipping point: a double root
     def test_complex_literals(self, alpha, beta):
         for command in ("ipp-demo", "case-analyze"):
             argv = [command, f"--alpha={alpha}", f"--beta={beta}"]
             code, err = _exit_code_and_stderr(argv)
-            if code == 3 and command == "ipp-demo":
-                # known defect: valid amplitudes within ~1e-12 of a flipping
-                # point (e.g. alpha=1e-12, beta=1) sit on the discriminant
-                # boundary, where the trig route loses certification
-                assert err.startswith(KNOWN_REFUSAL), (argv, err)
-                continue
             assert code in (0, 2) and "Traceback" not in err, (argv, code, err)
 
     @FUZZ

@@ -1,29 +1,35 @@
 """Tests for the probe scenarios, their closed-form densities, and the
-cubic spectral data."""
+cubic spectral data with the root of its discriminant."""
 
 import math
 
 import numpy as np
 import pytest
 
+from oracles import (
+    CHI_INITIAL_SCHMIDT,
+    chi_final_unitary_only,
+    chi_initial_density_closed_form,
+    pi_final_density_closed_form,
+    pi_initial_density_closed_form,
+    point,
+    real_ab,
+)
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel, classify_pair
 from qincomp.qubits import IppParams, UnitaryParams
 from qincomp.scenarios import (
     CHI_FINAL_SCHMIDT,
-    CHI_INITIAL_SCHMIDT,
     PI_INITIAL_SCHMIDT,
+    _cubic_ab,
+    _discriminant_root,
+    _pqr,
     build_chi_initial,
     build_pi_initial,
     chi_final,
-    chi_final_unitary_only,
-    chi_initial_density_closed_form,
     cubic_coefficients,
     pi_final,
-    pi_final_density_closed_form,
-    pi_initial_density_closed_form,
     pqr,
-    real_ab,
     spectrum_from_ab,
 )
 from qincomp.states import reduced_density_a, schmidt_vector
@@ -274,3 +280,74 @@ class TestSpectrumFromAB:
 
         with pytest.raises(ValueError):
             CubicSpectrum(0.25, 0.0, 0.1, np.array([0.5, 0.4, 0.2]), (0.0, 0.0, 0.0))
+
+
+def _mp_spectrum(alpha, beta):
+    """The final-state spectrum at 50 digits, ascending: the eigenvalues of
+    (I + K)/3, K Hermitian with zero diagonal and upper entries p, q, r, all
+    evaluated in mpmath from the exact values of the float amplitudes."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a, b = mpmath.mpc(alpha), mpmath.mpc(beta)
+        cross = a * mpmath.conj(b) + b * mpmath.conj(a)
+        p = (abs(a) ** 2 - abs(b) ** 2 + cross) / 2
+        q = (abs(a) ** 2 + 1j * abs(b) ** 2 + a * mpmath.conj(b) - 1j * b * mpmath.conj(a)) / 2
+        r = (cross - 1j) / 2
+        k = mpmath.matrix([[0, p, q], [mpmath.conj(p), 0, r], [mpmath.conj(q), mpmath.conj(r), 0]])
+        mu = mpmath.eighe(k, eigvals_only=True)
+        return [float((1 + m) / 3) for m in mu]
+
+
+class TestDiscriminantRoot:
+    """sqrt(4A^3 - B^2) as sqrt((2A/3) ||R||_F^2), R = K^2 - 2A I - (B/2A) K."""
+
+    def test_identity_is_exact(self):
+        import sympy
+
+        # p, q, r and their conjugates as six independent symbols: a linear
+        # change of variables from the six real and imaginary parts, so an
+        # identity in these is one for every complex p, q, r
+        p, q, r, pc, qc, rc = sympy.symbols("p q r pc qc rc")
+        conjugate = {p: pc, q: qc, r: rc, pc: p, qc: q, rc: r}
+        k = sympy.Matrix([[0, p, q], [pc, 0, r], [qc, rc, 0]])
+        big_a = (p * pc + q * qc + r * rc) / 3
+        big_b = p * r * qc + pc * rc * q
+        # 2A R, so that 4A^3 - B^2 = (2A/3) ||R||^2 reads
+        # 6A (4A^3 - B^2) = ||2A R||^2 with no division
+        scaled = (2 * big_a * k**2 - 4 * big_a**2 * sympy.eye(3) - big_b * k).expand()
+        norm = sum(z * z.xreplace(conjugate) for z in scaled)
+        assert sympy.expand(6 * big_a * (4 * big_a**3 - big_b**2) - norm) == 0
+
+    def test_matches_high_precision_reference(self):
+        import mpmath
+
+        rng = np.random.default_rng(157)
+        for _ in range(50):
+            p = random_ipp_params(rng)
+            coefficients = _pqr(np.array(p.alpha), np.array(p.beta))
+            root = float(_discriminant_root(*coefficients, *_cubic_ab(*coefficients)))
+            with mpmath.workdps(50):
+                c = [mpmath.mpc(complex(z)) for z in coefficients]
+                big_a = sum(abs(z) ** 2 for z in c) / 3
+                big_b = 2 * mpmath.re(c[0] * c[2] * mpmath.conj(c[1]))
+                exact = float(mpmath.sqrt(4 * big_a**3 - big_b**2))
+            assert root == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "alpha, beta",
+        [
+            # the flipping family where the 12 x 6 grid meets it, phi = pi/2
+            *[(math.cos(math.pi / 2), np.exp(2j * math.pi * j / 6) * math.sin(math.pi / 2))
+              for j in range(6)],
+            (1e-12, 1.0),
+            (1.0, 0.0),
+            (SQ2, SQ2),
+        ],
+    )
+    def test_kernel_spectrum_to_1e_14(self, alpha, beta):
+        # the kernel's trig eigenvalues, including on the double-root family
+        # where 4A^3 - B^2 formed directly cancels to 1e-17 noise
+        row = point(alpha, beta)
+        trig = [row["lam3"], row["lam2"], row["lam1"]]
+        np.testing.assert_allclose(trig, _mp_spectrum(alpha, beta), rtol=0, atol=1e-14)

@@ -1,5 +1,6 @@
-"""Tests of the package's public surface: the bare package root, and the
-per-layer benchmark metrics that name its functions."""
+"""Tests of the package's public surface: the bare package root, the
+per-layer benchmark metrics that name its functions, and a caller outside
+the tests for every public function."""
 
 import ast
 import importlib
@@ -10,6 +11,7 @@ from pathlib import Path
 import qincomp
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "qincomp"
 
 
 def _assigned_literal(path: Path, name: str):
@@ -26,6 +28,27 @@ def _assigned_literal(path: Path, name: str):
     raise AssertionError(f"{path.name} assigns no {name}")
 
 
+def _span_names(metrics) -> set[str]:
+    """The module.function span names of a LAYER_METRICS literal."""
+    spans = set()
+    for _unit, _kind, span in metrics.values():
+        spans.update((span,) if isinstance(span, str) else span)
+    return spans
+
+
+def _names_read(paths) -> set[str]:
+    """Every bare name and attribute name that the given modules read; a
+    def or an import alone reads nothing."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
 def test_package_root_binds_only_version_and_submodules():
     names = {
         name
@@ -40,10 +63,7 @@ def test_every_layer_metric_span_is_a_traced_public_function():
     # the tracer records spans only for public functions defined in a
     # module and not in UNTRACED; any other name would read as 0 calls
     untraced = _assigned_literal(BENCH / "tracer.py", "UNTRACED")
-    metrics = _assigned_literal(BENCH / "run.py", "LAYER_METRICS")
-    spans = set()
-    for _unit, _kind, span in metrics.values():
-        spans.update((span,) if isinstance(span, str) else span)
+    spans = _span_names(_assigned_literal(BENCH / "run.py", "LAYER_METRICS"))
     assert spans
     for span in sorted(spans):
         module_name, name = span.split(".")
@@ -52,3 +72,22 @@ def test_every_layer_metric_span_is_a_traced_public_function():
         assert inspect.isfunction(fn), span
         assert fn.__module__ == module.__name__, span
         assert not name.startswith("_") and name not in untraced, span
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    # test-only code lives in tests/, not in the package: every public
+    # module-level function is read somewhere in src/, or named by the
+    # benchmark, as a call or as a LAYER_METRICS span
+    modules = sorted(SRC.glob("*.py"))
+    read = _names_read(modules) | _names_read(BENCH.glob("*.py"))
+    spans = _span_names(_assigned_literal(BENCH / "run.py", "LAYER_METRICS"))
+    read.update(span.split(".")[1] for span in spans)
+    uncalled = [
+        f"{path.stem}.{node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert uncalled == []

@@ -6,20 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from qincomp.cases import Prediction, verify_prediction
+from oracles import CHI_INITIAL_SCHMIDT, pi_final_density_closed_form
+from qincomp.cases import Prediction
+from qincomp.cli import main
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel
 from qincomp.qubits import IppParams
-from qincomp.scenarios import (
-    pi_final,
-    pi_final_density_closed_form,
-    spectrum_from_ab,
-)
+from qincomp.scenarios import pi_final, spectrum_from_ab
 from qincomp.states import schmidt_vector
 from qincomp import sweep
 from qincomp.sweep import (
     CSV_HEADER,
-    ContractViolationError,
     format_float,
     records_to_csv,
     records_to_json,
@@ -143,12 +140,17 @@ class TestSweepComplex:
         split = np.max(np.abs(spec.eigenvalues - np.array([2 / 3, 1 / 6, 1 / 6])))
         assert 1e-10 < split < 1e-8
 
-    def test_double_root_grid_point_refused(self):
-        # this grid lands on phi = pi/2 where, with the platform's correctly
-        # rounded cos/sin, B rounds just inside the boundary for some deltas;
-        # the sweep then refuses to emit spectra it cannot cross-certify
-        with pytest.raises(ContractViolationError):
-            sweep_complex(12, 6)
+    def test_double_root_grid_point_certified(self):
+        # this grid lands on phi = pi/2, the flipping family, where the
+        # spectrum has a double root and 4A^3 - B^2 formed directly cancels
+        # to rounding noise; the kernel's sum-of-squares root does not
+        grid = sweep_complex(12, 6)
+        assert grid["agree"].all()
+        flipping = grid["phi"] == math.pi / 2
+        assert np.count_nonzero(flipping) == 6
+        np.testing.assert_allclose(
+            _lam(grid)[flipping], np.tile(CHI_INITIAL_SCHMIDT, (6, 1)), atol=1e-14
+        )
 
     def test_rejects_undersized_grids(self):
         with pytest.raises(ValueError):
@@ -226,24 +228,35 @@ class TestBlocks:
             assert got == json.dumps(_json_rows(result), indent=2)
 
 
+def _literal(z: complex) -> str:
+    """A complex amplitude as the CLI's re+im i literal, parsing back exactly."""
+    return f"{z.real!r}{z.imag:+}i"
+
+
 class TestOneKernel:
     @pytest.mark.parametrize(
-        "grid", [lambda: sweep_real(8), lambda: sweep_complex(6, 3)], ids=["real-8", "complex-6x3"]
+        "grid", [lambda: sweep_real(16), lambda: sweep_complex(6, 3)], ids=["real-16", "complex-6x3"]
     )
-    def test_verify_prediction_is_the_sweep_row(self, grid):
-        # the sweeps and verify_prediction read one kernel: every row's
-        # verdict and entropies are the one-point check's, floats bit-equal
+    def test_case_analyze_and_ipp_demo_print_the_sweep_row(self, grid, capsys):
+        # every verdict the CLI prints comes from the one certified kernel:
+        # at each grid point case-analyze prints the sweep row's A, B and
+        # predicted cells, and ipp-demo the row itself, byte for byte
         result = grid()
+        rows = records_to_csv(result).splitlines()[1:]
         phi, delta = result["phi"], result["delta"]
         alpha = np.cos(phi)
         beta = np.sin(phi) if delta[0] is None else np.exp(1j * delta) * np.sin(phi)
-        for i in range(len(phi)):
-            check = verify_prediction(IppParams(alpha[i], beta[i]))
-            assert check.observed.label is result["observed"][i]
-            assert check.predicted.predicted is result["predicted"][i]
-            assert check.agree is bool(result["agree"][i])
-            assert check.entropy_initial.hex() == float(result["entropy_i"][i]).hex()
-            assert check.entropy_final.hex() == float(result["entropy_f"][i]).hex()
+        for i, row in enumerate(rows):
+            cells = row.split(",")
+            amplitudes = [
+                f"--alpha={_literal(complex(alpha[i]))}", f"--beta={_literal(complex(beta[i]))}"
+            ]
+            assert main(["case-analyze", *amplitudes]) == 0
+            header, values = capsys.readouterr().out.splitlines()
+            analyzed = dict(zip(header.split(","), values.split(",")))
+            assert [analyzed[name] for name in ("A", "B", "predicted")] == [cells[2], cells[3], cells[10]]
+            assert main(["ipp-demo", *amplitudes]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == ",".join(cells[2:])
 
 
 class TestSummarize:
