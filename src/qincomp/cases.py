@@ -12,8 +12,9 @@ tests/test_cases.py proves the identity and certifies the polynomial above
 amplitudes realize A > 1/4 with B not above 0: predict_case refuses such
 data.  For A > 1/4 the prediction is conditional.  At eigen-angle in
 [0, pi/3], B > 0 forces the largest final root above the initial one, so
-incomparability hinges on the smallest roots: it holds iff
-2 sqrt(A) cos(angle) is below sqrt(3)/2.
+incomparability hinges on the smallest eigenvalues: it holds iff
+2 sqrt(A) cos(angle) is below sqrt(3)/2, by more than 3 MAJORIZATION_TOL
+so that a tie within the majorization's tolerance counts as comparable.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .majorization import _LABELS, PairLabel, _pair_codes
+from .majorization import _LABELS, MAJORIZATION_TOL, PairLabel, _pair_codes
 from .qubits import _unit_amplitudes
 from .scenarios import (
     _ab_discriminant_root,
@@ -36,7 +37,7 @@ from .scenarios import (
     _spectra,
     build_pi_initial,
 )
-from .states import _schmidt_vectors, entropy_of_entanglement, schmidt_vector
+from .states import _schmidt, entropy_of_entanglement, schmidt_vector
 
 CASE_BAND = 1e-12
 SOLVER_AGREE_TOL = 1e-10
@@ -130,9 +131,11 @@ def _decide(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _condition(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The boundary expression 2 sqrt(A) cos(angle) (the second root) and
-    whether it implies incomparability: it is below sqrt(3)/2."""
+    whether it implies incomparability: it is below sqrt(3)/2 by more than
+    3 MAJORIZATION_TOL, so the final smallest eigenvalue (1 - value)/3
+    exceeds the initial one by more than classify_pair's tie band."""
     value = roots[..., 1]
-    return value, value < SQRT3_HALF
+    return value, value < SQRT3_HALF - 3.0 * MAJORIZATION_TOL
 
 
 def _verdict(case: int, subcase: int, prediction: Prediction, roots: np.ndarray) -> CaseVerdict:
@@ -181,7 +184,7 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     coefficients = _pqr(alpha, beta)
     big_a, big_b = _cubic_ab(*coefficients)
     roots, eigenvalues = _spectra(big_a, big_b, _discriminant_root(*coefficients, big_a, big_b))[1:]
-    final = _schmidt_vectors(_pi_final_amplitudes(alpha, beta))
+    final = _schmidt(_pi_final_amplitudes(alpha, beta))
     gap = np.max(np.abs(eigenvalues - final), axis=-1)
     failing = np.flatnonzero(gap > SOLVER_AGREE_TOL)
     if failing.size:

@@ -16,7 +16,7 @@ import numpy as np
 from .cases import _certify, _verdict
 from .linalg import JacobiConvergenceError
 from .majorization import classify_pair
-from .qubits import IppParams, UnitaryParams
+from .qubits import UnitaryParams
 from .scenarios import build_chi_initial, chi_final
 from .states import BipartiteState, entropy_of_entanglement, schmidt_vector
 from .sweep import (
@@ -153,19 +153,15 @@ def _cmd_gamma_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _ipp_from_args(args: argparse.Namespace) -> IppParams:
-    return IppParams(parse_complex(args.alpha), parse_complex(args.beta))
-
-
 def _cmd_ipp_demo(args: argparse.Namespace) -> int:
-    p = _ipp_from_args(args)
-    _emit(args.format, _certified(np.array([p.alpha]), np.array([p.beta])))
+    alpha, beta = np.array([parse_complex(args.alpha)]), np.array([parse_complex(args.beta)])
+    _emit(args.format, _certified(alpha, beta))
     return 0
 
 
 def _cmd_case_analyze(args: argparse.Namespace) -> int:
-    p = _ipp_from_args(args)
-    grid = _certify(np.array([p.alpha]), np.array([p.beta]))
+    alpha, beta = np.array([parse_complex(args.alpha)]), np.array([parse_complex(args.beta)])
+    grid = _certify(alpha, beta)
     verdict = _verdict(*(grid[name][0] for name in ("case", "subcase", "predicted", "roots")))
     row = {
         "A": grid["A"],

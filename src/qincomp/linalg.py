@@ -39,13 +39,12 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(out.shape[:-2] + (-1,))
 
 
-def is_normalized(v: np.ndarray, axis: object = None) -> bool:
-    """True iff the squared-modulus sum of v is 1 within NORM_TOL; with axis
-    (an int or a tuple, as numpy takes it), iff every sum along it is."""
+def is_normalized(v: np.ndarray) -> bool:
+    """True iff the squared-modulus sum of v is 1 within NORM_TOL."""
     # a huge amplitude squares to inf, which fails the check below
     with np.errstate(over="ignore"):
-        sums = np.sum(np.abs(np.asarray(v)) ** 2, axis=axis)
-    return bool(np.all(np.abs(sums - 1.0) <= NORM_TOL))
+        total = np.sum(np.abs(np.asarray(v)) ** 2)
+    return bool(abs(total - 1.0) <= NORM_TOL)
 
 
 def is_hermitian(m: np.ndarray) -> bool:
@@ -101,9 +100,7 @@ def _norms(flat: np.ndarray, n: int, off_diagonal: bool = False) -> np.ndarray:
     return np.sqrt(np.sum(np.ascontiguousarray(squares.T), axis=1))
 
 
-def eigenvalues_hermitian_jacobi(
-    m: np.ndarray, sweep_cap: int = JACOBI_SWEEP_CAP
-) -> np.ndarray:
+def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of each matrix of an (N, n, n)
     stack, via cyclic complex Jacobi rotations.
 
@@ -121,7 +118,7 @@ def eigenvalues_hermitian_jacobi(
     not depend on the rest of the stack.  The stack is held matrix-last, as
     (n*n, N), so that every step works on rows of N contiguous entries.
     Raises ValueError if any matrix is not Hermitian and
-    JacobiConvergenceError if any has not stopped after sweep_cap sweeps.
+    JacobiConvergenceError if any has not stopped after JACOBI_SWEEP_CAP sweeps.
     Returns eigenvalues descending along the last axis: shape (n,) for one
     matrix, (N, n) for a stack.
     """
@@ -139,7 +136,7 @@ def eigenvalues_hermitian_jacobi(
     # masses: rotations keep ||a||_F fixed, so these are fixed too
     live = np.arange(len(stack))
     off_tol = JACOBI_OFF_TOL * np.maximum(1.0, _norms(flat, n))
-    for sweep in range(sweep_cap + 1):
+    for sweep in range(JACOBI_SWEEP_CAP + 1):
         off = _norms(flat, n, off_diagonal=True)
         rotating = off >= off_tol
         if not rotating.all():
@@ -148,9 +145,9 @@ def eigenvalues_hermitian_jacobi(
             flat = flat[:, rotating]
         if not live.size:
             break
-        if sweep == sweep_cap:
+        if sweep == JACOBI_SWEEP_CAP:
             raise JacobiConvergenceError(
-                f"off-diagonal mass {np.max(off):.3e} after {sweep_cap} sweeps"
+                f"off-diagonal mass {np.max(off):.3e} after {JACOBI_SWEEP_CAP} sweeps"
             )
         # pivots at or below this modulus get the identity rotation
         pivot_tol = off_tol / n

@@ -22,7 +22,6 @@ from .qubits import (
     SpinLabel,
     UnitaryParams,
     _antiunitary_images,
-    _canonical_angles,
     _ipp_images,
     _unitaries,
     named_ket,
@@ -114,18 +113,15 @@ def build_chi_initial() -> BipartiteState:
 
 
 def _chi_final_amplitudes(theta, phi_a, phi_b) -> np.ndarray:
-    """chi_final's amplitudes over (N,) angle arrays, as an (N, 3, 4) stack."""
-    u = _unitaries(
-        _canonical_angles("theta", theta),
-        _canonical_angles("phi_a", phi_a),
-        _canonical_angles("phi_b", phi_b),
-    )
+    """chi_final's amplitudes over (N,) float arrays of angles, taken as
+    given (UnitaryParams reduces the user's), as an (N, 3, 4) stack."""
+    u = _unitaries(theta, phi_a, phi_b)
     return _amplitudes(_CHI_BRANCHES, lambda label: _antiunitary_images(u, named_ket(label, 0)))
 
 
 def chi_final(p: UnitaryParams) -> BipartiteState:
     """Probe state after the anti-unitary acts on Bob's last qubit."""
-    return _state(_chi_final_amplitudes([p.theta], [p.phi_a], [p.phi_b]))
+    return _state(_chi_final_amplitudes(*np.array([[p.theta], [p.phi_a], [p.phi_b]])))
 
 
 def build_pi_initial() -> BipartiteState:
@@ -199,9 +195,12 @@ def _ab_discriminant_root(big_a: np.ndarray, big_b: np.ndarray) -> np.ndarray:
         raise ValueError("A and B must be finite")
     if np.any(big_a < 1.0 / 12.0):
         raise ValueError("A below 1/12: no amplitudes realize these cubic data")
-    if np.any(big_b * big_b > 4.0 * big_a**3 + CUBIC_DOMAIN_TOL):
+    # a huge finite A cubes to inf; the spectrum-sum check then refuses it
+    with np.errstate(over="ignore"):
+        cubed = 4.0 * big_a**3
+    if np.any(big_b * big_b > cubed + CUBIC_DOMAIN_TOL):
         raise ValueError("B^2 exceeds 4A^3: cubic has no valid spectrum")
-    return np.sqrt(np.maximum(4.0 * big_a**3 - big_b * big_b, 0.0))
+    return np.sqrt(np.maximum(cubed - big_b * big_b, 0.0))
 
 
 def spectrum_from_ab(big_a: float, big_b: float) -> CubicSpectrum:

@@ -8,7 +8,6 @@ import numpy as np
 
 from .linalg import eigenvalues_hermitian_jacobi, is_normalized
 
-SCHMIDT_SUM_TOL = 1e-10
 ENTROPY_CLAMP = 1e-13
 
 
@@ -55,15 +54,6 @@ def schmidt_vector(s: BipartiteState) -> np.ndarray:
     """
     # BipartiteState has checked the unit norm
     return _schmidt(s.amplitudes.reshape(s.dim_a, s.dim_b))
-
-
-def _schmidt_vectors(mats: np.ndarray) -> np.ndarray:
-    """schmidt_vector of each matrix of an (N, dim_a, dim_b) amplitude stack,
-    with one stacked Jacobi call, after BipartiteState's unit-norm check on
-    each matrix."""
-    if not is_normalized(mats, axis=(-2, -1)):
-        raise ValueError("state amplitudes must have unit norm")
-    return _schmidt(mats)
 
 
 def _schmidt(mats: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ import numpy as np
 from .cases import ContractViolationError, _certify
 from .majorization import PairLabel
 from .scenarios import CHI_FINAL_SCHMIDT, _chi_final_amplitudes
-from .states import _schmidt_vectors
+from .states import _schmidt
 
 GAMMA_DEVIATION_TOL = 1e-10
 # Grid points per call of the certified kernel (and of the stacked Jacobi)
@@ -80,14 +80,13 @@ def _joined(blocks: list[Columns]) -> Columns:
 
 
 def sweep_real(n: int) -> Columns:
-    """Classify n equally spaced real parameter points phi in [0, 2pi)."""
+    """Classify n equally spaced real parameter points phi in [0, 2pi): the
+    one-delta complex sweep, with its delta column blank."""
     if n < 2:
         raise ValueError("sweep_real requires n >= 2")
-    blocks = []
-    for (phi,) in _grid_angles(n):
-        delta = np.full(len(phi), None)
-        blocks.append({"phi": phi, "delta": delta, **_certified(np.cos(phi), np.sin(phi))})
-    return _joined(blocks)
+    result = sweep_complex(n, 1)
+    result["delta"] = np.full(n, None)
+    return result
 
 
 def sweep_complex(n_phi: int, n_delta: int) -> Columns:
@@ -112,7 +111,7 @@ def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
         raise ValueError("sweep_gamma requires positive grid sizes")
     worst = 0.0
     for angles in _grid_angles(n_theta, n_a, n_b):
-        vecs = _schmidt_vectors(_chi_final_amplitudes(*angles))
+        vecs = _schmidt(_chi_final_amplitudes(*angles))
         worst = max(worst, float(np.max(np.abs(vecs - CHI_FINAL_SCHMIDT))))
     if worst >= GAMMA_DEVIATION_TOL:
         raise ContractViolationError(

@@ -18,7 +18,7 @@ from qincomp.cases import (
     _verdict,
     predict_case,
 )
-from qincomp.majorization import _LABELS, PairLabel, classify_pair
+from qincomp.majorization import _LABELS, MAJORIZATION_TOL, PairLabel, classify_pair
 from qincomp.qubits import IppParams
 from qincomp.scenarios import (
     build_pi_initial,
@@ -73,7 +73,7 @@ class TestPredictCase:
         assert verdict.predicted is Prediction.CONDITIONAL
         # the condition is 2 sqrt(A) cos(angle), the middle cubic root
         assert verdict.condition_value == spectrum_from_ab(1 / 3, 0.25).roots[1]
-        assert verdict.condition == (verdict.condition_value < SQRT3_HALF)
+        assert verdict.condition == (verdict.condition_value < SQRT3_HALF - 3 * MAJORIZATION_TOL)
         # at the Hadamard point the smallest-root expression stays below
         # the threshold, so incomparability is predicted
         assert verdict.condition is True
@@ -89,6 +89,12 @@ class TestPredictCase:
             pytest.param(predict_case, 0.05, 0.0, id="a_below_twelfth"),
             pytest.param(predict_case, 0.2, 0.5, id="b_squared_above_4a_cubed"),
             pytest.param(spectrum_from_ab, math.nan, 0.0, id="spectrum_nan_a"),
+            # 4 A^3 overflows to inf: refused by the spectrum-sum check,
+            # with no numpy overflow warning (warnings are errors here)
+            pytest.param(predict_case, 1e103, 0.1, id="huge_a_1e103"),
+            pytest.param(predict_case, 1.7e308, 0.1, id="huge_a_1.7e308"),
+            pytest.param(spectrum_from_ab, 1e200, 0.1, id="spectrum_huge_a_1e200"),
+            pytest.param(spectrum_from_ab, 1e300, 0.1, id="spectrum_huge_a_1e300"),
             # A above 1/4 with B not above 0: no amplitudes realize these
             pytest.param(predict_case, 1 / 3, -0.25, id="negative_b_large_a"),
             pytest.param(predict_case, 0.3, -0.1, id="small_negative_b_large_a"),

@@ -239,6 +239,29 @@ class TestIppDemoCommand:
             assert row == sweep_row.split(",", 2)[2], f"phi index {k}"
 
 
+class TestAmplitudeCheck:
+    # |alpha|^2 + |beta|^2 - 1 is 9.9987e-13 here, inside IPP_NORM_TOL = 1e-12,
+    # while the 12 squared amplitudes of the final state sum to 1 only within
+    # rounding: amplitudes are checked once, by the kernel, at IPP_NORM_TOL
+    EDGE = ["--alpha", "0.6236624066638249", "--beta=-0.35862063110343056-0.694576450408638i"]
+
+    @pytest.mark.parametrize("command", ["ipp-demo", "case-analyze"])
+    def test_pair_at_tolerance_edge_accepted(self, command, capsys):
+        assert main([command, *self.EDGE]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and len(captured.out.splitlines()) == 2
+
+    @pytest.mark.parametrize("command", ["ipp-demo", "case-analyze"])
+    def test_pair_just_outside_tolerance_refused(self, command, capsys):
+        # |alpha|^2 - 1 is 1.2e-12 at alpha = 1 + 6e-13, and 8.0e-13 at 1 + 4e-13
+        assert main([command, "--alpha", "1.0000000000004", "--beta", "0"]) == 0
+        capsys.readouterr()
+        assert main([command, "--alpha", "1.0000000000006", "--beta", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: amplitudes must satisfy |alpha|^2 + |beta|^2 = 1\n"
+        )
+
+
 class TestCaseAnalyzeCommand:
     def test_flipping_fields(self, capsys):
         assert main(["case-analyze", "--alpha", "0", "--beta", "1"]) == 0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qincomp import linalg
 from qincomp.linalg import (
     JACOBI_SWEEP_CAP,
     JacobiConvergenceError,
@@ -135,7 +136,7 @@ class TestJacobiSolver:
     def test_sweep_cap_raises(self):
         m = density_from_off_diagonals(0.5, 0.5, 0.5)
         with pytest.raises(JacobiConvergenceError):
-            eigenvalues_hermitian_jacobi(m, sweep_cap=0)
+            capped_jacobi(m, 0)
 
 
 def random_hermitian_stack(rng, count, n):
@@ -143,11 +144,18 @@ def random_hermitian_stack(rng, count, n):
     return m + m.conj().swapaxes(-1, -2)
 
 
+def capped_jacobi(m, cap):
+    """eigenvalues_hermitian_jacobi(m) with JACOBI_SWEEP_CAP set to cap."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "JACOBI_SWEEP_CAP", cap)
+        return eigenvalues_hermitian_jacobi(m)
+
+
 def sweeps_to_converge(m):
-    """The smallest sweep_cap at which Jacobi converges on the one matrix m."""
+    """The smallest sweep cap at which Jacobi converges on the one matrix m."""
     for cap in range(JACOBI_SWEEP_CAP + 1):
         try:
-            eigenvalues_hermitian_jacobi(m, sweep_cap=cap)
+            capped_jacobi(m, cap)
         except JacobiConvergenceError:
             continue
         return cap
@@ -211,9 +219,9 @@ class TestStackedJacobi:
         assert needed[0] == 0 and 0 < needed[1] < max(needed)
         for cap in range(max(needed)):
             with pytest.raises(JacobiConvergenceError):
-                eigenvalues_hermitian_jacobi(stack, sweep_cap=cap)
+                capped_jacobi(stack, cap)
         np.testing.assert_array_equal(
-            eigenvalues_hermitian_jacobi(stack, sweep_cap=max(needed)),
+            capped_jacobi(stack, max(needed)),
             eigenvalues_hermitian_jacobi(stack),
         )
 

@@ -12,7 +12,7 @@ from qincomp.cli import main
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel
 from qincomp.qubits import IppParams
-from qincomp.scenarios import pi_final, spectrum_from_ab
+from qincomp.scenarios import PI_INITIAL_SCHMIDT, pi_final, spectrum_from_ab
 from qincomp.states import schmidt_vector
 from qincomp import sweep
 from qincomp.sweep import (
@@ -107,16 +107,26 @@ class TestSweepReal:
 
 class TestSweepComplex:
     def test_single_delta_matches_real_sweep(self):
+        # the real sweep is the one-delta complex sweep: every column but
+        # delta is equal bit for bit
         grid, real = sweep_complex(4, 1), sweep_real(4)
         assert grid["delta"].tolist() == [0.0] * 4
         assert real["delta"].tolist() == [None] * 4
-        np.testing.assert_array_equal(grid["phi"], real["phi"])
-        assert grid["A"] == pytest.approx(real["A"], abs=1e-12)
-        assert grid["B"] == pytest.approx(real["B"], abs=1e-12)
-        assert _lam(grid) == pytest.approx(_lam(real), abs=1e-12)
-        assert grid["observed"].tolist() == real["observed"].tolist()
-        assert grid["predicted"].tolist() == real["predicted"].tolist()
-        assert grid["agree"].tolist() == real["agree"].tolist()
+        assert list(grid) == list(real)
+        for name in set(grid) - {"delta"}:
+            np.testing.assert_array_equal(grid[name], real[name], err_msg=name)
+
+    def test_conditional_ties_agree(self):
+        # at phi = 11 pi/12 and 23 pi/12, delta = 3 pi/2 the final smallest
+        # eigenvalue ties the initial one to rounding, so the pair is
+        # comparable and the CONDITIONAL boundary must not predict
+        # incomparability there
+        grid = sweep_complex(48, 12)
+        for row in (22 * 12 + 9, 46 * 12 + 9):
+            assert grid["predicted"][row] is Prediction.CONDITIONAL
+            assert grid["observed"][row] is PairLabel.CONVERTIBLE_FORWARD
+            assert grid["lam3"][row] == pytest.approx(PI_INITIAL_SCHMIDT[2], abs=1e-15)
+        assert grid["agree"].all()
 
     def test_grid_shape_and_agreement(self):
         grid = sweep_complex(18, 6)
