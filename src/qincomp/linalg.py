@@ -57,37 +57,64 @@ def is_hermitian(m: np.ndarray) -> bool:
 
 
 @functools.cache
-def _round_robin(n: int) -> tuple[tuple[np.ndarray, ...], ...]:
-    """Pivot rounds of a round-robin tournament on n indices, as row-major
-    flat indices into an n x n matrix.
+def _round_robin(n: int) -> tuple[np.ndarray, ...]:
+    """Flat permutations that move an (n*n, N) stack of row-major matrices
+    through the rounds of a round-robin tournament on n indices.
 
     Each round holds k = floor(n/2) disjoint pairs (p, q) with p < q; over
     the n - 1 (n even) or n (n odd) rounds every pair appears exactly once.
     Circle method: index 0 stays put, the others rotate one place per round;
-    with n odd, a phantom index n sits out the pair it lands in.  A round is
-    (gather, columns, rows): gather lists the k pivots (p, q), the k entries
-    (p, p) and the k entries (q, q), then columns; columns is the (2, n, k)
-    block of columns p and q, rows the (2, k, n) block of rows p and q.
-    Cached per n; the arrays are read-only.
+    with n odd, a phantom index n sits out the pair it lands in.  A round's
+    order lists its pairs' p0 .. p(k-1), then their q0 .. q(k-1), then the
+    index that sits out (n odd), so in every round pair j sits at positions
+    (j, k + j) and its pivot a_pq at the same flat index (see _round_views).
+    The moves are indices for np.take along axis 0: canonical order to
+    round 0, round r to round r + 1, and the last round back to canonical
+    order, so a sweep's moves compose to the identity.  Cached per n; the
+    arrays are read-only.
     """
     m = n + n % 2
     ring = list(range(1, m))
-    line = np.arange(n)
-    rounds = []
+    orders = [np.arange(n)]
     for _ in range(m - 1):
         seats = [0, *ring]
         pairs = [sorted((seats[i], seats[m - 1 - i])) for i in range(m // 2)]
         pairs = [(p, q) for p, q in pairs if q < n]
         if pairs:
-            p, q = np.array(pairs).T
-            columns = np.stack([line[:, None] * n + p, line[:, None] * n + q])
-            rows = np.stack([p[:, None] * n + line, q[:, None] * n + line])
-            gather = np.concatenate([p * n + q, p * (n + 1), q * (n + 1), columns.ravel()])
-            for index in (gather, columns, rows):
-                index.flags.writeable = False
-            rounds.append((gather, columns, rows))
+            order = [p for p, _ in pairs] + [q for _, q in pairs]
+            orders.append(np.array(order + sorted(set(range(n)) - set(order))))
         ring = ring[-1:] + ring[:-1]
-    return tuple(rounds)
+    orders.append(orders[0])
+    moves = []
+    for before, after in zip(orders, orders[1:]):
+        rows = np.argsort(before)[after]
+        move = (rows[:, None] * n + rows).ravel()
+        move.flags.writeable = False
+        moves.append(move)
+    return tuple(moves)
+
+
+def _round_views(flat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """The views of a C-contiguous (n*n, N) stack, held in a round's order,
+    that a Jacobi round reads and writes, with k = floor(n/2): the (k, N)
+    pivots a_pq (the first k entries of the k-th superdiagonal) and the
+    real parts of a_pp and a_qq (diagonal entries 0 .. k-1 and k .. 2k-1);
+    columns p, q as an (n, 2, k, N) block and its float pairs; rows p, q
+    as a (2, k, n, N) block; each block also with its halves swapped.
+    For n odd the column block skips a column in every row; numpy adds
+    such complex blocks several times slower than the same bytes as
+    floats, and a complex sum is the float sums of its parts, bit for bit.
+    """
+    width = flat.shape[1]
+    k = n // 2
+    diagonal = flat[:: n + 1]
+    square = flat.reshape(n, n, width)
+    columns = square[:, : 2 * k].reshape(n, 2, k, width, copy=False)
+    rows = square[: 2 * k].reshape(2, k, n, width)
+    return (
+        flat[k :: n + 1][:k], diagonal[:k].real, diagonal[k : 2 * k].real,
+        columns, columns.view(float), columns[:, ::-1], rows, rows[::-1],
+    )
 
 
 def _norms(flat: np.ndarray, n: int, off_diagonal: bool = False) -> np.ndarray:
@@ -117,6 +144,12 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     convergence on repeated eigenvalues.  So each matrix's eigenvalues do
     not depend on the rest of the stack.  The stack is held matrix-last, as
     (n*n, N), so that every step works on rows of N contiguous entries.
+    During a round it is held in that round's order (see _round_robin), so
+    the pivots sit at fixed places and the column and row updates write
+    into fixed views of it (see _round_views); one np.take moves it into a
+    second buffer in the next round's order, and the stop test reads it in
+    canonical order.  The buffers are made once per call and again only
+    when the set of rotating matrices shrinks.
     Raises ValueError if any matrix is not Hermitian and
     JacobiConvergenceError if any has not stopped after JACOBI_SWEEP_CAP sweeps.
     Returns eigenvalues descending along the last axis: shape (n,) for one
@@ -130,7 +163,8 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     n = a.shape[-1]
     flat = stack.reshape(len(stack), n * n).T.copy()
     k = n // 2
-    rounds = _round_robin(n)
+    moves = _round_robin(n)
+    stacks = ()
     values = np.empty((len(stack), n))
     # the matrices still rotating, as their stack indices, and their stopping
     # masses: rotations keep ||a||_F fixed, so these are fixed too
@@ -142,42 +176,73 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
         if not rotating.all():
             values[live[~rotating]] = flat[:: n + 1, ~rotating].real.T
             live, off, off_tol = live[rotating], off[rotating], off_tol[rotating]
-            flat = flat[:, rotating]
+            # compress, unlike a boolean index, keeps the stack C-contiguous
+            flat = flat.compress(rotating, axis=1)
         if not live.size:
             break
         if sweep == JACOBI_SWEEP_CAP:
             raise JacobiConvergenceError(
                 f"off-diagonal mass {np.max(off):.3e} after {JACOBI_SWEEP_CAP} sweeps"
             )
+        width = live.size
+        if not stacks or stacks[0][0].shape != flat.shape:
+            spare = np.empty_like(flat)
+            stacks = ((flat, _round_views(flat, n)), (spare, _round_views(spare, n)))
+            # the swapped halves' products, as one block for the columns and
+            # one for the rows; the real rotation parameters, contiguous, as a
+            # numpy call on strided operands costs about twice as much; c again
+            # as a complex array, so that no product casts it; the pairs that
+            # get the identity rotation; cross = (-conj(s), s)
+            work = np.empty(2 * k * n * width, dtype=complex)
+            column_products = work.reshape(n, 2, k, width)
+            product_floats = column_products.view(float)
+            row_products = work.reshape(2, k, n, width)
+            size, tau, t, c = np.empty((4, k, width))
+            c_complex = np.zeros((k, width), dtype=complex)
+            c_real, c_rows = c_complex.real, c_complex[:, None]
+            idle = np.empty((k, width), dtype=bool)
+            cross = np.empty((2, k, width), dtype=complex)
+            s, cross_rows = cross[1], cross[:, :, None]
+        here, there = stacks if stacks[0][0] is flat else stacks[::-1]
         # pivots at or below this modulus get the identity rotation
         pivot_tol = off_tol / n
         # past |tau| ~ 1e154, tau * tau overflows to inf and t becomes 0, the
         # limit of 1/(2 tau); a pivot of size 0 gives nan, replaced below
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            for gather, columns, rows in rounds:
-                picked = flat.take(gather, axis=0)
-                apq = picked[:k]
-                size = np.abs(apq)
-                tau = (picked[2 * k : 3 * k].real - picked[k : 2 * k].real) / (2.0 * size)
-                t = np.copysign(1.0, tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                # s e^{i arg a_pq}
-                s = (t * c) * (apq / size)
-                rotate = size > pivot_tol
-                c = np.where(rotate, c, 1.0)
-                s = np.where(rotate, s, 0.0)
+            # with out=, take's default mode="raise" fills a temporary first;
+            # the moves are valid indices, so "clip" changes nothing else
+            np.take(here[0], moves[0], axis=0, out=there[0], mode="clip")
+            for move in moves[1:]:
+                here, there = there, here
+                apq, app, aqq, columns, column_floats, columns_swapped, rows, rows_swapped = here[1]
+                # tau = (a_qq - a_pp) / (2 |a_pq|),
+                # t = sign(tau) / (|tau| + sqrt(1 + tau^2)),
+                # c = 1 / sqrt(1 + t^2) and s = (t c) (a_pq / |a_pq|),
+                # each operation in this order, into reused buffers
+                np.abs(apq, out=size)
+                np.subtract(aqq, app, out=tau)
+                np.divide(tau, np.multiply(2.0, size, out=c), out=tau)
+                np.sqrt(np.add(1.0, np.multiply(tau, tau, out=c), out=c), out=c)
+                np.add(np.abs(tau, out=t), c, out=c)
+                np.divide(np.copysign(1.0, tau, out=t), c, out=t)
+                np.sqrt(np.add(1.0, np.multiply(t, t, out=tau), out=tau), out=tau)
+                np.divide(1.0, tau, out=c)
+                np.multiply(np.multiply(t, c, out=t), np.divide(apq, size, out=s), out=s)
+                np.logical_not(np.greater(size, pivot_tol, out=idle), out=idle)
+                np.copyto(c, 1.0, where=idle)
+                np.copyto(s, 0.0, where=idle)
+                np.copyto(c_real, c)
+                np.negative(np.conjugate(s, out=cross[0]), out=cross[0])
                 # columns p, q times J = [[c, s], [-conj(s), c]], then rows
-                # p, q times J^H from the left; x - y is x + (-y) bit for bit.
-                # The products with the swapped halves are made in place, so a
-                # round allocates one block-sized array per update, not three.
-                cross = np.concatenate([-s.conj(), s]).reshape(2, 1, k, -1)
-                cols = picked[3 * k :].reshape(2, n, k, -1)
-                new = c * cols
-                new += np.multiply(cross, cols[::-1], out=cols[::-1])
-                flat[columns] = new
-                rows_pq = flat.take(rows, axis=0)
-                new = c[:, None] * rows_pq
-                new += np.multiply(cross.conj().swapaxes(1, 2), rows_pq[::-1], out=rows_pq[::-1])
-                flat[rows] = new
+                # p, q times J^H from the left: c x + cross (swapped x), with
+                # cross conjugated for the rows; x - y is x + (-y) bit for bit
+                np.multiply(cross, columns_swapped, out=column_products)
+                np.multiply(c_complex, columns, out=columns)
+                np.add(column_floats, product_floats, out=column_floats)
+                np.conjugate(cross, out=cross)
+                np.multiply(cross_rows, rows_swapped, out=row_products)
+                np.add(np.multiply(c_rows, rows, out=rows), row_products, out=rows)
+                np.take(here[0], move, axis=0, out=there[0], mode="clip")
+        flat = there[0]
     values = np.sort(values, axis=-1)[:, ::-1]
     return values[0] if single else values

@@ -26,7 +26,7 @@ from .qubits import (
     _unitaries,
     named_ket,
 )
-from .states import BipartiteState
+from .states import BipartiteState, _derived_state
 
 CUBIC_DOMAIN_TOL = 1e-12
 SPECTRUM_SUM_TOL = 1e-10
@@ -83,7 +83,8 @@ class CubicSpectrum:
 
 
 def _check_spectrum_sum(eigenvalues: np.ndarray) -> None:
-    if np.any(np.abs(np.sum(eigenvalues, axis=-1) - 1.0) > SPECTRUM_SUM_TOL):
+    # a nan sum fails this comparison, so it is refused too
+    if not np.all(np.abs(np.sum(eigenvalues, axis=-1) - 1.0) <= SPECTRUM_SUM_TOL):
         raise ValueError("spectrum must sum to 1")
 
 
@@ -103,8 +104,9 @@ def _axis_ket(label: SpinLabel) -> np.ndarray:
 
 
 def _state(amplitudes: np.ndarray) -> BipartiteState:
-    """The state of a one-matrix amplitude stack."""
-    return BipartiteState(3, 4, amplitudes.reshape(-1))
+    """The state of a one-matrix amplitude stack, built from checked
+    parameters (or none), so its norm is not checked again."""
+    return _derived_state(3, 4, amplitudes)
 
 
 def build_chi_initial() -> BipartiteState:
@@ -195,12 +197,13 @@ def _ab_discriminant_root(big_a: np.ndarray, big_b: np.ndarray) -> np.ndarray:
         raise ValueError("A and B must be finite")
     if np.any(big_a < 1.0 / 12.0):
         raise ValueError("A below 1/12: no amplitudes realize these cubic data")
-    # a huge finite A cubes to inf; the spectrum-sum check then refuses it
-    with np.errstate(over="ignore"):
-        cubed = 4.0 * big_a**3
-    if np.any(big_b * big_b > cubed + CUBIC_DOMAIN_TOL):
-        raise ValueError("B^2 exceeds 4A^3: cubic has no valid spectrum")
-    return np.sqrt(np.maximum(cubed - big_b * big_b, 0.0))
+    # a huge finite A cubes to inf and a huge B squares to inf; inf - inf is
+    # nan, and the spectrum-sum check refuses both the inf and the nan root
+    with np.errstate(over="ignore", invalid="ignore"):
+        cubed, squared = 4.0 * big_a**3, big_b * big_b
+        if np.any(squared > cubed + CUBIC_DOMAIN_TOL):
+            raise ValueError("B^2 exceeds 4A^3: cubic has no valid spectrum")
+        return np.sqrt(np.maximum(cubed - squared, 0.0))
 
 
 def spectrum_from_ab(big_a: float, big_b: float) -> CubicSpectrum:

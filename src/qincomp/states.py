@@ -31,6 +31,19 @@ class BipartiteState:
         object.__setattr__(self, "amplitudes", amps)
 
 
+def _derived_state(dim_a: int, dim_b: int, amplitudes: np.ndarray) -> BipartiteState:
+    """A BipartiteState of amplitudes computed from parameters that were
+    checked where they entered (IppParams, UnitaryParams), not checked again:
+    those checks already bound the norm, and the derived amplitudes' rounding
+    can put it past NORM_TOL."""
+    state = object.__new__(BipartiteState)
+    amps = np.array(amplitudes, dtype=complex).reshape(dim_a * dim_b)
+    amps.flags.writeable = False
+    for name, value in (("dim_a", dim_a), ("dim_b", dim_b), ("amplitudes", amps)):
+        object.__setattr__(state, name, value)
+    return state
+
+
 def reduced_density_a(s: BipartiteState) -> np.ndarray:
     """Trace out subsystem B: entry (i, k) = sum_j amp(i,j) * conj(amp(k,j))."""
     return _reduced_densities(s.amplitudes.reshape(s.dim_a, s.dim_b))
@@ -52,7 +65,7 @@ def schmidt_vector(s: BipartiteState) -> np.ndarray:
     spectrum.  Eigenvalue noise below zero is clamped to 0.  Invariant under
     a global phase on the state.
     """
-    # BipartiteState has checked the unit norm
+    # BipartiteState, or the parameters behind the state, have checked the norm
     return _schmidt(s.amplitudes.reshape(s.dim_a, s.dim_b))
 
 

@@ -95,6 +95,11 @@ class TestPredictCase:
             pytest.param(predict_case, 1.7e308, 0.1, id="huge_a_1.7e308"),
             pytest.param(spectrum_from_ab, 1e200, 0.1, id="spectrum_huge_a_1e200"),
             pytest.param(spectrum_from_ab, 1e300, 0.1, id="spectrum_huge_a_1e300"),
+            # 4 A^3 and B^2 both overflow: inf - inf is a nan root, refused
+            # by the spectrum-sum check, again with no warning
+            pytest.param(predict_case, 1e200, 1e300, id="huge_a_huge_b"),
+            pytest.param(spectrum_from_ab, 1e200, 1e300, id="spectrum_huge_a_huge_b"),
+            pytest.param(spectrum_from_ab, 1e200, -1e300, id="spectrum_huge_a_huge_negative_b"),
             # A above 1/4 with B not above 0: no amplitudes realize these
             pytest.param(predict_case, 1 / 3, -0.25, id="negative_b_large_a"),
             pytest.param(predict_case, 0.3, -0.1, id="small_negative_b_large_a"),

@@ -5,10 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from oracles import jacobi_reference
 from qincomp import linalg
 from qincomp.linalg import (
     JACOBI_SWEEP_CAP,
     JacobiConvergenceError,
+    _round_robin,
+    _round_views,
     eigenvalues_hermitian_jacobi,
     is_hermitian,
     is_normalized,
@@ -233,3 +236,136 @@ class TestStackedJacobi:
             before = m.copy()
             eigenvalues_hermitian_jacobi(m)
             np.testing.assert_array_equal(m, before)
+
+
+PLAN_SIZES = range(1, 34)
+
+
+def round_orders(n):
+    """The index order of each round, read off the canonical flat labels
+    i*n + j as the moves carry them, and the labels after the last move."""
+    labels = np.arange(n * n)
+    orders = []
+    for move in _round_robin(n):
+        labels = labels[move]
+        order = labels[:: n + 1] // n
+        # the stack is always the canonical matrix with rows and columns
+        # reordered alike
+        np.testing.assert_array_equal(labels, (order[:, None] * n + order).ravel())
+        orders.append(order)
+    return orders[:-1], labels
+
+
+def same_bits(actual, expected):
+    """Equal arrays, bit for bit: sign of zero included."""
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
+
+
+class TestRoundPlan:
+    def test_moves_are_permutations_composing_to_the_identity(self):
+        for n in PLAN_SIZES:
+            moves = _round_robin(n)
+            # n - 1 rounds for n even, n for n odd, none for n = 1; then the
+            # move back to canonical order
+            assert len(moves) == (n if n % 2 else n - 1) + (n > 1)
+            for move in moves:
+                np.testing.assert_array_equal(np.sort(move), np.arange(n * n))
+                assert not move.flags.writeable
+            np.testing.assert_array_equal(round_orders(n)[1], np.arange(n * n))
+
+    def test_pairs_are_disjoint_and_meet_once_per_sweep(self):
+        for n in PLAN_SIZES:
+            k = n // 2
+            met = []
+            for order in round_orders(n)[0]:
+                pairs = list(zip(order[:k], order[k : 2 * k]))
+                assert all(p < q for p, q in pairs)
+                assert len(set(order[: 2 * k])) == 2 * k
+                met.extend(pairs)
+            assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    def test_views_read_each_rounds_pivots_and_blocks(self):
+        # pair j of a round sits at positions (j, k + j) of its order: the
+        # pivot views read entries (j, k + j), (j, j) and (k + j, k + j),
+        # the blocks columns and rows j and k + j, and every view writes
+        # into the stack
+        for n in PLAN_SIZES:
+            k = n // 2
+            labels = np.arange(n * n)
+            for order in round_orders(n)[0]:
+                p, q = order[:k], order[k : 2 * k]
+                stack = (labels[(order[:, None] * n + order).ravel()] * (1 - 2j))[:, None].repeat(3, axis=1)
+                apq, app, aqq, columns, column_floats, columns_swapped, rows, rows_swapped = _round_views(stack, n)
+                expected = p * n + q
+                np.testing.assert_array_equal(apq, (expected * (1 - 2j))[:, None].repeat(3, axis=1))
+                np.testing.assert_array_equal(app, (p * (n + 1))[:, None].repeat(3, axis=1))
+                np.testing.assert_array_equal(aqq, (q * (n + 1))[:, None].repeat(3, axis=1))
+                pq = np.stack([p, q])
+                np.testing.assert_array_equal(columns[..., 0].real, order[:, None, None] * n + pq)
+                np.testing.assert_array_equal(columns_swapped[..., 0].real, order[:, None, None] * n + pq[::-1])
+                np.testing.assert_array_equal(rows[..., 0].real, pq[:, :, None] * n + order)
+                np.testing.assert_array_equal(rows_swapped[..., 0].real, pq[::-1, :, None] * n + order)
+                np.testing.assert_array_equal(column_floats[..., ::2], columns.real)
+                np.testing.assert_array_equal(column_floats[..., 1::2], columns.imag)
+                for view in (apq, app, aqq, columns, column_floats, rows):
+                    assert view.size == 0 or np.shares_memory(view, stack)
+
+    def test_sizes_one_and_two(self):
+        same_bits(eigenvalues_hermitian_jacobi(np.array([[2.5]])), np.array([2.5]))
+        same_bits(eigenvalues_hermitian_jacobi(np.array([[-0.0]])), np.array([-0.0]))
+        np.testing.assert_allclose(
+            eigenvalues_hermitian_jacobi(np.array([[2.0, 1j], [-1j, 2.0]])), [3.0, 1.0], atol=1e-15
+        )
+        stack = random_hermitian_stack(np.random.default_rng(53), 5, 2)
+        np.testing.assert_allclose(
+            eigenvalues_hermitian_jacobi(stack),
+            np.sort(np.linalg.eigvalsh(stack), axis=-1)[:, ::-1],
+            atol=1e-12,
+        )
+
+
+EDGE_MATRICES = {
+    "diagonal": np.diag([3.0, 1.0, 2.0]),
+    "signed_zero_diagonal": np.diag([-0.0, 0.0, -0.0, 1.0]),
+    "identity": np.eye(5),
+    "zero": np.zeros((4, 4)),
+    "zero_pivot": np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 3.0]]),
+    "degenerate": np.array([[1.0, 1e-3, 0.0], [1e-3, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    "rank_one": np.ones((4, 4)),
+    "repeated_pair": np.kron(np.eye(3), np.array([[1.0, 1j], [-1j, 1.0]])),
+}
+
+
+class TestReferenceBits:
+    """The stacked kernel equals jacobi_reference bit for bit: the plan,
+    the views and the buffers change where numbers sit, never a result."""
+
+    @pytest.mark.parametrize("n", [*range(2, 10), 16, 24, 32])
+    def test_random_matrices_and_stacks(self, n):
+        stack = random_hermitian_stack(np.random.default_rng(59 + n), 3, n)
+        rows = eigenvalues_hermitian_jacobi(stack)
+        for matrix, row in zip(stack, rows):
+            expected = jacobi_reference(matrix)
+            same_bits(row, expected)
+            same_bits(eigenvalues_hermitian_jacobi(matrix), expected)
+
+    def test_mixed_convergence_stack(self):
+        rng = np.random.default_rng(61)
+        stack = np.concatenate(
+            [
+                np.diag([3.0, 1.0, 2.0])[None].astype(complex),
+                (np.eye(3) / 3.0)[None],
+                EDGE_MATRICES["zero_pivot"][None].astype(complex),
+                1e6 * random_hermitian_stack(rng, 1, 3),
+                random_hermitian_stack(rng, 12, 3),
+            ]
+        )
+        assert len({sweeps_to_converge(matrix) for matrix in stack}) >= 3
+        for matrix, row in zip(stack, eigenvalues_hermitian_jacobi(stack)):
+            same_bits(row, jacobi_reference(matrix))
+
+    @pytest.mark.parametrize("name", EDGE_MATRICES)
+    def test_edge_matrices(self, name):
+        matrix = EDGE_MATRICES[name]
+        same_bits(eigenvalues_hermitian_jacobi(matrix), jacobi_reference(matrix))

@@ -15,7 +15,7 @@ from oracles import (
     point,
     real_ab,
 )
-from qincomp.linalg import eigenvalues_hermitian_jacobi
+from qincomp.linalg import NORM_TOL, eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel, classify_pair
 from qincomp.qubits import IppParams, UnitaryParams
 from qincomp.scenarios import (
@@ -144,6 +144,18 @@ class TestSuperpositionScenario:
                 pi_final_density_closed_form(p),
                 atol=1e-12,
             )
+
+    def test_final_state_at_the_norm_tolerance_edge(self):
+        # IppParams accepts this pair (|alpha|^2 + |beta|^2 is 1 + 9.9987e-13),
+        # and rounding puts the 12 derived amplitudes' norm past NORM_TOL;
+        # pi_final builds the state anyway, with the kernel's spectrum
+        alpha, beta = 0.6236624066638249, -0.35862063110343056 - 0.694576450408638j
+        state = pi_final(IppParams(alpha, beta))
+        assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) > NORM_TOL
+        lams = point(alpha, beta)
+        np.testing.assert_allclose(
+            schmidt_vector(state), [lams["lam1"], lams["lam2"], lams["lam3"]], atol=1e-12
+        )
 
     def test_scenarios_meet_at_flipping_points(self):
         # the superposition scenario's flipping point lands on the other
