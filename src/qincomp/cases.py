@@ -37,7 +37,7 @@ from .scenarios import (
     _spectra,
     build_pi_initial,
 )
-from .states import _schmidt, entropy_of_entanglement, schmidt_vector
+from .states import entropy_of_entanglement, schmidt_vector
 
 CASE_BAND = 1e-12
 SOLVER_AGREE_TOL = 1e-10
@@ -184,7 +184,7 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     coefficients = _pqr(alpha, beta)
     big_a, big_b = _cubic_ab(*coefficients)
     roots, eigenvalues = _spectra(big_a, big_b, _discriminant_root(*coefficients, big_a, big_b))[1:]
-    final = _schmidt(_pi_final_amplitudes(alpha, beta))
+    final = schmidt_vector(_pi_final_amplitudes(alpha, beta))
     gap = np.max(np.abs(eigenvalues - final), axis=-1)
     failing = np.flatnonzero(gap > SOLVER_AGREE_TOL)
     if failing.size:

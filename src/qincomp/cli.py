@@ -14,11 +14,11 @@ import sys
 import numpy as np
 
 from .cases import _certify, _verdict
-from .linalg import JacobiConvergenceError
+from .linalg import JacobiConvergenceError, is_normalized
 from .majorization import classify_pair
 from .qubits import UnitaryParams
-from .scenarios import build_chi_initial, chi_final
-from .states import BipartiteState, entropy_of_entanglement, schmidt_vector
+from .scenarios import SPECTRUM_SUM_TOL, build_chi_initial, chi_final
+from .states import entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
     _cells,
@@ -35,8 +35,6 @@ _FLOAT = rf"[+-]?{_UNSIGNED}"
 # re, re+im i or re-im i (the imaginary part carries its own sign), or im i
 _COMPLEX_RE = re.compile(rf"^(?:({_FLOAT})(?:([+-]{_UNSIGNED})i)?|({_FLOAT})i)$")
 
-SCHMIDT_ARG_SUM_TOL = 1e-10
-
 
 def parse_complex(text: str) -> complex:
     """Parse the re[+im i] or im i literal form, e.g. 0.5+0.5i, -1 or -0.8i."""
@@ -49,8 +47,10 @@ def parse_complex(text: str) -> complex:
     return complex(float(real), float(imag) if imag is not None else 0.0)
 
 
-def parse_state_file(path: str) -> BipartiteState:
-    """Read a state file: first line 'dimA dimB', then dimA*dimB lines 're im'."""
+def parse_state_file(path: str) -> np.ndarray:
+    """Read a state file: first line 'dimA dimB', then dimA*dimB lines 're im',
+    as the (dimA, dimB) amplitude matrix; ValueError if the file is malformed
+    or its norm is off 1 by more than NORM_TOL."""
     with open(path, encoding="utf-8") as handle:
         lines = [line.strip() for line in handle if line.strip()]
     if not lines:
@@ -78,7 +78,9 @@ def parse_state_file(path: str) -> BipartiteState:
             amps[index] = complex(float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise ValueError(f"amplitude line {index + 2} is not numeric") from exc
-    return BipartiteState(dim_a, dim_b, amps)
+    if not is_normalized(amps):
+        raise ValueError("state amplitudes must have unit norm")
+    return amps.reshape(dim_a, dim_b)
 
 
 def parse_schmidt_arg(text: str) -> np.ndarray:
@@ -94,7 +96,7 @@ def parse_schmidt_arg(text: str) -> np.ndarray:
     # finite values can still sum past the largest float; inf fails below
     with np.errstate(over="ignore"):
         total = float(values.sum())
-    if abs(total - 1.0) > SCHMIDT_ARG_SUM_TOL:
+    if abs(total - 1.0) > SPECTRUM_SUM_TOL:
         raise ValueError("Schmidt coefficients must sum to 1")
     return values
 

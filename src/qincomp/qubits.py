@@ -10,10 +10,9 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import is_normalized
+from .linalg import NORM_TOL, is_normalized
 
 TWO_PI = 2.0 * math.pi
-IPP_NORM_TOL = 1e-12
 
 
 def _canonical_angles(name: str, values: object) -> np.ndarray:
@@ -33,7 +32,7 @@ def _unit_amplitudes(alpha: object, beta: object) -> tuple[np.ndarray, np.ndarra
     # a huge amplitude squares to inf, which fails the norm check below
     with np.errstate(over="ignore"):
         norms = np.abs(alpha) * np.abs(alpha) + np.abs(beta) * np.abs(beta)
-    if np.any(np.abs(norms - 1.0) > IPP_NORM_TOL):
+    if np.any(np.abs(norms - 1.0) > NORM_TOL):
         raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
     return alpha, beta
 

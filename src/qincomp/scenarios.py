@@ -1,12 +1,12 @@
 """The two 3x4 probe scenarios and their closed-form spectral data.
 
 Both scenarios share a qutrit with Alice and give Bob two qubits; the
-candidate operation always acts on Bob's last qubit.  Alongside the
-direct state constructions, this module carries the off-diagonal
-coefficients (p, q, r) of the final reduced density matrix, the cubic data
-(A, B) with the root of their discriminant, and the package's one
-cubic-root formula: the trigonometric spectrum of the final state, the
-eigen-route that shares no code with linalg's Jacobi.
+candidate operation always acts on Bob's last qubit.  A probe state is its
+3x4 amplitude matrix.  Alongside the direct state constructions, this
+module carries the off-diagonal coefficients (p, q, r) of the final reduced
+density matrix, the cubic data (A, B) with the root of their discriminant,
+and the package's one cubic-root formula: the trigonometric spectrum of the
+final state, the eigen-route that shares no code with linalg's Jacobi.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .qubits import (
     _unitaries,
     named_ket,
 )
-from .states import BipartiteState, _derived_state
 
 CUBIC_DOMAIN_TOL = 1e-12
 SPECTRUM_SUM_TOL = 1e-10
@@ -103,15 +102,9 @@ def _axis_ket(label: SpinLabel) -> np.ndarray:
     return named_ket(label, 0)[None, :]
 
 
-def _state(amplitudes: np.ndarray) -> BipartiteState:
-    """The state of a one-matrix amplitude stack, built from checked
-    parameters (or none), so its norm is not checked again."""
-    return _derived_state(3, 4, amplitudes)
-
-
-def build_chi_initial() -> BipartiteState:
+def build_chi_initial() -> np.ndarray:
     """Probe state for the anti-unitary scenario."""
-    return _state(_amplitudes(_CHI_BRANCHES, _axis_ket))
+    return _amplitudes(_CHI_BRANCHES, _axis_ket)[0]
 
 
 def _chi_final_amplitudes(theta, phi_a, phi_b) -> np.ndarray:
@@ -121,14 +114,14 @@ def _chi_final_amplitudes(theta, phi_a, phi_b) -> np.ndarray:
     return _amplitudes(_CHI_BRANCHES, lambda label: _antiunitary_images(u, named_ket(label, 0)))
 
 
-def chi_final(p: UnitaryParams) -> BipartiteState:
+def chi_final(p: UnitaryParams) -> np.ndarray:
     """Probe state after the anti-unitary acts on Bob's last qubit."""
-    return _state(_chi_final_amplitudes(*np.array([[p.theta], [p.phi_a], [p.phi_b]])))
+    return _chi_final_amplitudes(*np.array([[p.theta], [p.phi_a], [p.phi_b]]))[0]
 
 
-def build_pi_initial() -> BipartiteState:
+def build_pi_initial() -> np.ndarray:
     """Probe state for the restricted superposition-map scenario."""
-    return _state(_amplitudes(_PI_BRANCHES, _axis_ket))
+    return _amplitudes(_PI_BRANCHES, _axis_ket)[0]
 
 
 def _pi_final_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -137,9 +130,9 @@ def _pi_final_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return _amplitudes(_PI_BRANCHES, lambda label: _ipp_images(label, alpha, beta))
 
 
-def pi_final(p: IppParams) -> BipartiteState:
+def pi_final(p: IppParams) -> np.ndarray:
     """Probe state after the superposition map acts on Bob's last qubit."""
-    return _state(_pi_final_amplitudes(np.array([p.alpha]), np.array([p.beta])))
+    return _pi_final_amplitudes(np.array([p.alpha]), np.array([p.beta]))[0]
 
 
 def pqr(p: IppParams) -> PqrCoefficients:

@@ -11,18 +11,18 @@ import numpy as np
 from qincomp.cases import _certify
 from qincomp.linalg import JACOBI_OFF_TOL, JACOBI_SWEEP_CAP
 from qincomp.qubits import IppParams, UnitaryParams, general_unitary, named_ket
-from qincomp.scenarios import _CHI_BRANCHES, _amplitudes, _state, pqr
-from qincomp.states import BipartiteState
+from qincomp.scenarios import _CHI_BRANCHES, _amplitudes, pqr
 
 REAL_PARAM_TOL = 1e-12
 
 CHI_INITIAL_SCHMIDT = np.array([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
 
 
-def chi_final_unitary_only(p: UnitaryParams) -> BipartiteState:
-    """Probe state after only the unitary part acts (no conjugation)."""
+def chi_final_unitary_only(p: UnitaryParams) -> np.ndarray:
+    """Probe state after only the unitary part acts (no conjugation), as its
+    3x4 amplitude matrix."""
     u = general_unitary(p)
-    return _state(_amplitudes(_CHI_BRANCHES, lambda label: (u @ named_ket(label, 0))[None, :]))
+    return _amplitudes(_CHI_BRANCHES, lambda label: (u @ named_ket(label, 0))[None, :])[0]
 
 
 def _density_from_off_diagonals(k01: complex, k02: complex, k12: complex) -> np.ndarray:

@@ -8,6 +8,7 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -60,7 +61,8 @@ class TestParsers:
 
     def test_parse_state_file(self, bell_path):
         state = parse_state_file(bell_path)
-        assert (state.dim_a, state.dim_b) == (2, 2)
+        assert state.shape == (2, 2) and state.dtype == complex
+        np.testing.assert_array_equal(state, [[math.sqrt(0.5), 0], [0, math.sqrt(0.5)]])
 
     def test_parse_state_file_rejects_short_body(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -101,6 +103,7 @@ class TestSchmidtCommand:
         path = tmp_path / "bad.txt"
         path.write_text("2 2\n1 0\n1 0\n0 0\n0 0\n", encoding="utf-8")
         assert main(["schmidt", str(path)]) == 2
+        assert capsys.readouterr().err == "error: state amplitudes must have unit norm\n"
 
     def test_product_state_entropy_is_positive_zero(self, tmp_path, capsys):
         path = tmp_path / "product.txt"
@@ -127,6 +130,25 @@ class TestSchmidtCommand:
         path.write_text(header + "\n", encoding="utf-8")
         assert main(["schmidt", str(path)]) == 2
         assert capsys.readouterr().err == "error: subsystem dimensions must be positive\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("2 2\n1 0\n", "state file needs 4 amplitude lines, found 1"),
+            ("2 2\nnan 0\n0 0\n0 0\n0 0\n", "state amplitudes must have unit norm"),
+        ],
+        ids=["wrong_count", "nan"],
+    )
+    def test_refused_file_exits_2_quietly(self, tmp_path, capsys, text, message):
+        # the parser is the one check of a state file: a refusal is one
+        # error line, with no traceback and no numpy warning
+        path = tmp_path / "bad.txt"
+        path.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["schmidt", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
 
 
 class TestCheckPairCommand:
@@ -240,9 +262,9 @@ class TestIppDemoCommand:
 
 
 class TestAmplitudeCheck:
-    # |alpha|^2 + |beta|^2 - 1 is 9.9987e-13 here, inside IPP_NORM_TOL = 1e-12,
+    # |alpha|^2 + |beta|^2 - 1 is 9.9987e-13 here, inside NORM_TOL = 1e-12,
     # while the 12 squared amplitudes of the final state sum to 1 only within
-    # rounding: amplitudes are checked once, by the kernel, at IPP_NORM_TOL
+    # rounding: amplitudes are checked once, by the kernel, at NORM_TOL
     EDGE = ["--alpha", "0.6236624066638249", "--beta=-0.35862063110343056-0.694576450408638i"]
 
     @pytest.mark.parametrize("command", ["ipp-demo", "case-analyze"])

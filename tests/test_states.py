@@ -1,4 +1,4 @@
-"""Tests for bipartite states, partial trace, Schmidt vectors, entropy."""
+"""Tests for amplitude-matrix states: partial trace, Schmidt vectors, entropy."""
 
 import math
 
@@ -6,43 +6,18 @@ import numpy as np
 import pytest
 
 from qincomp.majorization import majorizes
-from qincomp.states import (
-    BipartiteState,
-    entropy_of_entanglement,
-    reduced_density_a,
-    schmidt_vector,
-)
+from qincomp.states import entropy_of_entanglement, reduced_density_a, schmidt_vector
 
-BELL = BipartiteState(2, 2, np.array([1, 0, 0, 1]) / math.sqrt(2))
+BELL = np.array([[1, 0], [0, 1]], dtype=complex) / math.sqrt(2)
 
 
 def random_state(rng, dim_a, dim_b):
-    amps = rng.normal(size=dim_a * dim_b) + 1j * rng.normal(size=dim_a * dim_b)
-    return BipartiteState(dim_a, dim_b, amps / np.linalg.norm(amps))
-
-
-def test_state_validates_amplitude_count():
-    with pytest.raises(ValueError):
-        BipartiteState(2, 2, np.array([1.0, 0.0]))
-
-
-def test_state_validates_norm():
-    with pytest.raises(ValueError):
-        BipartiteState(2, 2, np.array([1.0, 1.0, 0.0, 0.0]))
-
-
-def test_state_validates_dims():
-    with pytest.raises(ValueError):
-        BipartiteState(0, 2, np.array([]))
-
-
-def test_amplitudes_are_read_only():
-    with pytest.raises(ValueError):
-        BELL.amplitudes[0] = 0.0
+    amps = rng.normal(size=(dim_a, dim_b)) + 1j * rng.normal(size=(dim_a, dim_b))
+    return amps / np.linalg.norm(amps)
 
 
 def test_reduced_density_product_state():
-    s = BipartiteState(2, 2, np.array([1.0, 0, 0, 0]))
+    s = np.array([[1.0, 0], [0, 0]], dtype=complex)
     np.testing.assert_allclose(reduced_density_a(s), [[1, 0], [0, 0]], atol=1e-15)
 
 
@@ -52,10 +27,9 @@ def test_reduced_density_bell_state():
 
 def test_reduced_density_entry_formula():
     rng = np.random.default_rng(5)
-    s = random_state(rng, 3, 4)
-    amp = s.amplitudes.reshape(3, 4)
+    amp = random_state(rng, 3, 4)
     expected = np.einsum("ij,kj->ik", amp, amp.conj())
-    np.testing.assert_allclose(reduced_density_a(s), expected, atol=1e-14)
+    np.testing.assert_allclose(reduced_density_a(amp), expected, atol=1e-14)
 
 
 def test_reduced_density_trace_and_positivity():
@@ -66,8 +40,21 @@ def test_reduced_density_trace_and_positivity():
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
 
 
+def test_stack_matches_one_matrix_at_a_time():
+    # a stack of states is one matmul and one Jacobi call, with the same
+    # values as each state alone
+    rng = np.random.default_rng(47)
+    for dims in [(3, 4), (4, 2)]:
+        stack = np.stack([random_state(rng, *dims) for _ in range(5)])
+        rhos, vecs = reduced_density_a(stack), schmidt_vector(stack)
+        assert vecs.shape == (5, min(dims))
+        for m, rho, vec in zip(stack, rhos, vecs):
+            np.testing.assert_allclose(rho, reduced_density_a(m), rtol=0, atol=1e-15)
+            np.testing.assert_allclose(vec, schmidt_vector(m), rtol=0, atol=1e-15)
+
+
 def test_schmidt_vector_product_state():
-    s = BipartiteState(2, 3, np.array([0, 1, 0, 0, 0, 0], dtype=complex))
+    s = np.array([[0, 1, 0], [0, 0, 0]], dtype=complex)
     np.testing.assert_allclose(schmidt_vector(s), [1, 0], atol=1e-12)
 
 
@@ -83,22 +70,20 @@ def test_schmidt_vector_truncates_to_smaller_dimension():
     v = rng.normal(size=(1, 3)) + 1j * rng.normal(size=(1, 3))
     rank_one = u @ v / np.linalg.norm(u @ v)
     states = [random_state(rng, *dims) for dims in [(4, 2), (6, 2), (2, 6), (4, 4), (32, 24)]]
-    states.append(BipartiteState(8, 3, rank_one.reshape(-1)))
-    for s in states:
-        m = s.amplitudes.reshape(s.dim_a, s.dim_b)
-        vec = schmidt_vector(s)
-        assert vec.size == min(s.dim_a, s.dim_b)
+    states.append(rank_one)
+    for m in states:
+        vec = schmidt_vector(m)
+        assert vec.size == min(m.shape)
         np.testing.assert_allclose(
             vec, np.linalg.svd(m, compute_uv=False) ** 2, rtol=0, atol=1e-12
         )
-        swapped = BipartiteState(s.dim_b, s.dim_a, m.T.reshape(-1))
-        np.testing.assert_allclose(schmidt_vector(swapped), vec, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(schmidt_vector(m.T), vec, rtol=0, atol=1e-13)
 
 
 def test_schmidt_vector_global_phase_invariance():
     rng = np.random.default_rng(37)
     s = random_state(rng, 3, 4)
-    rotated = BipartiteState(3, 4, np.exp(0.421j) * s.amplitudes)
+    rotated = np.exp(0.421j) * s
     np.testing.assert_allclose(schmidt_vector(s), schmidt_vector(rotated), atol=1e-12)
 
 
@@ -108,10 +93,8 @@ def test_schmidt_vector_local_unitary_invariance():
     for _ in range(20):
         s = random_state(rng, 3, 4)
         u, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        amp = s.amplitudes.reshape(3, 4) @ u.T
-        rotated = BipartiteState(3, 4, amp.reshape(-1))
         np.testing.assert_allclose(
-            schmidt_vector(s), schmidt_vector(rotated), atol=1e-10
+            schmidt_vector(s), schmidt_vector(s @ u.T), atol=1e-10
         )
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qincomp.majorization import PairLabel
 from qincomp.qubits import IppParams
 from qincomp.scenarios import PI_INITIAL_SCHMIDT, pi_final, spectrum_from_ab
 from qincomp.states import schmidt_vector
-from qincomp import sweep
+from qincomp import cases, states, sweep
 from qincomp.sweep import (
     CSV_HEADER,
     format_float,
@@ -236,6 +237,32 @@ class TestBlocks:
         assert all(delta is None for delta in real["delta"])
         for result, got in zip([real, grid], texts):
             assert got == json.dumps(_json_rows(result), indent=2)
+
+    def test_kernels_reach_schmidt_vectors_through_public_names(self, monkeypatch):
+        # the benchmark's tracer wraps public functions only: its per-layer
+        # metrics see the sweeps' Schmidt vectors and reduced densities only
+        # if the kernels call them by these names, once per block
+        calls = Counter()
+
+        def count(module, name):
+            fn = getattr(module, name)
+
+            def counted(*args):
+                calls[f"{module.__name__}.{name}"] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+
+        cases._pi_initial_schmidt()  # built once per process, then cached
+        count(cases, "schmidt_vector")
+        count(sweep, "schmidt_vector")
+        count(states, "reduced_density_a")
+        sweep_gamma(2, 2, 2)
+        assert calls == {"qincomp.sweep.schmidt_vector": 1, "qincomp.states.reduced_density_a": 1}
+        calls.clear()
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 7)
+        sweep_real(50)
+        assert calls == {"qincomp.cases.schmidt_vector": 8, "qincomp.states.reduced_density_a": 8}
 
 
 def _literal(z: complex) -> str:
