@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qincomp.cli import parse_state_file
 from qincomp.majorization import majorizes
 from qincomp.states import entropy_of_entanglement, reduced_density_a, schmidt_vector
 
@@ -14,6 +15,25 @@ BELL = np.array([[1, 0], [0, 1]], dtype=complex) / math.sqrt(2)
 def random_state(rng, dim_a, dim_b):
     amps = rng.normal(size=(dim_a, dim_b)) + 1j * rng.normal(size=(dim_a, dim_b))
     return amps / np.linalg.norm(amps)
+
+
+def write_state(tmp_path, text):
+    path = tmp_path / "state.txt"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+# A state is checked once, where it is read: the state-file parser.
+def test_state_validates_norm(tmp_path):
+    path = write_state(tmp_path, "2 2\n1 0\n1 0\n0 0\n0 0\n")
+    with pytest.raises(ValueError, match="unit norm"):
+        parse_state_file(path)
+
+
+def test_state_validates_dims(tmp_path):
+    path = write_state(tmp_path, "0 2\n")
+    with pytest.raises(ValueError, match="dimensions must be positive"):
+        parse_state_file(path)
 
 
 def test_reduced_density_product_state():
