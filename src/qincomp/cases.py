@@ -30,12 +30,12 @@ from .majorization import _LABELS, MAJORIZATION_TOL, PairLabel, _pair_codes
 from .qubits import _unit_amplitudes
 from .scenarios import (
     _ab_discriminant_root,
-    _cubic_ab,
     _discriminant_root,
-    _pi_final_amplitudes,
-    _pqr,
     _spectra,
     build_pi_initial,
+    cubic_coefficients,
+    pi_final,
+    pqr,
 )
 from .states import entropy_of_entanglement, schmidt_vector
 
@@ -181,10 +181,10 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     for case-analyze, the case and subcase codes and the (N, 3) roots.
     """
     alpha, beta = _unit_amplitudes(alpha, beta)
-    coefficients = _pqr(alpha, beta)
-    big_a, big_b = _cubic_ab(*coefficients)
+    coefficients = pqr(alpha, beta)
+    big_a, big_b = cubic_coefficients(*coefficients)
     roots, eigenvalues = _spectra(big_a, big_b, _discriminant_root(*coefficients, big_a, big_b))[1:]
-    final = schmidt_vector(_pi_final_amplitudes(alpha, beta))
+    final = schmidt_vector(pi_final(alpha, beta))
     gap = np.max(np.abs(eigenvalues - final), axis=-1)
     failing = np.flatnonzero(gap > SOLVER_AGREE_TOL)
     if failing.size:

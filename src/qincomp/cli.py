@@ -144,7 +144,7 @@ def _cmd_check_pair(args: argparse.Namespace) -> int:
 def _cmd_gamma_demo(args: argparse.Namespace) -> int:
     params = UnitaryParams(args.theta, args.phi_a, args.phi_b)
     initial = schmidt_vector(build_chi_initial())
-    final = schmidt_vector(chi_final(params))
+    final = schmidt_vector(chi_final(params.theta, params.phi_a, params.phi_b))
     row = {"theta": params.theta, "phi_a": params.phi_a, "phi_b": params.phi_b}
     row.update((f"lam_i{i + 1}", v) for i, v in enumerate(initial))
     row.update((f"lam_f{i + 1}", v) for i, v in enumerate(final))

@@ -1,6 +1,10 @@
 """Single-qubit machinery: the parameterized unitary, the anti-unitary that
 conjugates after it, the six axis kets, and the restricted superposition map
-defined only on the three +1 axis kets."""
+defined only on the three +1 axis kets.
+
+general_unitary and ipp_image take scalars or equal-shape arrays and do not
+check them: UnitaryParams reduces the user's angles, and _unit_amplitudes
+checks the amplitudes once, inside cases._certify."""
 
 from __future__ import annotations
 
@@ -50,19 +54,6 @@ class UnitaryParams:
             object.__setattr__(self, name, float(_canonical_angles(name, getattr(self, name))))
 
 
-@dataclass(frozen=True)
-class IppParams:
-    """Superposition amplitudes (alpha, beta) with |alpha|^2 + |beta|^2 = 1."""
-
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self) -> None:
-        alpha, beta = _unit_amplitudes(self.alpha, self.beta)
-        object.__setattr__(self, "alpha", complex(alpha))
-        object.__setattr__(self, "beta", complex(beta))
-
-
 class SpinLabel(Enum):
     X = "x"
     Y = "y"
@@ -87,13 +78,9 @@ def named_ket(label: SpinLabel, which: int) -> np.ndarray:
     return _KETS[(SpinLabel(label), which)].copy()
 
 
-def general_unitary(p: UnitaryParams) -> np.ndarray:
-    """The 2x2 unitary [[cos t, e^{i a} sin t], [-e^{i b} sin t, e^{i(a+b)} cos t]]."""
-    return _unitaries(p.theta, p.phi_a, p.phi_b)
-
-
-def _unitaries(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
-    """general_unitary over equal-shape angle arrays: shape (..., 2, 2)."""
+def general_unitary(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
+    """The 2x2 unitary [[cos t, e^{i a} sin t], [-e^{i b} sin t, e^{i(a+b)} cos t]],
+    or a stack of them over equal-shape angle arrays: shape theta.shape + (2, 2)."""
     ct, st = np.cos(theta), np.sin(theta)
     ea, eb = np.exp(1j * phi_a), np.exp(1j * phi_b)
     u = np.empty(np.shape(ct) + (2, 2), dtype=complex)
@@ -114,23 +101,18 @@ def apply_antiunitary(p: UnitaryParams, k: np.ndarray) -> np.ndarray:
         raise ValueError("apply_antiunitary acts on single-qubit kets")
     if not is_normalized(k):
         raise ValueError("apply_antiunitary requires a normalized ket")
-    return _antiunitary_images(general_unitary(p), k)
+    return _antiunitary_images(general_unitary(p.theta, p.phi_a, p.phi_b), k)
 
 
 def _antiunitary_images(u: np.ndarray, k: np.ndarray) -> np.ndarray:
     """apply_antiunitary, unchecked, with a unitary or a stack of them
-    (from _unitaries): conj(u k), shape (..., 2)."""
+    (from general_unitary): conj(u k), shape (..., 2)."""
     return np.conj(u @ k)
 
 
-def ipp_image(label: SpinLabel, p: IppParams) -> np.ndarray:
-    """Image alpha|0_label> + beta|1_label> of the restricted superposition map."""
-    return _ipp_images(label, p.alpha, p.beta)
-
-
-def _ipp_images(label: SpinLabel, alpha: object, beta: object) -> np.ndarray:
-    """ipp_image over equal-shape amplitude arrays (or scalars), unchecked:
-    shape alpha.shape + (2,)."""
+def ipp_image(label: SpinLabel, alpha: object, beta: object) -> np.ndarray:
+    """Image alpha|0_label> + beta|1_label> of the restricted superposition map,
+    over equal-shape amplitude arrays (or scalars): shape alpha.shape + (2,)."""
     alpha = np.asarray(alpha)[..., None]
     beta = np.asarray(beta)[..., None]
     return alpha * named_ket(label, 0) + beta * named_ket(label, 1)

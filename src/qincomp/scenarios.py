@@ -7,6 +7,10 @@ module carries the off-diagonal coefficients (p, q, r) of the final reduced
 density matrix, the cubic data (A, B) with the root of their discriminant,
 and the package's one cubic-root formula: the trigonometric spectrum of the
 final state, the eigen-route that shares no code with linalg's Jacobi.
+
+pi_final, chi_final, pqr and cubic_coefficients take scalars or equal-shape
+arrays and do not check them: UnitaryParams reduces the user's angles, and
+qubits._unit_amplitudes checks the amplitudes once, inside cases._certify.
 """
 
 from __future__ import annotations
@@ -17,15 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _kron
-from .qubits import (
-    IppParams,
-    SpinLabel,
-    UnitaryParams,
-    _antiunitary_images,
-    _ipp_images,
-    _unitaries,
-    named_ket,
-)
+from .qubits import SpinLabel, _antiunitary_images, general_unitary, ipp_image, named_ket
 
 CUBIC_DOMAIN_TOL = 1e-12
 SPECTRUM_SUM_TOL = 1e-10
@@ -54,15 +50,6 @@ _PI_BRANCHES = (
 
 
 @dataclass(frozen=True)
-class PqrCoefficients:
-    """Off-diagonal entries of the final reduced density matrix, times 3."""
-
-    p: complex
-    q: complex
-    r: complex
-
-
-@dataclass(frozen=True)
 class CubicSpectrum:
     """Roots of x^3 - 3Ax + B via x = 1 - 3*lambda, with the eigen-angle kept.
 
@@ -88,63 +75,49 @@ def _check_spectrum_sum(eigenvalues: np.ndarray) -> None:
 
 
 def _amplitudes(branches, image) -> np.ndarray:
-    """(N, 3, 4) amplitude matrices of (1/sqrt(3)) sum_i |i>_A |l1_i>|image(l2_i)>_B.
+    """Amplitude matrices of (1/sqrt(3)) sum_i |i>_A |l1_i>|image(l2_i)>_B,
+    stacked along axis -2: shape image(l2).shape[:-1] + (3, 4).
 
-    image(l2) is an (N, 2) stack of kets for Bob's last qubit.  Row i of
+    image(l2) is a ket, or a stack of kets, for Bob's last qubit.  Row i of
     each matrix is the Kronecker product of the +1 ket of axis l1_i with
     the i-th image.
     """
     rows = [_kron(named_ket(l1, 0), image(l2)) for l1, l2 in branches]
-    return np.stack(rows, axis=1) / math.sqrt(3.0)
-
-
-def _axis_ket(label: SpinLabel) -> np.ndarray:
-    return named_ket(label, 0)[None, :]
+    return np.stack(rows, axis=-2) / math.sqrt(3.0)
 
 
 def build_chi_initial() -> np.ndarray:
     """Probe state for the anti-unitary scenario."""
-    return _amplitudes(_CHI_BRANCHES, _axis_ket)[0]
+    return _amplitudes(_CHI_BRANCHES, lambda label: named_ket(label, 0))
 
 
-def _chi_final_amplitudes(theta, phi_a, phi_b) -> np.ndarray:
-    """chi_final's amplitudes over (N,) float arrays of angles, taken as
-    given (UnitaryParams reduces the user's), as an (N, 3, 4) stack."""
-    u = _unitaries(theta, phi_a, phi_b)
+def chi_final(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
+    """Probe state after the anti-unitary acts on Bob's last qubit, over
+    equal-shape angle arrays (or scalars): shape theta.shape + (3, 4)."""
+    u = general_unitary(theta, phi_a, phi_b)
     return _amplitudes(_CHI_BRANCHES, lambda label: _antiunitary_images(u, named_ket(label, 0)))
-
-
-def chi_final(p: UnitaryParams) -> np.ndarray:
-    """Probe state after the anti-unitary acts on Bob's last qubit."""
-    return _chi_final_amplitudes(*np.array([[p.theta], [p.phi_a], [p.phi_b]]))[0]
 
 
 def build_pi_initial() -> np.ndarray:
     """Probe state for the restricted superposition-map scenario."""
-    return _amplitudes(_PI_BRANCHES, _axis_ket)[0]
+    return _amplitudes(_PI_BRANCHES, lambda label: named_ket(label, 0))
 
 
-def _pi_final_amplitudes(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """pi_final's amplitudes over (N,) amplitude arrays, as an (N, 3, 4)
-    stack: each branch ends in alpha|0_l> + beta|1_l> for its axis l."""
-    return _amplitudes(_PI_BRANCHES, lambda label: _ipp_images(label, alpha, beta))
+def pi_final(alpha: object, beta: object) -> np.ndarray:
+    """Probe state after the superposition map acts on Bob's last qubit,
+    over equal-shape amplitude arrays (or scalars): shape alpha.shape +
+    (3, 4).  Each branch ends in alpha|0_l> + beta|1_l> for its axis l.
+    The amplitudes are not checked: cases._certify checks them once."""
+    return _amplitudes(_PI_BRANCHES, lambda label: ipp_image(label, alpha, beta))
 
 
-def pi_final(p: IppParams) -> np.ndarray:
-    """Probe state after the superposition map acts on Bob's last qubit."""
-    return _pi_final_amplitudes(np.array([p.alpha]), np.array([p.beta]))[0]
+def pqr(a: object, b: object) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Off-diagonal coefficients (p, q, r) of the final reduced density
+    matrix, times 3, over amplitude arrays (or scalars) alpha = a, beta = b.
 
-
-def pqr(p: IppParams) -> PqrCoefficients:
-    """Off-diagonal coefficients of the final reduced density matrix.
-
-    p is real for every valid parameter pair and Im(r) is exactly -1/2.
+    p is real for every valid amplitude pair and Im(r) is exactly -1/2.
+    The amplitudes are not checked: cases._certify checks them once.
     """
-    return PqrCoefficients(*(complex(c) for c in _pqr(p.alpha, p.beta)))
-
-
-def _pqr(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """pqr over amplitude arrays (or scalars)."""
     cross = a * np.conj(b) + b * np.conj(a)
     return (
         0.5 * (np.abs(a) ** 2 - np.abs(b) ** 2 + cross),
@@ -153,14 +126,9 @@ def _pqr(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     )
 
 
-def cubic_coefficients(c: PqrCoefficients) -> tuple[float, float]:
-    """Cubic data A = (|p|^2+|q|^2+|r|^2)/3 and B = p r conj(q) + conj(p r) q."""
-    big_a, big_b = _cubic_ab(c.p, c.q, c.r)
-    return float(big_a), float(big_b)
-
-
-def _cubic_ab(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cubic_coefficients over arrays (or scalars) of p, q, r."""
+def cubic_coefficients(p: object, q: object, r: object) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic data A = (|p|^2+|q|^2+|r|^2)/3 and B = p r conj(q) + conj(p r) q,
+    over arrays (or scalars) of p, q, r."""
     big_a = (np.abs(p) ** 2 + np.abs(q) ** 2 + np.abs(r) ** 2) / 3.0
     return big_a, 2.0 * (p * r * np.conj(q)).real
 

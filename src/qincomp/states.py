@@ -37,10 +37,11 @@ def schmidt_vector(m: np.ndarray) -> np.ndarray:
 
 def entropy_of_entanglement(v: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in bits, with 0*log(0) = 0, of a Schmidt vector or of
-    each vector along the last axis of an array (then an array)."""
+    each vector along the last axis of an array (then an array).  Clamped
+    at 0: a coefficient an ulp above 1 has a positive v log2 v."""
     v = np.asarray(v, dtype=float)
     positive = v >= ENTROPY_CLAMP
     terms = np.where(positive, v * np.log2(np.where(positive, v, 1.0)), 0.0)
     # 0.0 - x, not -x: a product vector's entropy is 0.0, never -0.0
-    entropy = 0.0 - np.sum(terms, axis=-1)
+    entropy = np.maximum(0.0 - np.sum(terms, axis=-1), 0.0)
     return float(entropy) if entropy.ndim == 0 else entropy

@@ -25,7 +25,7 @@ import numpy as np
 
 from .cases import ContractViolationError, _certify
 from .majorization import PairLabel
-from .scenarios import CHI_FINAL_SCHMIDT, _chi_final_amplitudes
+from .scenarios import CHI_FINAL_SCHMIDT, chi_final
 from .states import schmidt_vector
 
 GAMMA_DEVIATION_TOL = 1e-10
@@ -111,7 +111,7 @@ def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
         raise ValueError("sweep_gamma requires positive grid sizes")
     worst = 0.0
     for angles in _grid_angles(n_theta, n_a, n_b):
-        vecs = schmidt_vector(_chi_final_amplitudes(*angles))
+        vecs = schmidt_vector(chi_final(*angles))
         worst = max(worst, float(np.max(np.abs(vecs - CHI_FINAL_SCHMIDT))))
     if worst >= GAMMA_DEVIATION_TOL:
         raise ContractViolationError(

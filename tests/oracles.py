@@ -10,7 +10,7 @@ import numpy as np
 
 from qincomp.cases import _certify
 from qincomp.linalg import JACOBI_OFF_TOL, JACOBI_SWEEP_CAP
-from qincomp.qubits import IppParams, UnitaryParams, general_unitary, named_ket
+from qincomp.qubits import general_unitary, named_ket
 from qincomp.scenarios import _CHI_BRANCHES, _amplitudes, pqr
 
 REAL_PARAM_TOL = 1e-12
@@ -18,11 +18,11 @@ REAL_PARAM_TOL = 1e-12
 CHI_INITIAL_SCHMIDT = np.array([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
 
 
-def chi_final_unitary_only(p: UnitaryParams) -> np.ndarray:
+def chi_final_unitary_only(theta: float, phi_a: float, phi_b: float) -> np.ndarray:
     """Probe state after only the unitary part acts (no conjugation), as its
     3x4 amplitude matrix."""
-    u = general_unitary(p)
-    return _amplitudes(_CHI_BRANCHES, lambda label: (u @ named_ket(label, 0))[None, :])[0]
+    u = general_unitary(theta, phi_a, phi_b)
+    return _amplitudes(_CHI_BRANCHES, lambda label: u @ named_ket(label, 0))
 
 
 def _density_from_off_diagonals(k01: complex, k02: complex, k12: complex) -> np.ndarray:
@@ -48,10 +48,9 @@ def pi_initial_density_closed_form() -> np.ndarray:
     return _density_from_off_diagonals(0.5, 0.5, -0.5j)
 
 
-def pi_final_density_closed_form(p: IppParams) -> np.ndarray:
+def pi_final_density_closed_form(alpha: complex, beta: complex) -> np.ndarray:
     """Closed-form final reduced density matrix with off-diagonals (p, q, r)."""
-    c = pqr(p)
-    return _density_from_off_diagonals(c.p, c.q, c.r)
+    return _density_from_off_diagonals(*pqr(alpha, beta))
 
 
 def real_ab(alpha: float, beta: float) -> tuple[float, float]:

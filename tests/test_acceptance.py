@@ -17,7 +17,6 @@ from oracles import (
 )
 from qincomp.cases import Prediction
 from qincomp.majorization import PairLabel, classify_pair, majorizes
-from qincomp.qubits import IppParams, UnitaryParams
 from qincomp.scenarios import (
     PI_INITIAL_SCHMIDT,
     build_chi_initial,
@@ -41,7 +40,8 @@ def _report(index: int, description: str, ok: bool, detail: str = "") -> None:
 
 
 def random_unitary_params(rng):
-    return UnitaryParams(*rng.uniform(0.0, 2.0 * math.pi, size=3))
+    """Angles (theta, phi_a, phi_b), uniform in the canonical range [0, 2pi)."""
+    return rng.uniform(0.0, 2.0 * math.pi, size=3)
 
 
 def test_criterion_01_conjugation_initial_schmidt_vector():
@@ -54,7 +54,7 @@ def test_criterion_02_conjugation_final_vector_parameter_free():
     rng = np.random.default_rng(2)
     worst = 0.0
     for _ in range(100):
-        vec = schmidt_vector(chi_final(random_unitary_params(rng)))
+        vec = schmidt_vector(chi_final(*random_unitary_params(rng)))
         worst = max(worst, float(np.max(np.abs(vec - PI_INITIAL_SCHMIDT))))
     _report(
         2,
@@ -67,7 +67,7 @@ def test_criterion_02_conjugation_final_vector_parameter_free():
 
 def test_criterion_03_conjugation_pair_incomparable_with_interleaving():
     initial = schmidt_vector(build_chi_initial())
-    final = schmidt_vector(chi_final(UnitaryParams(0.7, 1.9, 4.2)))
+    final = schmidt_vector(chi_final(0.7, 1.9, 4.2))
     label = classify_pair(initial, final).label
     chain = (
         initial[0] > final[0] > final[1] > initial[1] > final[2]
@@ -87,7 +87,7 @@ def test_criterion_04_unitary_alone_leaves_reduced_density_fixed():
     worst = 0.0
     expected = chi_initial_density_closed_form()
     for _ in range(100):
-        rho = reduced_density_a(chi_final_unitary_only(random_unitary_params(rng)))
+        rho = reduced_density_a(chi_final_unitary_only(*random_unitary_params(rng)))
         worst = max(worst, float(np.max(np.abs(rho - expected))))
     _report(
         4,
@@ -143,9 +143,8 @@ def test_criterion_07_zero_b_family_gains_entanglement():
     ok = True
     for degrees in (67.5, -22.5):
         phi = math.radians(degrees)
-        p = IppParams(math.cos(phi), math.sin(phi))
         initial = PI_INITIAL_SCHMIDT
-        final = schmidt_vector(pi_final(p))
+        final = schmidt_vector(pi_final(math.cos(phi), math.sin(phi)))
         strictly_majorized = (
             majorizes(initial, final)
             and classify_pair(initial, final).label is PairLabel.CONVERTIBLE_BACKWARD
@@ -167,16 +166,15 @@ def test_criterion_08_dual_route_oracle_equivalence():
     for _ in range(1000):
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         raw /= np.linalg.norm(raw)
-        p = IppParams(raw[0], raw[1])
-        trig = spectrum_from_ab(*cubic_coefficients(pqr(p))).eigenvalues
-        direct = schmidt_vector(pi_final(p))
+        trig = spectrum_from_ab(*cubic_coefficients(*pqr(raw[0], raw[1]))).eigenvalues
+        direct = schmidt_vector(pi_final(raw[0], raw[1]))
         worst_spec = max(worst_spec, float(np.max(np.abs(trig - direct))))
     worst_ab = 0.0
     for _ in range(1000):
         phi = rng.uniform(0.0, 2.0 * math.pi)
         alpha, beta = math.cos(phi), math.sin(phi)
         shortcut = real_ab(alpha, beta)
-        via_pqr = cubic_coefficients(pqr(IppParams(alpha, beta)))
+        via_pqr = cubic_coefficients(*pqr(alpha, beta))
         worst_ab = max(
             worst_ab,
             abs(shortcut[0] - via_pqr[0]),

@@ -19,7 +19,6 @@ from qincomp.cases import (
     predict_case,
 )
 from qincomp.majorization import _LABELS, MAJORIZATION_TOL, PairLabel, classify_pair
-from qincomp.qubits import IppParams
 from qincomp.scenarios import (
     build_pi_initial,
     cubic_coefficients,
@@ -188,7 +187,7 @@ class TestVerifyPrediction:
         initial = schmidt_vector(build_pi_initial())
         for alpha, beta in ((1, 0), (0, 1), (SQ2, SQ2), (0.6, 0.8j), (0.8, -0.6)):
             observed = point(alpha, beta)["observed"]
-            direct = classify_pair(initial, schmidt_vector(pi_final(IppParams(alpha, beta))))
+            direct = classify_pair(initial, schmidt_vector(pi_final(alpha, beta)))
             assert observed is direct.label
 
     def test_agreement_over_complex_grid(self):
@@ -288,11 +287,10 @@ class TestBoundaryArbitration:
         rng = np.random.default_rng(163)
         for _ in range(2000):
             phi, delta, phase = rng.uniform(0.0, 2.0 * math.pi, size=3)
-            p = IppParams(
-                np.exp(1j * phase) * math.cos(phi), np.exp(1j * (phase + delta)) * math.sin(phi)
-            )
-            big_a, big_b = cubic_coefficients(pqr(p))
-            a, b = abs(p.alpha), abs(p.beta)
-            angle = np.angle(p.beta) - np.angle(p.alpha)
+            alpha = np.exp(1j * phase) * math.cos(phi)
+            beta = np.exp(1j * (phase + delta)) * math.sin(phi)
+            big_a, big_b = cubic_coefficients(*pqr(alpha, beta))
+            a, b = abs(alpha), abs(beta)
+            angle = np.angle(beta) - np.angle(alpha)
             lhs = big_b - 1.5 * (big_a - 0.25)
             assert lhs == pytest.approx(b**2 * _h(a, b, math.cos(angle), math.sin(angle)), abs=1e-12)

@@ -106,13 +106,15 @@ class TestSchmidtCommand:
         assert capsys.readouterr().err == "error: state amplitudes must have unit norm\n"
 
     def test_product_state_entropy_is_positive_zero(self, tmp_path, capsys):
+        # |0>|0>, and |0>|+>, whose Schmidt coefficient lands an ulp above 1
         path = tmp_path / "product.txt"
-        path.write_text("2 2\n1 0\n0 0\n0 0\n0 0\n", encoding="utf-8")
-        assert main(["schmidt", str(path)]) == 0
-        assert capsys.readouterr().out.splitlines()[1] == "1,0,0"
-        assert main(["schmidt", str(path), "--format", "json"]) == 0
-        entropy = json.loads(capsys.readouterr().out)["entropy"]
-        assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
+        for body in ("1 0\n0 0\n0 0\n0 0\n", "0.7071067811865476 0\n" * 2 + "0 0\n" * 2):
+            path.write_text("2 2\n" + body, encoding="utf-8")
+            assert main(["schmidt", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines()[1] == "1,0,0"
+            assert main(["schmidt", str(path), "--format", "json"]) == 0
+            entropy = json.loads(capsys.readouterr().out)["entropy"]
+            assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
     def test_overflowing_amplitude_exits_2(self, tmp_path, capsys):
         # 1e308 squares past the largest float: rejected without a numpy warning

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from qincomp.qubits import (
-    IppParams,
     SpinLabel,
     UnitaryParams,
+    _unit_amplitudes,
     apply_antiunitary,
     general_unitary,
     ipp_image,
@@ -37,11 +37,11 @@ def test_unitary_params_reject_non_finite():
 
 
 def test_ipp_params_require_normalization():
-    IppParams(0.6, 0.8)
-    with pytest.raises(ValueError):
-        IppParams(1.0, 1.0)
-    with pytest.raises(ValueError):
-        IppParams(complex(math.inf, 0), 0)
+    _unit_amplitudes(0.6, 0.8)
+    with pytest.raises(ValueError, match="must satisfy"):
+        _unit_amplitudes(1.0, 1.0)
+    with pytest.raises(ValueError, match="must be finite"):
+        _unit_amplitudes(complex(math.inf, 0), 0)
 
 
 def test_named_kets_exact_values():
@@ -67,18 +67,19 @@ def test_named_ket_rejects_bad_index():
 
 
 def test_general_unitary_identity():
-    np.testing.assert_allclose(general_unitary(UnitaryParams(0, 0, 0)), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(general_unitary(0, 0, 0), np.eye(2), atol=1e-15)
 
 
 def test_general_unitary_flipper():
-    u = general_unitary(UnitaryParams(math.pi / 2, 0, 0))
+    u = general_unitary(math.pi / 2, 0, 0)
     np.testing.assert_allclose(u, [[0, 1], [-1, 0]], atol=1e-15)
 
 
 def test_general_unitary_is_unitary():
     rng = np.random.default_rng(13)
     for _ in range(100):
-        u = general_unitary(random_params(rng))
+        p = random_params(rng)
+        u = general_unitary(p.theta, p.phi_a, p.phi_b)
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
@@ -152,17 +153,17 @@ def test_antiunitary_validates_input():
 
 
 def test_ipp_image_identity_params():
-    out = ipp_image(SpinLabel.Z, IppParams(1, 0))
+    out = ipp_image(SpinLabel.Z, 1, 0)
     np.testing.assert_allclose(out, named_ket(SpinLabel.Z, 0), atol=1e-15)
 
 
 def test_ipp_image_flipping_params():
-    out = ipp_image(SpinLabel.X, IppParams(0, 1))
+    out = ipp_image(SpinLabel.X, 0, 1)
     np.testing.assert_allclose(out, named_ket(SpinLabel.X, 1), atol=1e-15)
 
 
 def test_ipp_image_hadamard_params():
-    out = ipp_image(SpinLabel.Z, IppParams(SQ2, SQ2))
+    out = ipp_image(SpinLabel.Z, SQ2, SQ2)
     np.testing.assert_allclose(out, [SQ2, SQ2], atol=1e-15)
 
 
@@ -171,28 +172,26 @@ def test_ipp_image_normalized_for_random_params():
     for _ in range(100):
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         raw /= np.linalg.norm(raw)
-        p = IppParams(raw[0], raw[1])
         for m in SpinLabel:
-            assert np.linalg.norm(ipp_image(m, p)) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(ipp_image(m, raw[0], raw[1])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ipp_image_flipping_preserves_inner_product_modulus():
     # pairwise overlap moduli survive at the flipping point; for generic
     # superposition amplitudes they do not (at Hadamard parameters the x
     # and y images coincide), which is part of why the map is detectable
-    p = IppParams(0, 1)
+    p = (0, 1)
     for m in SpinLabel:
         for n in SpinLabel:
             before = abs(np.vdot(named_ket(m, 0), named_ket(n, 0)))
-            after = abs(np.vdot(ipp_image(m, p), ipp_image(n, p)))
+            after = abs(np.vdot(ipp_image(m, *p), ipp_image(n, *p)))
             assert after == pytest.approx(before, abs=1e-12)
 
 
 def test_ipp_image_overlap_distortion_at_hadamard():
     # the x and y images collapse onto the same ket even though the
     # inputs are not parallel: the map cannot be realized unitarily
-    p = IppParams(SQ2, SQ2)
-    overlap = abs(np.vdot(ipp_image(SpinLabel.X, p), ipp_image(SpinLabel.Y, p)))
+    overlap = abs(np.vdot(ipp_image(SpinLabel.X, SQ2, SQ2), ipp_image(SpinLabel.Y, SQ2, SQ2)))
     assert overlap == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(named_ket(SpinLabel.X, 0), named_ket(SpinLabel.Y, 0))) == pytest.approx(
         SQ2, abs=1e-12

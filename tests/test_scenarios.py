@@ -17,13 +17,10 @@ from oracles import (
 )
 from qincomp.linalg import NORM_TOL, eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel, classify_pair
-from qincomp.qubits import IppParams, UnitaryParams
 from qincomp.scenarios import (
     CHI_FINAL_SCHMIDT,
     PI_INITIAL_SCHMIDT,
-    _cubic_ab,
     _discriminant_root,
-    _pqr,
     build_chi_initial,
     build_pi_initial,
     chi_final,
@@ -41,13 +38,14 @@ HADAMARD_SPECTRUM = np.array(
 
 
 def random_unitary_params(rng):
-    return UnitaryParams(*rng.uniform(0.0, 2.0 * math.pi, size=3))
+    """Angles (theta, phi_a, phi_b), uniform in the canonical range [0, 2pi)."""
+    return rng.uniform(0.0, 2.0 * math.pi, size=3)
 
 
 def random_ipp_params(rng):
     raw = rng.normal(size=2) + 1j * rng.normal(size=2)
     raw /= np.linalg.norm(raw)
-    return IppParams(raw[0], raw[1])
+    return raw[0], raw[1]
 
 
 class TestConjugationScenario:
@@ -66,14 +64,14 @@ class TestConjugationScenario:
     def test_final_schmidt_vector_is_parameter_free(self):
         rng = np.random.default_rng(101)
         for _ in range(1000):
-            vec = schmidt_vector(chi_final(random_unitary_params(rng)))
+            vec = schmidt_vector(chi_final(*random_unitary_params(rng)))
             np.testing.assert_allclose(vec, CHI_FINAL_SCHMIDT, atol=1e-10)
 
     def test_final_density_matches_closed_form(self):
         rng = np.random.default_rng(103)
         for _ in range(20):
             np.testing.assert_allclose(
-                reduced_density_a(chi_final(random_unitary_params(rng))),
+                reduced_density_a(chi_final(*random_unitary_params(rng))),
                 # the final state has the superposition scenario's initial density
                 pi_initial_density_closed_form(),
                 atol=1e-12,
@@ -81,23 +79,23 @@ class TestConjugationScenario:
 
     def test_initial_final_pair_incomparable(self):
         initial = schmidt_vector(build_chi_initial())
-        final = schmidt_vector(chi_final(UnitaryParams(math.pi / 2, 0.0, 0.0)))
+        final = schmidt_vector(chi_final(math.pi / 2, 0.0, 0.0))
         assert classify_pair(initial, final).label is PairLabel.INCOMPARABLE
 
     def test_unitary_only_leaves_density_unchanged(self):
         rng = np.random.default_rng(107)
         for _ in range(100):
-            rho = reduced_density_a(chi_final_unitary_only(random_unitary_params(rng)))
+            rho = reduced_density_a(chi_final_unitary_only(*random_unitary_params(rng)))
             np.testing.assert_allclose(rho, chi_initial_density_closed_form(), atol=1e-12)
 
     def test_unitary_only_identity_params_reproduces_initial(self):
-        state = chi_final_unitary_only(UnitaryParams(0.0, 0.0, 0.0))
+        state = chi_final_unitary_only(0.0, 0.0, 0.0)
         np.testing.assert_allclose(state, build_chi_initial(), atol=1e-15)
 
     def test_unitary_only_keeps_schmidt_vector(self):
         rng = np.random.default_rng(109)
         for _ in range(50):
-            vec = schmidt_vector(chi_final_unitary_only(random_unitary_params(rng)))
+            vec = schmidt_vector(chi_final_unitary_only(*random_unitary_params(rng)))
             np.testing.assert_allclose(vec, CHI_INITIAL_SCHMIDT, atol=1e-10)
 
 
@@ -119,14 +117,14 @@ class TestSuperpositionScenario:
         assert 3.0 * rho[1, 2] == pytest.approx(-0.5j, abs=1e-12)
 
     def test_identity_params_reproduce_initial_state(self):
-        np.testing.assert_allclose(pi_final(IppParams(1, 0)), build_pi_initial(), atol=1e-15)
+        np.testing.assert_allclose(pi_final(1, 0), build_pi_initial(), atol=1e-15)
 
     def test_flipping_schmidt_vector(self):
-        vec = schmidt_vector(pi_final(IppParams(0, 1)))
+        vec = schmidt_vector(pi_final(0, 1))
         np.testing.assert_allclose(vec, CHI_INITIAL_SCHMIDT, atol=1e-12)
 
     def test_hadamard_pair_incomparable(self):
-        final = schmidt_vector(pi_final(IppParams(SQ2, SQ2)))
+        final = schmidt_vector(pi_final(SQ2, SQ2))
         assert classify_pair(PI_INITIAL_SCHMIDT, final).label is PairLabel.INCOMPARABLE
 
     def test_final_density_matches_closed_form(self):
@@ -134,17 +132,17 @@ class TestSuperpositionScenario:
         for _ in range(100):
             p = random_ipp_params(rng)
             np.testing.assert_allclose(
-                reduced_density_a(pi_final(p)),
-                pi_final_density_closed_form(p),
+                reduced_density_a(pi_final(*p)),
+                pi_final_density_closed_form(*p),
                 atol=1e-12,
             )
 
     def test_final_state_at_the_norm_tolerance_edge(self):
-        # IppParams accepts this pair (|alpha|^2 + |beta|^2 is 1 + 9.9987e-13),
+        # _unit_amplitudes accepts this pair (|alpha|^2 + |beta|^2 is 1 + 9.9987e-13),
         # and rounding puts the 12 derived amplitudes' norm past NORM_TOL;
         # pi_final builds the state anyway, with the kernel's spectrum
         alpha, beta = 0.6236624066638249, -0.35862063110343056 - 0.694576450408638j
-        state = pi_final(IppParams(alpha, beta))
+        state = pi_final(alpha, beta)
         assert state.shape == (3, 4)
         assert abs(np.sum(np.abs(state) ** 2) - 1.0) > NORM_TOL
         lams = point(alpha, beta)
@@ -156,10 +154,10 @@ class TestSuperpositionScenario:
         # the superposition scenario's flipping point lands on the other
         # scenario's initial vector, and vice versa
         np.testing.assert_allclose(
-            schmidt_vector(pi_final(IppParams(0, 1))), CHI_INITIAL_SCHMIDT, atol=1e-10
+            schmidt_vector(pi_final(0, 1)), CHI_INITIAL_SCHMIDT, atol=1e-10
         )
         np.testing.assert_allclose(
-            schmidt_vector(chi_final(UnitaryParams(math.pi / 2, 0, 0))),
+            schmidt_vector(chi_final(math.pi / 2, 0, 0)),
             PI_INITIAL_SCHMIDT,
             atol=1e-10,
         )
@@ -167,36 +165,36 @@ class TestSuperpositionScenario:
 
 class TestOffDiagonalCoefficients:
     def test_identity_point(self):
-        c = pqr(IppParams(1, 0))
-        assert c.p == pytest.approx(0.5)
-        assert c.q == pytest.approx(0.5)
-        assert c.r == pytest.approx(-0.5j)
+        p, q, r = pqr(1, 0)
+        assert p == pytest.approx(0.5)
+        assert q == pytest.approx(0.5)
+        assert r == pytest.approx(-0.5j)
 
     def test_flipping_point(self):
-        c = pqr(IppParams(0, 1))
-        assert c.p == pytest.approx(-0.5)
-        assert c.q == pytest.approx(0.5j)
-        assert c.r == pytest.approx(-0.5j)
+        p, q, r = pqr(0, 1)
+        assert p == pytest.approx(-0.5)
+        assert q == pytest.approx(0.5j)
+        assert r == pytest.approx(-0.5j)
 
     def test_hadamard_point(self):
-        c = pqr(IppParams(SQ2, SQ2))
-        assert c.p == pytest.approx(0.5)
-        assert c.q == pytest.approx(0.5)
-        assert c.r == pytest.approx(0.5 - 0.5j)
+        p, q, r = pqr(SQ2, SQ2)
+        assert p == pytest.approx(0.5)
+        assert q == pytest.approx(0.5)
+        assert r == pytest.approx(0.5 - 0.5j)
 
     def test_p_real_and_r_imaginary_part_fixed(self):
         rng = np.random.default_rng(127)
         for _ in range(200):
-            c = pqr(random_ipp_params(rng))
-            assert abs(complex(c.p).imag) <= 1e-15
-            assert complex(c.r).imag == pytest.approx(-0.5, abs=1e-15)
+            p, _, r = pqr(*random_ipp_params(rng))
+            assert abs(complex(p).imag) <= 1e-15
+            assert complex(r).imag == pytest.approx(-0.5, abs=1e-15)
 
 
 class TestCubicData:
     def test_cubic_coefficients_frozen_points(self):
-        assert cubic_coefficients(pqr(IppParams(0, 1))) == pytest.approx((0.25, 0.25))
-        assert cubic_coefficients(pqr(IppParams(1, 0))) == pytest.approx((0.25, 0.0))
-        assert cubic_coefficients(pqr(IppParams(SQ2, SQ2))) == pytest.approx(
+        assert cubic_coefficients(*pqr(0, 1)) == pytest.approx((0.25, 0.25))
+        assert cubic_coefficients(*pqr(1, 0)) == pytest.approx((0.25, 0.0))
+        assert cubic_coefficients(*pqr(SQ2, SQ2)) == pytest.approx(
             (1 / 3, 0.25), abs=1e-12
         )
 
@@ -214,7 +212,7 @@ class TestCubicData:
         for _ in range(1000):
             phi = rng.uniform(0.0, 2.0 * math.pi)
             alpha, beta = math.cos(phi), math.sin(phi)
-            via_pqr = cubic_coefficients(pqr(IppParams(alpha, beta)))
+            via_pqr = cubic_coefficients(*pqr(alpha, beta))
             via_shortcut = real_ab(alpha, beta)
             assert via_shortcut[0] == pytest.approx(via_pqr[0], abs=1e-12)
             assert via_shortcut[1] == pytest.approx(via_pqr[1], abs=1e-12)
@@ -223,9 +221,9 @@ class TestCubicData:
         # Im r = -1/2 exactly, so 3A >= |r|^2 >= 1/4 pins A at or above 1/12
         rng = np.random.default_rng(137)
         for _ in range(1000):
-            c = pqr(random_ipp_params(rng))
-            assert c.r.imag == -0.5
-            big_a, _ = cubic_coefficients(c)
+            c = pqr(*random_ipp_params(rng))
+            assert c[2].imag == -0.5
+            big_a, _ = cubic_coefficients(*c)
             assert big_a >= 1 / 12
 
 
@@ -259,7 +257,7 @@ class TestSpectrumFromAB:
     def test_eigen_angle_range_and_sum(self):
         rng = np.random.default_rng(139)
         for _ in range(500):
-            big_a, big_b = cubic_coefficients(pqr(random_ipp_params(rng)))
+            big_a, big_b = cubic_coefficients(*pqr(*random_ipp_params(rng)))
             spec = spectrum_from_ab(big_a, big_b)
             assert 0.0 <= spec.eigen_angle <= math.pi / 3 + 1e-15
             assert float(np.sum(spec.eigenvalues)) == pytest.approx(1.0, abs=1e-10)
@@ -269,17 +267,17 @@ class TestSpectrumFromAB:
         rng = np.random.default_rng(149)
         for _ in range(1000):
             p = random_ipp_params(rng)
-            spec = spectrum_from_ab(*cubic_coefficients(pqr(p)))
+            spec = spectrum_from_ab(*cubic_coefficients(*pqr(*p)))
             np.testing.assert_allclose(
-                spec.eigenvalues, schmidt_vector(pi_final(p)), atol=1e-10
+                spec.eigenvalues, schmidt_vector(pi_final(*p)), atol=1e-10
             )
 
     def test_closed_form_matches_jacobi_on_closed_form_density(self):
         rng = np.random.default_rng(151)
         for _ in range(200):
             p = random_ipp_params(rng)
-            spec = spectrum_from_ab(*cubic_coefficients(pqr(p)))
-            jac = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(p))
+            spec = spectrum_from_ab(*cubic_coefficients(*pqr(*p)))
+            jac = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(*p))
             np.testing.assert_allclose(spec.eigenvalues, jac, atol=1e-10)
 
     def test_spectrum_record_rejects_bad_sum(self):
@@ -331,9 +329,8 @@ class TestDiscriminantRoot:
 
         rng = np.random.default_rng(157)
         for _ in range(50):
-            p = random_ipp_params(rng)
-            coefficients = _pqr(np.array(p.alpha), np.array(p.beta))
-            root = float(_discriminant_root(*coefficients, *_cubic_ab(*coefficients)))
+            coefficients = pqr(*random_ipp_params(rng))
+            root = float(_discriminant_root(*coefficients, *cubic_coefficients(*coefficients)))
             with mpmath.workdps(50):
                 c = [mpmath.mpc(complex(z)) for z in coefficients]
                 big_a = sum(abs(z) ** 2 for z in c) / 3

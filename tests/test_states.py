@@ -124,6 +124,9 @@ def test_entropy_bell():
 
 def test_entropy_product():
     assert entropy_of_entanglement(np.array([1.0, 0.0, 0.0])) == 0.0
+    # a coefficient one ulp above 1 has a positive v log2 v: clamped to +0.0
+    entropy = entropy_of_entanglement(np.array([1.0 + 2.0**-52, 0.0]))
+    assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
 
 def test_entropy_direct_sum():

@@ -1,6 +1,6 @@
 """Tests of the package's public surface: the bare package root, the
 per-layer benchmark metrics that name its functions, and a caller outside
-the tests for every public function."""
+the tests for every public function and class."""
 
 import ast
 import importlib
@@ -38,10 +38,20 @@ def _span_names(metrics) -> set[str]:
 
 def _names_read(paths) -> set[str]:
     """Every bare name and attribute name that the given modules read; a
-    def or an import alone reads nothing."""
+    def, an import or an annotation alone reads nothing."""
     read = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        annotations = {
+            id(sub)
+            for node in ast.walk(tree)
+            for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None))
+            if annotation is not None
+            for sub in ast.walk(annotation)
+        }
+        for node in ast.walk(tree):
+            if id(node) in annotations:
+                continue
             if isinstance(node, ast.Name):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -91,3 +101,19 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         and node.name not in read
     ]
     assert uncalled == []
+
+
+def test_every_public_class_is_read_outside_the_tests():
+    # the same rule for types: a public module-level class (a dataclass, an
+    # Enum or an exception) that only the tests read belongs in tests/
+    modules = sorted(SRC.glob("*.py"))
+    read = _names_read(modules) | _names_read(BENCH.glob("*.py"))
+    unread = [
+        f"{path.stem}.{node.name}"
+        for path in modules
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+        and not node.name.startswith("_")
+        and node.name not in read
+    ]
+    assert unread == []

@@ -12,10 +12,9 @@ from qincomp.cases import Prediction
 from qincomp.cli import main
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel
-from qincomp.qubits import IppParams
 from qincomp.scenarios import PI_INITIAL_SCHMIDT, pi_final, spectrum_from_ab
 from qincomp.states import schmidt_vector
-from qincomp import cases, states, sweep
+from qincomp import cases, scenarios, states, sweep
 from qincomp.sweep import (
     CSV_HEADER,
     format_float,
@@ -99,9 +98,9 @@ class TestSweepReal:
         result = sweep_real(12)
         for k in range(0, 12, 3):
             phi = result["phi"][k]
-            p = IppParams(math.cos(phi), math.sin(phi))
-            direct = schmidt_vector(pi_final(p))
-            closed = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(p))
+            p = math.cos(phi), math.sin(phi)
+            direct = schmidt_vector(pi_final(*p))
+            closed = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(*p))
             np.testing.assert_allclose(_lam(result)[k], direct, atol=1e-10)
             np.testing.assert_allclose(direct, closed, atol=1e-10)
 
@@ -139,8 +138,8 @@ class TestSweepComplex:
         grid = sweep_complex(7, 5)
         for k in range(len(grid["phi"])):
             phi, delta = grid["phi"][k], grid["delta"][k]
-            p = IppParams(math.cos(phi), np.exp(1j * delta) * math.sin(phi))
-            closed = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(p))
+            p = math.cos(phi), np.exp(1j * delta) * math.sin(phi)
+            closed = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(*p))
             np.testing.assert_allclose(_lam(grid)[k], closed, atol=1e-10)
 
     def test_coefficient_route_ill_conditioned_at_double_root(self):
@@ -240,8 +239,8 @@ class TestBlocks:
 
     def test_kernels_reach_schmidt_vectors_through_public_names(self, monkeypatch):
         # the benchmark's tracer wraps public functions only: its per-layer
-        # metrics see the sweeps' Schmidt vectors and reduced densities only
-        # if the kernels call them by these names, once per block
+        # metrics see the sweeps' layers only if the kernels call them by
+        # these names, once per block (ipp_image once per branch)
         calls = Counter()
 
         def count(module, name):
@@ -257,12 +256,27 @@ class TestBlocks:
         count(cases, "schmidt_vector")
         count(sweep, "schmidt_vector")
         count(states, "reduced_density_a")
+        for name in ("pqr", "cubic_coefficients", "pi_final"):
+            count(cases, name)
+        count(scenarios, "ipp_image")
+        count(sweep, "chi_final")
         sweep_gamma(2, 2, 2)
-        assert calls == {"qincomp.sweep.schmidt_vector": 1, "qincomp.states.reduced_density_a": 1}
+        assert calls == {
+            "qincomp.sweep.chi_final": 1,
+            "qincomp.sweep.schmidt_vector": 1,
+            "qincomp.states.reduced_density_a": 1,
+        }
         calls.clear()
         monkeypatch.setattr(sweep, "BLOCK_POINTS", 7)
         sweep_real(50)
-        assert calls == {"qincomp.cases.schmidt_vector": 8, "qincomp.states.reduced_density_a": 8}
+        assert calls == {
+            "qincomp.cases.pqr": 8,
+            "qincomp.cases.cubic_coefficients": 8,
+            "qincomp.cases.pi_final": 8,
+            "qincomp.scenarios.ipp_image": 24,
+            "qincomp.cases.schmidt_vector": 8,
+            "qincomp.states.reduced_density_a": 8,
+        }
 
 
 def _literal(z: complex) -> str:
