@@ -16,7 +16,7 @@ import numpy as np
 from .cases import _certify, _verdict
 from .linalg import JacobiConvergenceError, is_normalized
 from .majorization import classify_pair
-from .qubits import UnitaryParams
+from .qubits import _canonical_angles
 from .scenarios import SPECTRUM_SUM_TOL, build_chi_initial, chi_final
 from .states import entropy_of_entanglement, schmidt_vector
 from .sweep import (
@@ -142,10 +142,12 @@ def _cmd_check_pair(args: argparse.Namespace) -> int:
 
 
 def _cmd_gamma_demo(args: argparse.Namespace) -> int:
-    params = UnitaryParams(args.theta, args.phi_a, args.phi_b)
+    row = {
+        name: float(_canonical_angles(name, getattr(args, name)))
+        for name in ("theta", "phi_a", "phi_b")
+    }
     initial = schmidt_vector(build_chi_initial())
-    final = schmidt_vector(chi_final(params.theta, params.phi_a, params.phi_b))
-    row = {"theta": params.theta, "phi_a": params.phi_a, "phi_b": params.phi_b}
+    final = schmidt_vector(chi_final(**row))
     row.update((f"lam_i{i + 1}", v) for i, v in enumerate(initial))
     row.update((f"lam_f{i + 1}", v) for i, v in enumerate(final))
     row["entropy_i"] = entropy_of_entanglement(initial)

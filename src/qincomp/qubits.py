@@ -3,13 +3,12 @@ conjugates after it, the six axis kets, and the restricted superposition map
 defined only on the three +1 axis kets.
 
 general_unitary and ipp_image take scalars or equal-shape arrays and do not
-check them: UnitaryParams reduces the user's angles, and _unit_amplitudes
+check them: _canonical_angles reduces the user's angles, and _unit_amplitudes
 checks the amplitudes once, inside cases._certify."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -39,19 +38,6 @@ def _unit_amplitudes(alpha: object, beta: object) -> tuple[np.ndarray, np.ndarra
     if np.any(np.abs(norms - 1.0) > NORM_TOL):
         raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
     return alpha, beta
-
-
-@dataclass(frozen=True)
-class UnitaryParams:
-    """Angles (theta, phi_a, phi_b), reduced to the canonical range [0, 2pi)."""
-
-    theta: float
-    phi_a: float
-    phi_b: float
-
-    def __post_init__(self) -> None:
-        for name in ("theta", "phi_a", "phi_b"):
-            object.__setattr__(self, name, float(_canonical_angles(name, getattr(self, name))))
 
 
 class SpinLabel(Enum):
@@ -91,22 +77,19 @@ def general_unitary(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
     return u
 
 
-def apply_antiunitary(p: UnitaryParams, k: np.ndarray) -> np.ndarray:
-    """Apply the unitary, then conjugate every amplitude in the computational basis.
+def apply_antiunitary(u: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Apply the unitary u, or each of a stack of them (from general_unitary),
+    to the ket k, then conjugate every amplitude in the computational basis:
+    conj(u k), shape u.shape[:-2] + (2,).
 
     The resulting map is anti-linear and preserves inner-product modulus.
+    Only k is checked: it must be one normalized single-qubit ket.
     """
     k = np.asarray(k, dtype=complex)
     if k.shape != (2,):
         raise ValueError("apply_antiunitary acts on single-qubit kets")
     if not is_normalized(k):
         raise ValueError("apply_antiunitary requires a normalized ket")
-    return _antiunitary_images(general_unitary(p.theta, p.phi_a, p.phi_b), k)
-
-
-def _antiunitary_images(u: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """apply_antiunitary, unchecked, with a unitary or a stack of them
-    (from general_unitary): conj(u k), shape (..., 2)."""
     return np.conj(u @ k)
 
 

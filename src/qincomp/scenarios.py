@@ -9,8 +9,9 @@ and the package's one cubic-root formula: the trigonometric spectrum of the
 final state, the eigen-route that shares no code with linalg's Jacobi.
 
 pi_final, chi_final, pqr and cubic_coefficients take scalars or equal-shape
-arrays and do not check them: UnitaryParams reduces the user's angles, and
-qubits._unit_amplitudes checks the amplitudes once, inside cases._certify.
+arrays and do not check them: qubits._canonical_angles reduces the user's
+angles, and qubits._unit_amplitudes checks the amplitudes once, inside
+cases._certify.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _kron
-from .qubits import SpinLabel, _antiunitary_images, general_unitary, ipp_image, named_ket
+from .linalg import tensor_product
+from .qubits import SpinLabel, apply_antiunitary, general_unitary, ipp_image, named_ket
 
 CUBIC_DOMAIN_TOL = 1e-12
 SPECTRUM_SUM_TOL = 1e-10
@@ -82,7 +83,7 @@ def _amplitudes(branches, image) -> np.ndarray:
     each matrix is the Kronecker product of the +1 ket of axis l1_i with
     the i-th image.
     """
-    rows = [_kron(named_ket(l1, 0), image(l2)) for l1, l2 in branches]
+    rows = [tensor_product(named_ket(l1, 0), image(l2)) for l1, l2 in branches]
     return np.stack(rows, axis=-2) / math.sqrt(3.0)
 
 
@@ -95,7 +96,7 @@ def chi_final(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
     """Probe state after the anti-unitary acts on Bob's last qubit, over
     equal-shape angle arrays (or scalars): shape theta.shape + (3, 4)."""
     u = general_unitary(theta, phi_a, phi_b)
-    return _amplitudes(_CHI_BRANCHES, lambda label: _antiunitary_images(u, named_ket(label, 0)))
+    return _amplitudes(_CHI_BRANCHES, lambda label: apply_antiunitary(u, named_ket(label, 0)))
 
 
 def build_pi_initial() -> np.ndarray:

@@ -63,9 +63,18 @@ def test_tensor_product_preserves_normalization():
         assert is_normalized(tensor_product(a, b))
 
 
-def test_tensor_product_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        tensor_product(np.array([1.0, 1.0]), KET_0Z)
+def test_tensor_product_over_stacks():
+    # kets along the last axis, leading axes broadcast against each other
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(5, 1, 3)) + 1j * rng.normal(size=(5, 1, 3))
+    b = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    out = tensor_product(a, b)
+    assert out.shape == (5, 4, 6)
+    for i, j in np.ndindex(5, 4):
+        np.testing.assert_array_equal(out[i, j], np.kron(a[i, 0], b[j]))
+    # an empty stack keeps the width of its kets' products
+    assert tensor_product(np.ones((0, 2)), KET_0Z).shape == (0, 4)
+    assert tensor_product(KET_0X, np.ones((3, 0, 2))).shape == (3, 0, 4)
 
 
 def test_is_hermitian():

@@ -8,7 +8,7 @@ import pytest
 
 from qincomp.qubits import (
     SpinLabel,
-    UnitaryParams,
+    _canonical_angles,
     _unit_amplitudes,
     apply_antiunitary,
     general_unitary,
@@ -19,21 +19,25 @@ from qincomp.qubits import (
 SQ2 = 1.0 / math.sqrt(2.0)
 
 
-def random_params(rng):
-    return UnitaryParams(*rng.uniform(0.0, 2.0 * math.pi, size=3))
+def random_angles(rng):
+    """Angles (theta, phi_a, phi_b), uniform in the canonical range [0, 2pi)."""
+    return rng.uniform(0.0, 2.0 * math.pi, size=3)
 
 
 def test_unitary_params_reduce_to_canonical_range():
-    p = UnitaryParams(2.0 * math.pi + 0.3, -0.5, 7.0)
-    assert p.theta == pytest.approx(0.3)
-    assert p.phi_a == pytest.approx(2.0 * math.pi - 0.5)
-    assert p.phi_b == pytest.approx(7.0 - 2.0 * math.pi)
-    assert all(0.0 <= v < 2.0 * math.pi for v in (p.theta, p.phi_a, p.phi_b))
+    theta, phi_a, phi_b = (
+        float(_canonical_angles(name, value))
+        for name, value in (("theta", 2.0 * math.pi + 0.3), ("phi_a", -0.5), ("phi_b", 7.0))
+    )
+    assert theta == pytest.approx(0.3)
+    assert phi_a == pytest.approx(2.0 * math.pi - 0.5)
+    assert phi_b == pytest.approx(7.0 - 2.0 * math.pi)
+    assert all(0.0 <= v < 2.0 * math.pi for v in (theta, phi_a, phi_b))
 
 
 def test_unitary_params_reject_non_finite():
-    with pytest.raises(ValueError):
-        UnitaryParams(math.nan, 0.0, 0.0)
+    with pytest.raises(ValueError, match="theta must be finite"):
+        _canonical_angles("theta", math.nan)
 
 
 def test_ipp_params_require_normalization():
@@ -78,8 +82,7 @@ def test_general_unitary_flipper():
 def test_general_unitary_is_unitary():
     rng = np.random.default_rng(13)
     for _ in range(100):
-        p = random_params(rng)
-        u = general_unitary(p.theta, p.phi_a, p.phi_b)
+        u = general_unitary(*random_angles(rng))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(2), atol=1e-12)
 
 
@@ -87,9 +90,10 @@ def test_antiunitary_action_on_axis_kets():
     # closed-form action on the three +1 axis kets, for arbitrary angles
     rng = np.random.default_rng(19)
     for _ in range(50):
-        p = random_params(rng)
-        ct, st = math.cos(p.theta), math.sin(p.theta)
-        ea, eb = np.exp(-1j * p.phi_a), np.exp(-1j * p.phi_b)
+        theta, phi_a, phi_b = random_angles(rng)
+        p = general_unitary(theta, phi_a, phi_b)
+        ct, st = math.cos(theta), math.sin(theta)
+        ea, eb = np.exp(-1j * phi_a), np.exp(-1j * phi_b)
         np.testing.assert_allclose(
             apply_antiunitary(p, named_ket(SpinLabel.Z, 0)),
             [ct, -eb * st],
@@ -108,21 +112,21 @@ def test_antiunitary_action_on_axis_kets():
 
 
 def test_antiunitary_pure_conjugation():
-    p = UnitaryParams(0, 0, 0)
+    p = general_unitary(0, 0, 0)
     np.testing.assert_allclose(
         apply_antiunitary(p, named_ket(SpinLabel.Y, 0)), named_ket(SpinLabel.Y, 1), atol=1e-15
     )
 
 
 def test_antiunitary_flipper_on_up():
-    out = apply_antiunitary(UnitaryParams(math.pi / 2, 0, 0), named_ket(SpinLabel.Z, 0))
+    out = apply_antiunitary(general_unitary(math.pi / 2, 0, 0), named_ket(SpinLabel.Z, 0))
     np.testing.assert_allclose(out, [0, -1], atol=1e-15)
 
 
 def test_antiunitary_is_antilinear():
     rng = np.random.default_rng(23)
     for _ in range(100):
-        p = random_params(rng)
+        p = general_unitary(*random_angles(rng))
         k = rng.normal(size=2) + 1j * rng.normal(size=2)
         k /= np.linalg.norm(k)
         c = np.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -134,7 +138,7 @@ def test_antiunitary_is_antilinear():
 def test_antiunitary_preserves_inner_product_modulus():
     rng = np.random.default_rng(29)
     for _ in range(100):
-        p = random_params(rng)
+        p = general_unitary(*random_angles(rng))
         u = rng.normal(size=2) + 1j * rng.normal(size=2)
         v = rng.normal(size=2) + 1j * rng.normal(size=2)
         u /= np.linalg.norm(u)
@@ -144,8 +148,19 @@ def test_antiunitary_preserves_inner_product_modulus():
         assert after == pytest.approx(before, abs=1e-12)
 
 
+def test_antiunitary_over_a_unitary_stack():
+    # a (5, 7) stack of unitaries gives the (5, 7) stack of one-unitary images
+    angles = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, size=(3, 5, 7))
+    stack = general_unitary(*angles)
+    k = named_ket(SpinLabel.Y, 0)
+    images = apply_antiunitary(stack, k)
+    assert images.shape == (5, 7, 2)
+    for i, j in np.ndindex(5, 7):
+        np.testing.assert_array_equal(images[i, j], apply_antiunitary(stack[i, j], k))
+
+
 def test_antiunitary_validates_input():
-    p = UnitaryParams(0, 0, 0)
+    p = general_unitary(0, 0, 0)
     with pytest.raises(ValueError):
         apply_antiunitary(p, np.array([1.0, 1.0]))
     with pytest.raises(ValueError):

@@ -99,6 +99,91 @@ class TestConjugationScenario:
             np.testing.assert_allclose(vec, CHI_INITIAL_SCHMIDT, atol=1e-10)
 
 
+class TestAntiUnitaryTheorem:
+    """The conjugation scenario's Schmidt vectors for every angle, exactly.
+
+    The states are built from the axis kets, not from scenarios, over
+    c = cos theta, s = sin theta, U = e^{i phi_a} and V = e^{i phi_b}, with
+    s^2 = 1 - c^2, conj U = 1/U and conj V = 1/V.
+    """
+
+    @staticmethod
+    def _spectra():
+        import sympy
+
+        c, s = sympy.symbols("c s", real=True)
+        big_u, big_v, x = sympy.symbols("U V x")
+        half = 1 / sympy.sqrt(2)
+        kets = {
+            "z": sympy.Matrix([1, 0]),
+            "x": sympy.Matrix([half, half]),
+            "y": sympy.Matrix([half, sympy.I * half]),
+        }
+        unitary = sympy.Matrix([[c, big_u * s], [-big_v * s, big_u * big_v * c]])
+
+        def conj(z):
+            return sympy.conjugate(z).xreplace(
+                {sympy.conjugate(big_u): 1 / big_u, sympy.conjugate(big_v): 1 / big_v}
+            )
+
+        def characteristic(image, branches):
+            # (1/sqrt 3) sum_i |i>_A |l1_i> |image(l2_i)>_B, as its amplitude
+            # matrix; rho_A = M M^H with s^2 reduced to 1 - c^2
+            rows = [
+                [a * b for a in kets[l1] for b in image(kets[l2])] for l1, l2 in branches
+            ]
+            m = sympy.Matrix(rows) / sympy.sqrt(3)
+            rho = (m * m.T.applyfunc(conj)).applyfunc(
+                lambda z: sympy.reduced(sympy.expand(z), [s**2 + c**2 - 1], s, c)[1]
+            )
+            return sympy.expand((x * sympy.eye(3) - rho).det(method="berkowitz"))
+
+        def descending_roots(poly):
+            roots = sympy.roots(poly, x)
+            return sorted(
+                (root for root, times in roots.items() for _ in range(times)), key=lambda r: -r
+            )
+
+        branches = (("z", "z"), ("x", "y"), ("y", "x"))
+        initial = characteristic(lambda k: k, branches)
+        final = characteristic(lambda k: (unitary * k).applyfunc(conj), branches)
+        return x, final, descending_roots(initial), descending_roots(final)
+
+    def test_final_characteristic_polynomial_is_parameter_free(self):
+        import sympy
+
+        x, final, _, roots = self._spectra()
+        assert sympy.expand(final - (x**3 - x**2 + x / 4 - sympy.Rational(1, 108))) == 0
+        third, gap = sympy.Rational(1, 3), 1 / (2 * sympy.sqrt(3))
+        expected = (third + gap, third, third - gap)
+        assert all(sympy.simplify(r - e) == 0 for r, e in zip(roots, expected, strict=True))
+        np.testing.assert_allclose([float(r) for r in roots], CHI_FINAL_SCHMIDT, rtol=0, atol=1e-15)
+
+    def test_initial_final_pair_incomparable_with_exact_margins(self):
+        import sympy
+
+        _, _, initial, final = self._spectra()
+        assert initial == [sympy.Rational(2, 3), sympy.Rational(1, 6), sympy.Rational(1, 6)]
+        # the partial sums cross: the initial vector leads after one term and
+        # trails after two, so neither majorizes the other
+        first = initial[0] - final[0]
+        second = (final[0] + final[1]) - (initial[0] + initial[1])
+        root3 = sympy.sqrt(3)
+        assert sympy.simplify(first - (sympy.Rational(1, 3) - 1 / (2 * root3))) == 0
+        assert sympy.simplify(second - (1 / (2 * root3) - sympy.Rational(1, 6))) == 0
+        assert first > 0 and second > 0
+        label = classify_pair([float(v) for v in initial], [float(v) for v in final]).label
+        assert label is PairLabel.INCOMPARABLE
+
+
+class TestEmptyGrids:
+    def test_builders_and_schmidt_vector_on_empty_arrays(self):
+        empty = np.array([])
+        for state in (pi_final(empty, empty), chi_final(empty, empty, empty)):
+            assert state.shape == (0, 3, 4)
+            assert schmidt_vector(state).shape == (0, 3)
+
+
 class TestSuperpositionScenario:
     def test_initial_schmidt_vector(self):
         np.testing.assert_allclose(

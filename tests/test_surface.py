@@ -84,14 +84,21 @@ def test_every_layer_metric_span_is_a_traced_public_function():
         assert not name.startswith("_") and name not in untraced, span
 
 
+# public functions that only a LAYER_METRICS span names; they leave src/
+# together with the benchmark change that stops naming them
+SPAN_ONLY = [
+    "cases.predict_case",
+    "majorization.majorizes",
+    "scenarios.spectrum_from_ab",
+]
+
+
 def test_every_public_function_has_a_caller_outside_the_tests():
     # test-only code lives in tests/, not in the package: every public
-    # module-level function is read somewhere in src/, or named by the
-    # benchmark, as a call or as a LAYER_METRICS span
+    # module-level function is read somewhere in src/ or in bench/ code; a
+    # LAYER_METRICS span is a string, and naming a function is not calling it
     modules = sorted(SRC.glob("*.py"))
     read = _names_read(modules) | _names_read(BENCH.glob("*.py"))
-    spans = _span_names(_assigned_literal(BENCH / "run.py", "LAYER_METRICS"))
-    read.update(span.split(".")[1] for span in spans)
     uncalled = [
         f"{path.stem}.{node.name}"
         for path in modules
@@ -100,7 +107,7 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         and not node.name.startswith("_")
         and node.name not in read
     ]
-    assert uncalled == []
+    assert uncalled == SPAN_ONLY
 
 
 def test_every_public_class_is_read_outside_the_tests():
