@@ -1,6 +1,6 @@
-"""Decision procedure over the cubic data (A, B): predict the pair verdict
-from the sign of B and the position of A relative to 1/4; and the one
-certified grid kernel, which checks every prediction against the directly
+"""Decision procedure over the cubic data (A, B): predict_case codes the pair
+verdict from the sign of B and the position of A relative to 1/4; and the
+one certified grid kernel, which checks every prediction against the directly
 classified pair and is the route of every prediction the CLI prints.
 
 Every valid (alpha, beta) has B >= (3/2)(A - 1/4).  With a = |alpha|,
@@ -29,13 +29,12 @@ import numpy as np
 from .majorization import _LABELS, MAJORIZATION_TOL, PairLabel, _pair_codes
 from .qubits import _unit_amplitudes
 from .scenarios import (
-    _ab_discriminant_root,
     _discriminant_root,
-    _spectra,
     build_pi_initial,
     cubic_coefficients,
     pi_final,
     pqr,
+    spectrum_from_ab,
 )
 from .states import entropy_of_entanglement, schmidt_vector
 
@@ -119,9 +118,10 @@ def _band_class(values: np.ndarray, centre: float) -> np.ndarray:
     return np.where(np.abs(values - centre) < CASE_BAND, 1, np.where(values < centre, 0, 2))
 
 
-def _decide(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Case, subcase and prediction codes of arrays of cubic data; ValueError
-    if any point has A above 1/4 and B not above 0."""
+def predict_case(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Case, subcase and prediction codes of arrays of cubic data, the
+    prediction as an index into _PREDICTIONS; ValueError if any point has A
+    above 1/4 and B not above 0, which no amplitudes realize."""
     case, subcase = _band_class(big_b, 0.0), _band_class(big_a, 0.25)
     predicted = _DECISION[case, subcase]
     if np.any(predicted == _UNREALIZABLE):
@@ -148,18 +148,6 @@ def _verdict(case: int, subcase: int, prediction: Prediction, roots: np.ndarray)
     return CaseVerdict(case_id, sub, prediction, float(value), bool(incomparable))
 
 
-def predict_case(big_a: float, big_b: float) -> CaseVerdict:
-    """Predicted verdict for the cubic data (A, B) of a final-state spectrum.
-
-    ValueError unless (A, B) is finite, in the cubic's domain and realized
-    by some amplitudes (A at least 1/12, and A above 1/4 needs B above 0).
-    """
-    big_a, big_b = np.array(float(big_a)), np.array(float(big_b))
-    roots = _spectra(big_a, big_b, _ab_discriminant_root(big_a, big_b))[1]
-    case, subcase, predicted = (int(code) for code in _decide(big_a, big_b))
-    return _verdict(case, subcase, _PREDICTIONS[predicted], roots)
-
-
 @lru_cache(maxsize=1)
 def _pi_initial_schmidt() -> tuple[np.ndarray, float]:
     vec = schmidt_vector(build_pi_initial())
@@ -183,7 +171,8 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     alpha, beta = _unit_amplitudes(alpha, beta)
     coefficients = pqr(alpha, beta)
     big_a, big_b = cubic_coefficients(*coefficients)
-    roots, eigenvalues = _spectra(big_a, big_b, _discriminant_root(*coefficients, big_a, big_b))[1:]
+    root = _discriminant_root(*coefficients, big_a, big_b)
+    roots, eigenvalues = spectrum_from_ab(big_a, big_b, root)[1:]
     final = schmidt_vector(pi_final(alpha, beta))
     gap = np.max(np.abs(eigenvalues - final), axis=-1)
     failing = np.flatnonzero(gap > SOLVER_AGREE_TOL)
@@ -194,7 +183,7 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
             f"alpha={complex(alpha[i])!r}, beta={complex(beta[i])!r}"
         )
     initial_vec, initial_entropy = _pi_initial_schmidt()
-    case, subcase, predicted = _decide(big_a, big_b)
+    case, subcase, predicted = predict_case(big_a, big_b)
     observed = _pair_codes(initial_vec, final)[0]
     incomparable_if = _condition(roots)[1]
     agree = np.where(

@@ -2,7 +2,9 @@
 
 A source Schmidt vector converts to a target exactly when every partial
 sum of the source (sorted descending) stays at or below the target's.
-A pair convertible in neither direction is incomparable.
+A pair convertible in neither direction is incomparable.  majorizes tests
+descending partial sums; _pair_codes builds them from the vectors and calls
+it once per direction, for classify_pair and for the certified kernel.
 """
 
 from __future__ import annotations
@@ -48,22 +50,11 @@ def _descending_padded(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     )
 
 
-def _majorized(sums_a: np.ndarray, sums_b: np.ndarray) -> np.ndarray:
-    """Whether every partial sum of a is <= b's + MAJORIZATION_TOL, along the
-    last axis."""
+def majorizes(sums_b: np.ndarray, sums_a: np.ndarray) -> np.ndarray:
+    """Whether a is majorized by b, from descending partial sums along the
+    last axis: every sum of a is <= b's + MAJORIZATION_TOL.  Ties count as
+    majorized, so borderline pairs register as convertible, not incomparable."""
     return np.all(sums_a <= sums_b + MAJORIZATION_TOL, axis=-1)
-
-
-def majorizes(b: np.ndarray, a: np.ndarray) -> bool:
-    """True iff a is majorized by b: every partial sum of a is <= b's +
-    MAJORIZATION_TOL.
-
-    Ties count as satisfying the inequality, so borderline pairs register
-    as convertible rather than incomparable.  Unequal lengths are
-    zero-padded.
-    """
-    a, b = _descending_padded(a, b)
-    return bool(_majorized(np.cumsum(a), np.cumsum(b)))
 
 
 def _pair_codes(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -71,8 +62,8 @@ def _pair_codes(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
     pairing vectors along the last axis; leading axes broadcast."""
     src, dst = _descending_padded(src, dst)
     sums_src, sums_dst = np.cumsum(src, axis=-1), np.cumsum(dst, axis=-1)
-    forward = _majorized(sums_src, sums_dst)
-    backward = _majorized(sums_dst, sums_src)
+    forward = majorizes(sums_dst, sums_src)
+    backward = majorizes(sums_src, sums_dst)
     return 2 * forward + backward, sums_src, sums_dst
 
 

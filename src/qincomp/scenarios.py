@@ -8,23 +8,21 @@ density matrix, the cubic data (A, B) with the root of their discriminant,
 and the package's one cubic-root formula: the trigonometric spectrum of the
 final state, the eigen-route that shares no code with linalg's Jacobi.
 
-pi_final, chi_final, pqr and cubic_coefficients take scalars or equal-shape
-arrays and do not check them: qubits._canonical_angles reduces the user's
-angles, and qubits._unit_amplitudes checks the amplitudes once, inside
-cases._certify.
+pi_final, chi_final, pqr, cubic_coefficients and spectrum_from_ab take
+scalars or equal-shape arrays and do not check them: qubits._canonical_angles
+reduces the user's angles, and qubits._unit_amplitudes checks the amplitudes
+once, inside cases._certify.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import tensor_product
 from .qubits import SpinLabel, apply_antiunitary, general_unitary, ipp_image, named_ket
 
-CUBIC_DOMAIN_TOL = 1e-12
 SPECTRUM_SUM_TOL = 1e-10
 
 PI_INITIAL_SCHMIDT = np.array(
@@ -48,25 +46,6 @@ _PI_BRANCHES = (
     (SpinLabel.X, SpinLabel.X),
     (SpinLabel.Y, SpinLabel.Y),
 )
-
-
-@dataclass(frozen=True)
-class CubicSpectrum:
-    """Roots of x^3 - 3Ax + B via x = 1 - 3*lambda, with the eigen-angle kept.
-
-    roots holds the three x-roots 2 sqrt(A) cos(...) in the order the cubic
-    formula of spectrum_from_ab labels them (the 2 pi/3 + angle branch
-    first).
-    """
-
-    big_a: float
-    big_b: float
-    eigen_angle: float
-    eigenvalues: np.ndarray
-    roots: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        _check_spectrum_sum(self.eigenvalues)
 
 
 def _check_spectrum_sum(eigenvalues: np.ndarray) -> None:
@@ -151,46 +130,14 @@ def _discriminant_root(p, q, r, big_a: np.ndarray, big_b: np.ndarray) -> np.ndar
     return np.sqrt(two_a / 3.0 * (diagonal + 2.0 * upper))
 
 
-def _ab_discriminant_root(big_a: np.ndarray, big_b: np.ndarray) -> np.ndarray:
-    """sqrt(max(4A^3 - B^2, 0)) for cubic data given without p, q, r;
-    ValueError unless (A, B) is finite, in the cubic's domain and has
-    A >= 1/12 (Im r = -1/2 exactly, so 3A >= |r|^2 >= 1/4 for all amplitudes)."""
-    if not (np.all(np.isfinite(big_a)) and np.all(np.isfinite(big_b))):
-        raise ValueError("A and B must be finite")
-    if np.any(big_a < 1.0 / 12.0):
-        raise ValueError("A below 1/12: no amplitudes realize these cubic data")
-    # a huge finite A cubes to inf and a huge B squares to inf; inf - inf is
-    # nan, and the spectrum-sum check refuses both the inf and the nan root
-    with np.errstate(over="ignore", invalid="ignore"):
-        cubed, squared = 4.0 * big_a**3, big_b * big_b
-        if np.any(squared > cubed + CUBIC_DOMAIN_TOL):
-            raise ValueError("B^2 exceeds 4A^3: cubic has no valid spectrum")
-        return np.sqrt(np.maximum(cubed - squared, 0.0))
-
-
-def spectrum_from_ab(big_a: float, big_b: float) -> CubicSpectrum:
-    """Trigonometric roots lambda_k = (1/3)[1 - 2 sqrt(A) cos(...)] of the cubic.
-
-    The eigen-angle satisfies cos(3*angle) = -B / (2 sqrt(A^3)), with angle
-    in [0, pi/3].  Eigenvalues are returned descending (the natural
-    labeling at this angle branch puts the smallest root in the middle
-    slot).  ValueError unless (A, B) is finite, in the cubic's domain and
-    has A >= 1/12, as every amplitude pair does.
-    """
-    big_a, big_b = float(big_a), float(big_b)
-    cubic = np.array(big_a), np.array(big_b)
-    angle, roots, eigenvalues = _spectra(*cubic, _ab_discriminant_root(*cubic))
-    return CubicSpectrum(big_a, big_b, float(angle), eigenvalues, tuple(roots.tolist()))
-
-
-def _spectra(big_a: np.ndarray, big_b: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, ...]:
-    """spectrum_from_ab over equal-shape arrays of (A, B) and of the root
-    sqrt(4A^3 - B^2) of their discriminant: the eigen-angles, with
-    3*angle = atan2(root, -B); the roots 2 sqrt(A) cos(2 pi/3 + angle),
-    2 sqrt(A) cos(angle) and 2 sqrt(A) cos(2 pi/3 - angle), in that order
-    along a new last axis; and the eigenvalues (1 - root)/3, descending
-    along that axis.
-    """
+def spectrum_from_ab(big_a: np.ndarray, big_b: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Trigonometric spectrum of the cubic over equal-shape arrays of (A, B)
+    and of the root sqrt(4A^3 - B^2) of their discriminant: the eigen-angles
+    in [0, pi/3], with 3*angle = atan2(root, -B); the roots 2 sqrt(A)
+    cos(2 pi/3 + angle), 2 sqrt(A) cos(angle) and 2 sqrt(A) cos(2 pi/3 -
+    angle), in that order along a new last axis; and the eigenvalues
+    (1 - root)/3, descending along that axis.  ValueError unless every
+    spectrum sums to 1, as a nan or inf discriminant root does not."""
     angle = np.arctan2(root, -big_b) / 3.0
     third = 2.0 * math.pi / 3.0
     cosines = np.cos(np.stack([third + angle, angle, third - angle], axis=-1))

@@ -2,18 +2,25 @@
 so they stay outside checks of it: closed-form reduced densities, the real
 (A, B) shortcut, the unitary-only conjugation state and the conjugation
 scenario's initial Schmidt vector.  Then point(), which reads the package's
-certified kernel at one amplitude pair, and jacobi_reference(), the stacked
-Jacobi kernel's arithmetic one matrix and one pair at a time.
+certified kernel at one amplitude pair; spectrum_at() and verdict_at(),
+which read its cubic spectrum and case analysis at cubic data (A, B) given
+alone, refusing data that no amplitudes realize; converts(), the Nielsen
+test on two vectors; and jacobi_reference(), the stacked Jacobi kernel's
+arithmetic one matrix and one pair at a time.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from qincomp.cases import _certify
+from qincomp.cases import _PREDICTIONS, _certify, _verdict, predict_case
 from qincomp.linalg import JACOBI_OFF_TOL, JACOBI_SWEEP_CAP
+from qincomp.majorization import PairLabel, classify_pair
 from qincomp.qubits import general_unitary, named_ket
-from qincomp.scenarios import _CHI_BRANCHES, _amplitudes, pqr
+from qincomp.scenarios import _CHI_BRANCHES, _amplitudes, pqr, spectrum_from_ab
 
 REAL_PARAM_TOL = 1e-12
+CUBIC_DOMAIN_TOL = 1e-12
 
 CHI_INITIAL_SCHMIDT = np.array([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
 
@@ -73,6 +80,51 @@ def point(alpha: complex, beta: complex) -> dict:
     value: A .. agree, the case and subcase codes, and the three roots."""
     grid = _certify(np.array([alpha]), np.array([beta]))
     return {name: column[0] for name, column in grid.items()}
+
+
+def _ab_discriminant_root(big_a: np.ndarray, big_b: np.ndarray) -> np.ndarray:
+    """sqrt(max(4A^3 - B^2, 0)) for cubic data given without p, q, r;
+    ValueError unless (A, B) is finite, in the cubic's domain and has
+    A >= 1/12 (Im r = -1/2 exactly, so 3A >= |r|^2 >= 1/4 for all amplitudes)."""
+    if not (np.all(np.isfinite(big_a)) and np.all(np.isfinite(big_b))):
+        raise ValueError("A and B must be finite")
+    if np.any(big_a < 1.0 / 12.0):
+        raise ValueError("A below 1/12: no amplitudes realize these cubic data")
+    # a huge finite A cubes to inf and a huge B squares to inf; inf - inf is
+    # nan, and the spectrum-sum check refuses both the inf and the nan root
+    with np.errstate(over="ignore", invalid="ignore"):
+        cubed, squared = 4.0 * big_a**3, big_b * big_b
+        if np.any(squared > cubed + CUBIC_DOMAIN_TOL):
+            raise ValueError("B^2 exceeds 4A^3: cubic has no valid spectrum")
+        return np.sqrt(np.maximum(cubed - squared, 0.0))
+
+
+def spectrum_at(big_a: float, big_b: float) -> SimpleNamespace:
+    """The package's cubic spectrum at (A, B) given alone: eigen_angle, the
+    descending eigenvalues and the three x-roots in spectrum_from_ab's
+    order.  ValueError unless (A, B) is finite, in the cubic's domain and
+    has A >= 1/12, as every amplitude pair does."""
+    big_a, big_b = np.array(float(big_a)), np.array(float(big_b))
+    angle, roots, eigenvalues = spectrum_from_ab(big_a, big_b, _ab_discriminant_root(big_a, big_b))
+    return SimpleNamespace(
+        eigen_angle=float(angle), eigenvalues=eigenvalues, roots=tuple(roots.tolist())
+    )
+
+
+def verdict_at(big_a: float, big_b: float):
+    """The CaseVerdict of the package's predict_case codes at (A, B) given
+    alone.  ValueError unless (A, B) is finite, in the cubic's domain and
+    realized by some amplitudes (A at least 1/12, and A above 1/4 needs B
+    above 0)."""
+    roots = np.array(spectrum_at(big_a, big_b).roots)
+    case, subcase, predicted = (int(code) for code in predict_case(float(big_a), float(big_b)))
+    return _verdict(case, subcase, _PREDICTIONS[predicted], roots)
+
+
+def converts(src: np.ndarray, dst: np.ndarray) -> bool:
+    """Whether src converts to dst under deterministic LOCC: src is
+    majorized by dst, equal vectors included."""
+    return classify_pair(src, dst).label in {PairLabel.CONVERTIBLE_FORWARD, PairLabel.EQUAL}
 
 
 def _circle_rounds(n: int) -> list[list[tuple[int, int]]]:

@@ -12,11 +12,13 @@ from oracles import (
     CHI_INITIAL_SCHMIDT,
     chi_final_unitary_only,
     chi_initial_density_closed_form,
+    converts,
     point,
     real_ab,
+    spectrum_at,
 )
 from qincomp.cases import Prediction
-from qincomp.majorization import PairLabel, classify_pair, majorizes
+from qincomp.majorization import PairLabel, classify_pair
 from qincomp.scenarios import (
     PI_INITIAL_SCHMIDT,
     build_chi_initial,
@@ -24,7 +26,6 @@ from qincomp.scenarios import (
     cubic_coefficients,
     pi_final,
     pqr,
-    spectrum_from_ab,
 )
 from qincomp.states import entropy_of_entanglement, reduced_density_a, schmidt_vector
 from qincomp.sweep import sweep_real
@@ -100,7 +101,7 @@ def test_criterion_04_unitary_alone_leaves_reduced_density_fixed():
 
 def test_criterion_05_flipping_and_hadamard_points():
     flip_ab = real_ab(0.0, 1.0)
-    flip_spec = spectrum_from_ab(*flip_ab).eigenvalues
+    flip_spec = spectrum_at(*flip_ab).eigenvalues
     flip_obs = point(0, 1)["observed"]
     had_ab = real_ab(SQ2, SQ2)
     had_obs = point(SQ2, SQ2)["observed"]
@@ -123,7 +124,7 @@ def test_criterion_05_flipping_and_hadamard_points():
 
 
 def test_criterion_06_identity_point_is_equal():
-    spec = spectrum_from_ab(*real_ab(1.0, 0.0)).eigenvalues
+    spec = spectrum_at(*real_ab(1.0, 0.0)).eigenvalues
     observed = point(1, 0)["observed"]
     ok = (
         bool(np.all(np.abs(spec - PI_INITIAL_SCHMIDT) < 1e-12))
@@ -146,7 +147,7 @@ def test_criterion_07_zero_b_family_gains_entanglement():
         initial = PI_INITIAL_SCHMIDT
         final = schmidt_vector(pi_final(math.cos(phi), math.sin(phi)))
         strictly_majorized = (
-            majorizes(initial, final)
+            converts(final, initial)
             and classify_pair(initial, final).label is PairLabel.CONVERTIBLE_BACKWARD
         )
         delta = entropy_of_entanglement(final) - entropy_of_entanglement(initial)
@@ -166,7 +167,7 @@ def test_criterion_08_dual_route_oracle_equivalence():
     for _ in range(1000):
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         raw /= np.linalg.norm(raw)
-        trig = spectrum_from_ab(*cubic_coefficients(*pqr(raw[0], raw[1]))).eigenvalues
+        trig = spectrum_at(*cubic_coefficients(*pqr(raw[0], raw[1]))).eigenvalues
         direct = schmidt_vector(pi_final(raw[0], raw[1]))
         worst_spec = max(worst_spec, float(np.max(np.abs(trig - direct))))
     worst_ab = 0.0

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import point
+from oracles import point, spectrum_at, verdict_at
 from qincomp.cases import (
     _ADMITTED,
     _PREDICTIONS,
@@ -16,7 +16,6 @@ from qincomp.cases import (
     Prediction,
     Subcase,
     _verdict,
-    predict_case,
 )
 from qincomp.majorization import _LABELS, MAJORIZATION_TOL, PairLabel, classify_pair
 from qincomp.scenarios import (
@@ -24,7 +23,6 @@ from qincomp.scenarios import (
     cubic_coefficients,
     pi_final,
     pqr,
-    spectrum_from_ab,
 )
 from qincomp.states import schmidt_vector
 
@@ -33,45 +31,45 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 class TestPredictCase:
     def test_flipping_point_is_incomparable(self):
-        verdict = predict_case(0.25, 0.25)
+        verdict = verdict_at(0.25, 0.25)
         assert verdict.case_id is CaseId.B_POS
         assert verdict.subcase is Subcase.A_EQ_QUARTER
         assert verdict.predicted is Prediction.INCOMPARABLE
         assert verdict.condition is None
 
     def test_identity_point_is_not_incomparable(self):
-        verdict = predict_case(0.25, 0.0)
+        verdict = verdict_at(0.25, 0.0)
         assert verdict.case_id is CaseId.B_ZERO
         assert verdict.subcase is Subcase.A_EQ_QUARTER
         assert verdict.predicted is Prediction.NOT_INCOMPARABLE
 
     def test_zero_b_small_a_is_entanglement_increase(self):
-        verdict = predict_case(1 / 6, 0.0)
+        verdict = verdict_at(1 / 6, 0.0)
         assert verdict.case_id is CaseId.B_ZERO
         assert verdict.subcase is Subcase.A_LT_QUARTER
         assert verdict.predicted is Prediction.ENTANGLEMENT_INCREASE
 
     def test_positive_b_small_a(self):
-        verdict = predict_case(0.2, 0.1)
+        verdict = verdict_at(0.2, 0.1)
         assert verdict.case_id is CaseId.B_POS
         assert verdict.subcase is Subcase.A_LT_QUARTER
         assert verdict.predicted is Prediction.INCOMPARABLE_OR_INCREASE
 
     def test_negative_b_small_a(self):
-        verdict = predict_case(0.2, -0.1)
+        verdict = verdict_at(0.2, -0.1)
         assert verdict.case_id is CaseId.B_NEG
         assert verdict.predicted is Prediction.INCOMPARABLE_OR_INCREASE
 
     def test_negative_b_quarter_a_is_incomparable(self):
-        assert predict_case(0.25, -0.2).predicted is Prediction.INCOMPARABLE
+        assert verdict_at(0.25, -0.2).predicted is Prediction.INCOMPARABLE
 
     def test_positive_b_large_a_conditional_metadata(self):
-        verdict = predict_case(1 / 3, 0.25)
+        verdict = verdict_at(1 / 3, 0.25)
         assert verdict.case_id is CaseId.B_POS
         assert verdict.subcase is Subcase.A_GT_QUARTER
         assert verdict.predicted is Prediction.CONDITIONAL
         # the condition is 2 sqrt(A) cos(angle), the middle cubic root
-        assert verdict.condition_value == spectrum_from_ab(1 / 3, 0.25).roots[1]
+        assert verdict.condition_value == spectrum_at(1 / 3, 0.25).roots[1]
         assert verdict.condition == (verdict.condition_value < SQRT3_HALF - 3 * MAJORIZATION_TOL)
         # at the Hadamard point the smallest-root expression stays below
         # the threshold, so incomparability is predicted
@@ -80,29 +78,29 @@ class TestPredictCase:
     @pytest.mark.parametrize(
         "func, big_a, big_b",
         [
-            pytest.param(predict_case, math.nan, 0.1, id="nan_a"),
-            pytest.param(predict_case, math.inf, 0.0, id="inf_a"),
-            pytest.param(predict_case, -0.1, 0.0, id="negative_a"),
+            pytest.param(verdict_at, math.nan, 0.1, id="nan_a"),
+            pytest.param(verdict_at, math.inf, 0.0, id="inf_a"),
+            pytest.param(verdict_at, -0.1, 0.0, id="negative_a"),
             # A below 1/12: Im r = -1/2 keeps every realizable A at or above it
-            pytest.param(predict_case, 0.0, 0.0, id="zero_a"),
-            pytest.param(predict_case, 0.05, 0.0, id="a_below_twelfth"),
-            pytest.param(predict_case, 0.2, 0.5, id="b_squared_above_4a_cubed"),
-            pytest.param(spectrum_from_ab, math.nan, 0.0, id="spectrum_nan_a"),
+            pytest.param(verdict_at, 0.0, 0.0, id="zero_a"),
+            pytest.param(verdict_at, 0.05, 0.0, id="a_below_twelfth"),
+            pytest.param(verdict_at, 0.2, 0.5, id="b_squared_above_4a_cubed"),
+            pytest.param(spectrum_at, math.nan, 0.0, id="spectrum_nan_a"),
             # 4 A^3 overflows to inf: refused by the spectrum-sum check,
             # with no numpy overflow warning (warnings are errors here)
-            pytest.param(predict_case, 1e103, 0.1, id="huge_a_1e103"),
-            pytest.param(predict_case, 1.7e308, 0.1, id="huge_a_1.7e308"),
-            pytest.param(spectrum_from_ab, 1e200, 0.1, id="spectrum_huge_a_1e200"),
-            pytest.param(spectrum_from_ab, 1e300, 0.1, id="spectrum_huge_a_1e300"),
+            pytest.param(verdict_at, 1e103, 0.1, id="huge_a_1e103"),
+            pytest.param(verdict_at, 1.7e308, 0.1, id="huge_a_1.7e308"),
+            pytest.param(spectrum_at, 1e200, 0.1, id="spectrum_huge_a_1e200"),
+            pytest.param(spectrum_at, 1e300, 0.1, id="spectrum_huge_a_1e300"),
             # 4 A^3 and B^2 both overflow: inf - inf is a nan root, refused
             # by the spectrum-sum check, again with no warning
-            pytest.param(predict_case, 1e200, 1e300, id="huge_a_huge_b"),
-            pytest.param(spectrum_from_ab, 1e200, 1e300, id="spectrum_huge_a_huge_b"),
-            pytest.param(spectrum_from_ab, 1e200, -1e300, id="spectrum_huge_a_huge_negative_b"),
+            pytest.param(verdict_at, 1e200, 1e300, id="huge_a_huge_b"),
+            pytest.param(spectrum_at, 1e200, 1e300, id="spectrum_huge_a_huge_b"),
+            pytest.param(spectrum_at, 1e200, -1e300, id="spectrum_huge_a_huge_negative_b"),
             # A above 1/4 with B not above 0: no amplitudes realize these
-            pytest.param(predict_case, 1 / 3, -0.25, id="negative_b_large_a"),
-            pytest.param(predict_case, 0.3, -0.1, id="small_negative_b_large_a"),
-            pytest.param(predict_case, 0.3, 0.0, id="zero_b_large_a"),
+            pytest.param(verdict_at, 1 / 3, -0.25, id="negative_b_large_a"),
+            pytest.param(verdict_at, 0.3, -0.1, id="small_negative_b_large_a"),
+            pytest.param(verdict_at, 0.3, 0.0, id="zero_b_large_a"),
         ],
     )
     def test_refuses_invalid_or_unrealizable_data(self, func, big_a, big_b):
@@ -110,13 +108,13 @@ class TestPredictCase:
             func(big_a, big_b)
 
     def test_band_width_on_b(self):
-        assert predict_case(0.2, 5e-13).case_id is CaseId.B_ZERO
-        assert predict_case(0.2, 5e-12).case_id is CaseId.B_POS
-        assert predict_case(0.2, -5e-12).case_id is CaseId.B_NEG
+        assert verdict_at(0.2, 5e-13).case_id is CaseId.B_ZERO
+        assert verdict_at(0.2, 5e-12).case_id is CaseId.B_POS
+        assert verdict_at(0.2, -5e-12).case_id is CaseId.B_NEG
 
     def test_band_width_on_a(self):
-        assert predict_case(0.25 + 5e-13, 0.1).subcase is Subcase.A_EQ_QUARTER
-        assert predict_case(0.25 + 5e-12, 0.1).subcase is Subcase.A_GT_QUARTER
+        assert verdict_at(0.25 + 5e-13, 0.1).subcase is Subcase.A_EQ_QUARTER
+        assert verdict_at(0.25 + 5e-12, 0.1).subcase is Subcase.A_GT_QUARTER
 
 
 def _admitted(prediction, label):
@@ -147,7 +145,7 @@ class TestPredictionConsistent:
         assert not _admitted(Prediction.NOT_INCOMPARABLE, PairLabel.INCOMPARABLE)
 
     def test_conditional_prediction_follows_condition(self):
-        verdict = predict_case(1 / 3, 0.25)
+        verdict = verdict_at(1 / 3, 0.25)
         assert verdict.condition
         # the table admits nothing for CONDITIONAL; agree reads the condition
         assert not any(_admitted(Prediction.CONDITIONAL, label) for label in PairLabel)

@@ -106,9 +106,11 @@ class TestSchmidtCommand:
         assert capsys.readouterr().err == "error: state amplitudes must have unit norm\n"
 
     def test_product_state_entropy_is_positive_zero(self, tmp_path, capsys):
-        # |0>|0>, and |0>|+>, whose Schmidt coefficient lands an ulp above 1
+        # |0>|0>; |0>|+>, whose Schmidt coefficient lands an ulp above 1; and
+        # |+>|+>, whose Schmidt coefficient lands an ulp below 1
         path = tmp_path / "product.txt"
-        for body in ("1 0\n0 0\n0 0\n0 0\n", "0.7071067811865476 0\n" * 2 + "0 0\n" * 2):
+        bodies = ("1 0\n0 0\n0 0\n0 0\n", "0.7071067811865476 0\n" * 2 + "0 0\n" * 2, "0.5 0\n" * 4)
+        for body in bodies:
             path.write_text("2 2\n" + body, encoding="utf-8")
             assert main(["schmidt", str(path)]) == 0
             assert capsys.readouterr().out.splitlines()[1] == "1,0,0"

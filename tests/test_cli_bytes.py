@@ -3,9 +3,13 @@ byte for byte, so a change in indent, digits or column order fails here
 even where a parsing test would still pass.
 
 The expected files in tests/cli_bytes/ are the commands' stdout; to
-refresh one on purpose, run the command and overwrite its file.
+refresh one on purpose, run the command and overwrite its file.  The
+canonical commands' outputs are too large to commit, so
+tests/cli_bytes/canonical.sha256 pins the sha256 of each instead, one
+"<digest>  <name>.<format>" line per output.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,26 @@ def test_stdout_bytes(name, fmt, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (EXPECTED / f"{name}.{fmt}").read_bytes()
+
+
+CANONICAL = {
+    "sweep-real-n3600": ["sweep-real", "--n", "3600"],
+    "sweep-real-n3600-summary": ["sweep-real", "--n", "3600", "--summary"],
+    "sweep-complex-60x12": ["sweep-complex", "--n-phi", "60", "--n-delta", "12"],
+    "sweep-gamma-8x8x8": ["sweep-gamma", "--n-theta", "8", "--n-a", "8", "--n-b", "8"],
+}
+
+
+def _canonical_digests() -> dict[str, str]:
+    lines = (EXPECTED / "canonical.sha256").read_text(encoding="ascii").splitlines()
+    return {name: digest for digest, name in (line.split() for line in lines)}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(CANONICAL))
+def test_canonical_stdout_digest(name, fmt, capsys):
+    assert main([*CANONICAL[name], "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
+    assert digest == _canonical_digests()[f"{name}.{fmt}"]

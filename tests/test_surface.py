@@ -84,15 +84,6 @@ def test_every_layer_metric_span_is_a_traced_public_function():
         assert not name.startswith("_") and name not in untraced, span
 
 
-# public functions that only a LAYER_METRICS span names; they leave src/
-# together with the benchmark change that stops naming them
-SPAN_ONLY = [
-    "cases.predict_case",
-    "majorization.majorizes",
-    "scenarios.spectrum_from_ab",
-]
-
-
 def test_every_public_function_has_a_caller_outside_the_tests():
     # test-only code lives in tests/, not in the package: every public
     # module-level function is read somewhere in src/ or in bench/ code; a
@@ -107,7 +98,7 @@ def test_every_public_function_has_a_caller_outside_the_tests():
         and not node.name.startswith("_")
         and node.name not in read
     ]
-    assert uncalled == SPAN_ONLY
+    assert uncalled == []
 
 
 def test_every_public_class_is_read_outside_the_tests():

@@ -7,12 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import CHI_INITIAL_SCHMIDT, pi_final_density_closed_form
+from oracles import CHI_INITIAL_SCHMIDT, pi_final_density_closed_form, spectrum_at
 from qincomp.cases import Prediction
 from qincomp.cli import main
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel
-from qincomp.scenarios import PI_INITIAL_SCHMIDT, pi_final, spectrum_from_ab
+from qincomp.scenarios import PI_INITIAL_SCHMIDT, pi_final
 from qincomp.states import schmidt_vector
 from qincomp import cases, scenarios, states, sweep
 from qincomp.sweep import (
@@ -146,7 +146,7 @@ class TestSweepComplex:
         # one ulp inside the discriminant boundary B^2 = 4A^3 the arccos
         # amplifies coefficient rounding to ~sqrt(eps) in the eigenvalues,
         # so the closed-form route cannot certify 1e-10 there
-        spec = spectrum_from_ab(0.25, 0.25 - 2.8e-17)
+        spec = spectrum_at(0.25, 0.25 - 2.8e-17)
         split = np.max(np.abs(spec.eigenvalues - np.array([2 / 3, 1 / 6, 1 / 6])))
         assert 1e-10 < split < 1e-8
 
