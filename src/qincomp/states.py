@@ -37,10 +37,11 @@ def schmidt_vector(m: np.ndarray) -> np.ndarray:
 
 def entropy_of_entanglement(v: np.ndarray) -> float | np.ndarray:
     """Shannon entropy in bits, with 0*log(0) = 0, of a Schmidt vector or of
-    each vector along the last axis of an array (then an array).  Terms within
-    ENTROPY_CLAMP of 0 or 1 are dropped: a product vector's entropy is +0.0."""
+    each vector along the last axis of an array (then an array).  Only terms
+    in [ENTROPY_CLAMP, 1 - ENTROPY_CLAMP] are kept, each negative, so noise
+    near 0 or at or above 1 drops: a product vector's entropy is +0.0."""
     v = np.asarray(v, dtype=float)
-    kept = (v >= ENTROPY_CLAMP) & (np.abs(v - 1.0) >= ENTROPY_CLAMP)
+    kept = (v >= ENTROPY_CLAMP) & (v <= 1.0 - ENTROPY_CLAMP)
     terms = np.where(kept, v * np.log2(np.where(kept, v, 1.0)), 0.0)
     # 0.0 - x, not -x: a product vector's entropy is 0.0, never -0.0
     entropy = 0.0 - np.sum(terms, axis=-1)

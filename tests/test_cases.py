@@ -78,6 +78,10 @@ class TestPredictCase:
     @pytest.mark.parametrize(
         "func, big_a, big_b",
         [
+            # Self-checks of the oracles: these are refused by
+            # tests/oracles.py's _ab_discriminant_root before the package is
+            # called, since the kernel takes the discriminant root from the
+            # amplitudes and never sees (A, B) alone.
             pytest.param(verdict_at, math.nan, 0.1, id="nan_a"),
             pytest.param(verdict_at, math.inf, 0.0, id="inf_a"),
             pytest.param(verdict_at, -0.1, 0.0, id="negative_a"),
@@ -86,6 +90,9 @@ class TestPredictCase:
             pytest.param(verdict_at, 0.05, 0.0, id="a_below_twelfth"),
             pytest.param(verdict_at, 0.2, 0.5, id="b_squared_above_4a_cubed"),
             pytest.param(spectrum_at, math.nan, 0.0, id="spectrum_nan_a"),
+            # Package refusals, reached through the oracles: the spectrum-sum
+            # check of scenarios.spectrum_from_ab and the unrealizable-data
+            # check of cases.predict_case.
             # 4 A^3 overflows to inf: refused by the spectrum-sum check,
             # with no numpy overflow warning (warnings are errors here)
             pytest.param(verdict_at, 1e103, 0.1, id="huge_a_1e103"),

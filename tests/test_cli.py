@@ -106,14 +106,20 @@ class TestSchmidtCommand:
         assert capsys.readouterr().err == "error: state amplitudes must have unit norm\n"
 
     def test_product_state_entropy_is_positive_zero(self, tmp_path, capsys):
-        # |0>|0>; |0>|+>, whose Schmidt coefficient lands an ulp above 1; and
-        # |+>|+>, whose Schmidt coefficient lands an ulp below 1
+        # |0>|0>; |0>|+>, whose Schmidt coefficient lands an ulp above 1;
+        # |+>|+>, whose Schmidt coefficient lands an ulp below 1; and |0>|0>
+        # with a norm off 1 by 8e-13, inside NORM_TOL
         path = tmp_path / "product.txt"
-        bodies = ("1 0\n0 0\n0 0\n0 0\n", "0.7071067811865476 0\n" * 2 + "0 0\n" * 2, "0.5 0\n" * 4)
-        for body in bodies:
+        rows = {
+            "1 0\n0 0\n0 0\n0 0\n": "1,0,0",
+            "0.7071067811865476 0\n" * 2 + "0 0\n" * 2: "1,0,0",
+            "0.5 0\n" * 4: "1,0,0",
+            "1.0000000000004 0\n0 0\n0 0\n0 0\n": "1.0000000000008,0,0",
+        }
+        for body, row in rows.items():
             path.write_text("2 2\n" + body, encoding="utf-8")
             assert main(["schmidt", str(path)]) == 0
-            assert capsys.readouterr().out.splitlines()[1] == "1,0,0"
+            assert capsys.readouterr().out.splitlines()[1] == row
             assert main(["schmidt", str(path), "--format", "json"]) == 0
             entropy = json.loads(capsys.readouterr().out)["entropy"]
             assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0

@@ -325,6 +325,8 @@ class TestSpectrumFromAB:
         spec = spectrum_at(1 / 3, 0.25)
         np.testing.assert_allclose(spec.eigenvalues, HADAMARD_SPECTRUM, atol=1e-12)
 
+    # The next three check the spectrum_at oracle's own refusals in
+    # tests/oracles.py, not the package's, which takes no (A, B) alone.
     def test_degenerate_input(self):
         # A below 1/12 is unrealizable, the degenerate spectrum A = 0 included
         for big_a in (0.0, 0.05):

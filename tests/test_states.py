@@ -125,8 +125,10 @@ def test_entropy_bell():
 def test_entropy_product():
     assert entropy_of_entanglement(np.array([1.0, 0.0, 0.0])) == 0.0
     # a coefficient an ulp above 1 has a positive v log2 v, and one an ulp
-    # below 1 a negative one of about 3e-16: both terms drop, giving +0.0
-    for top in (1.0 + 2.0**-52, 1.0 - 2.0**-52):
+    # below 1 a negative one of about 3e-16: both terms drop, giving +0.0;
+    # so does 1 + 8e-13, the top coefficient of a state file whose norm is
+    # off 1 by less than NORM_TOL
+    for top in (1.0 + 2.0**-52, 1.0 - 2.0**-52, 1.0 + 8e-13):
         entropy = entropy_of_entanglement(np.array([top, 0.0]))
         assert entropy == 0.0 and math.copysign(1.0, entropy) == 1.0
 
