@@ -1,6 +1,8 @@
 """Command-line interface: demos, pair checks, and classification sweeps.
 
-Exit codes: 0 success, 2 malformed input, 3 internal contract violation.
+Exit codes: 0 success, 1 a failed write to stdout (a closed pipe ends
+quietly), 2 malformed input or an unreadable state file, 3 internal
+contract violation.
 """
 
 from __future__ import annotations
@@ -8,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 
@@ -23,6 +26,7 @@ from .sweep import (
     ContractViolationError,
     _cells,
     _certified,
+    _gamma_deviation,
     _text,
     summarize,
     sweep_complex,
@@ -146,8 +150,8 @@ def _cmd_gamma_demo(args: argparse.Namespace) -> int:
         name: float(_canonical_angles(name, getattr(args, name)))
         for name in ("theta", "phi_a", "phi_b")
     }
-    initial = schmidt_vector(build_chi_initial())
-    final = schmidt_vector(chi_final(**row))
+    initial, final = schmidt_vector(np.stack([build_chi_initial(), chi_final(**row)]))
+    _gamma_deviation(final)
     row.update((f"lam_i{i + 1}", v) for i, v in enumerate(initial))
     row.update((f"lam_f{i + 1}", v) for i, v in enumerate(final))
     row["entropy_i"] = entropy_of_entanglement(initial)
@@ -266,10 +270,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a buffered write fails here
+        return code
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # an OSError naming no file is a failed write to stdout, which Python
+        # flushes again at exit: point stdout at devnull so that one is quiet
+        stdout_failed = isinstance(exc, OSError) and exc.filename is None
+        if stdout_failed:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        return 1 if stdout_failed else 2
     except (ContractViolationError, JacobiConvergenceError) as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 3

@@ -5,8 +5,10 @@ A sweep builds its parameter grid as arrays and certifies it in blocks of
 BLOCK_POINTS points with the grid kernel cases._certify, which
 cross-checks the trigonometric spectrum against the Jacobi spectrum of the
 directly constructed state, raises ContractViolationError on disagreement,
-and returns the columns A .. agree under their CSV_HEADER names.  A
-sweep's result is a dict of numpy columns keyed by the CSV_HEADER names,
+and returns the columns A .. agree under their CSV_HEADER names; by the
+same rule, sweep_gamma and gamma-demo raise when a Jacobi vector is more
+than SOLVER_AGREE_TOL from the closed form CHI_FINAL_SCHMIDT.  A sweep's
+result is a dict of numpy columns keyed by the CSV_HEADER names,
 one entry per grid point: phi and delta (None in a real sweep), then the
 kernel's columns: floats, the PairLabel and Prediction enums, and bools.
 One cell formatter picks a column's text once, from its dtype, in either
@@ -23,12 +25,11 @@ from enum import Enum
 
 import numpy as np
 
-from .cases import ContractViolationError, _certify
+from .cases import SOLVER_AGREE_TOL, ContractViolationError, _certify
 from .majorization import PairLabel
 from .scenarios import CHI_FINAL_SCHMIDT, chi_final
 from .states import schmidt_vector
 
-GAMMA_DEVIATION_TOL = 1e-10
 # Grid points per call of the certified kernel (and of the stacked Jacobi)
 # in the sweeps, and rows per formatting step, so array temporaries stay
 # bounded for any grid.  A chosen round number, not a measured optimum.
@@ -100,23 +101,25 @@ def sweep_complex(n_phi: int, n_delta: int) -> Columns:
     return _joined(blocks)
 
 
+def _gamma_deviation(vecs: np.ndarray) -> float:
+    """Max distance of final Schmidt vectors (Jacobi) from the closed form
+    CHI_FINAL_SCHMIDT; ContractViolationError if above SOLVER_AGREE_TOL."""
+    deviation = float(np.max(np.abs(vecs - CHI_FINAL_SCHMIDT)))
+    if deviation > SOLVER_AGREE_TOL:
+        raise ContractViolationError(
+            f"final Schmidt vector deviates by {deviation:.3e} from its parameter-free value"
+        )
+    return deviation
+
+
 def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
     """Max deviation of the anti-unitary scenario's final Schmidt vector from
     its parameter-free value, over an (n_theta x n_a x n_b) angle grid whose
-    axes start at 0.
-
-    Deviation at or above 1e-10 is an internal contract violation.
-    """
+    axes start at 0.  Any deviation above SOLVER_AGREE_TOL (1e-10) raises."""
     if n_theta < 1 or n_a < 1 or n_b < 1:
         raise ValueError("sweep_gamma requires positive grid sizes")
-    worst = 0.0
-    for angles in _grid_angles(n_theta, n_a, n_b):
-        vecs = schmidt_vector(chi_final(*angles))
-        worst = max(worst, float(np.max(np.abs(vecs - CHI_FINAL_SCHMIDT))))
-    if worst >= GAMMA_DEVIATION_TOL:
-        raise ContractViolationError(
-            f"final Schmidt vector deviates by {worst:.3e} from its parameter-free value"
-        )
+    blocks = _grid_angles(n_theta, n_a, n_b)
+    worst = max(_gamma_deviation(schmidt_vector(chi_final(*angles))) for angles in blocks)
     return GammaSweepSummary(n_theta, n_a, n_b, n_theta * n_a * n_b, worst)
 
 

@@ -1,20 +1,25 @@
-"""End-to-end tests of the command-line interface, run in process."""
+"""End-to-end tests of the command-line interface, run in process, except
+for failed writes to stdout, which need a process of their own."""
 
 import contextlib
 import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qincomp import cases
+from qincomp import cases, states, sweep
 from qincomp.cli import main, parse_complex, parse_schmidt_arg, parse_state_file
+from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.sweep import CSV_HEADER
 
 BELL_FILE = "2 2\n0.7071067811865476 0\n0 0\n0 0\n0.7071067811865476 0\n"
@@ -215,6 +220,32 @@ class TestGammaDemoCommand:
         assert main(["gamma-demo", "--theta=-1e-3"]) == 0
         assert spaced == capsys.readouterr().out
 
+    @pytest.mark.parametrize("shift, code", [(2e-10, 3), (5e-11, 0)])
+    def test_certified_like_sweep_gamma(self, capsys, monkeypatch, shift, code):
+        # both commands check the Jacobi final vector against the closed form
+        monkeypatch.setattr(sweep, "CHI_FINAL_SCHMIDT", sweep.CHI_FINAL_SCHMIDT + shift)
+        for argv in (["gamma-demo"], ["sweep-gamma", "--n-theta", "2", "--n-a", "2", "--n-b", "2"]):
+            assert main(argv) == code
+            captured = capsys.readouterr()
+            if code:
+                assert captured.out == ""
+                assert captured.err.startswith(
+                    "internal contract violation: final Schmidt vector deviates by 2.0"
+                )
+            else:
+                assert captured.err == "" and captured.out
+
+    def test_one_stacked_jacobi_call(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(m):
+            calls.append(m.shape)
+            return eigenvalues_hermitian_jacobi(m)
+
+        monkeypatch.setattr(states, "eigenvalues_hermitian_jacobi", counted)
+        assert main(["gamma-demo"]) == 0
+        assert calls == [(2, 3, 3)]
+
 
 class TestIppDemoCommand:
     def test_negative_values(self, capsys):
@@ -401,6 +432,46 @@ class TestSweepCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal contract violation" in captured.err
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+BIG_OUTPUT = ["sweep-real", "--n", "3600"]  # far more than a pipe holds
+
+
+def _cli_env(unbuffered):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+class TestStdoutWriteErrors:
+    def test_closed_pipe_ends_quietly(self, unbuffered):
+        with subprocess.Popen(
+            [sys.executable, "-m", "qincomp.cli", *BIG_OUTPUT],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(unbuffered),
+        ) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert first.decode() == CSV_HEADER + "\n"
+        assert err == b""
+        assert proc.returncode == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [BIG_OUTPUT, ["gamma-demo"]])
+    def test_full_device_is_one_error_line(self, unbuffered, argv):
+        # gamma-demo's one row fails only when stdout is flushed
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "qincomp.cli", *argv],
+                stdout=full, stderr=subprocess.PIPE, env=_cli_env(unbuffered), timeout=120,
+            )
+        assert done.stderr.decode() == "error: [Errno 28] No space left on device\n"
+        assert done.returncode == 1
 
 
 class TestParserErrors:

@@ -29,6 +29,7 @@ COMMANDS = {
     "case-analyze-hadamard": ["case-analyze", *HADAMARD],
     "sweep-gamma-4x3x2": ["sweep-gamma", "--n-theta", "4", "--n-a", "3", "--n-b", "2"],
     "gamma-demo": ["gamma-demo"],
+    "gamma-demo-angles": ["gamma-demo", "--theta", "0.3", "--phi-a", "1.1", "--phi-b", "2.2"],
     "check-pair-incomparable": ["check-pair", "0.5,0.4,0.1", "0.6,0.2,0.2"],
     "schmidt-2x3": ["schmidt", str(ENTANGLED_2X3)],
 }

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import CHI_INITIAL_SCHMIDT, pi_final_density_closed_form, spectrum_at
-from qincomp.cases import Prediction
+from qincomp.cases import ContractViolationError, Prediction
 from qincomp.cli import main
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel
@@ -199,6 +199,25 @@ class TestSweepGamma:
     def test_rejects_empty_axis(self):
         with pytest.raises(ValueError):
             sweep_gamma(0, 1, 1)
+
+    @pytest.mark.parametrize("shift, raises", [(2e-10, True), (5e-11, False)])
+    def test_refuses_a_closed_form_more_than_the_tolerance_off(self, monkeypatch, shift, raises):
+        monkeypatch.setattr(sweep, "CHI_FINAL_SCHMIDT", sweep.CHI_FINAL_SCHMIDT + shift)
+        if raises:
+            with pytest.raises(ContractViolationError, match="final Schmidt vector deviates by"):
+                sweep_gamma(2, 2, 2)
+        else:
+            assert sweep_gamma(2, 2, 2).max_deviation == pytest.approx(shift, rel=1e-5)
+
+    def test_deviation_equal_to_the_tolerance_certifies(self, monkeypatch):
+        # the kernel's rule: only a gap above SOLVER_AGREE_TOL raises
+        vecs = sweep.CHI_FINAL_SCHMIDT + np.array([3e-11, 0.0, 0.0])
+        deviation = float(np.max(np.abs(vecs - sweep.CHI_FINAL_SCHMIDT)))
+        monkeypatch.setattr(sweep, "SOLVER_AGREE_TOL", deviation)
+        assert sweep._gamma_deviation(vecs) == deviation
+        monkeypatch.setattr(sweep, "SOLVER_AGREE_TOL", np.nextafter(deviation, 0.0))
+        with pytest.raises(ContractViolationError):
+            sweep._gamma_deviation(vecs)
 
 
 def _assert_same_columns(got, want):
