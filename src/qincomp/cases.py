@@ -3,24 +3,30 @@ verdict from the sign of B and the position of A relative to 1/4; and the
 one certified grid kernel, which checks every prediction against the directly
 classified pair and is the route of every prediction the CLI prints.
 
+The final cubic is f(x) = x^3 - 3Ax + B, with roots x = 1 - 3 lam at the
+final eigenvalues lam, and the initial vector sits at x = -c, 0, c with
+c = sqrt(3)/2.  Every valid (alpha, beta) has A <= 2/3 < c^2, so +-c lie
+beyond the turning points +-sqrt(A), and the two linear forms L+- = f(+-c)
+= B +- (3 sqrt(3)/8)(1 - 4A) decide the verdict: L+ > 0 iff the final smallest eigenvalue
+exceeds the initial one, L- > 0 iff the final largest one does, and the
+pair is incomparable iff both are non-zero with the same sign.
+
 Every valid (alpha, beta) has B >= (3/2)(A - 1/4).  With a = |alpha|,
 b = |beta| and delta = arg beta - arg alpha, B - (3/2)(A - 1/4) equals b^2
 times a 15-term polynomial in (a, b, cos delta, sin delta) that is positive
 on the whole (phi, delta) torus; its minimum is about 0.065.
 tests/test_cases.py proves the identity and certifies the polynomial above
-0.005.  So A above 1/4 + CASE_BAND forces B above 1.5 CASE_BAND, and no
-amplitudes realize A > 1/4 with B not above 0: predict_case refuses such
-data.  For A > 1/4 the prediction is conditional.  At eigen-angle in
-[0, pi/3], B > 0 forces the largest final root above the initial one, so
-incomparability hinges on the smallest eigenvalues: it holds iff
-2 sqrt(A) cos(angle) is below sqrt(3)/2, by more than 3 MAJORIZATION_TOL
-so that a tie within the majorization's tolerance counts as comparable.
+0.005, and proves the linear-form facts above.  So A above 1/4 + CASE_BAND
+forces B above 1.5 CASE_BAND, and no amplitudes realize A > 1/4 with B not
+above 0: predict_case refuses such data.  For A > 1/4, B > 0 makes L-
+positive, so the prediction is conditional on the sign of L+, read with a
+3 MAJORIZATION_TOL margin.  The decision reads (A, B) alone and shares no
+code with either eigen-route.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -61,18 +67,6 @@ class Prediction(Enum):
     INCOMPARABLE_OR_INCREASE = "INCOMPARABLE_OR_INCREASE"
     NOT_INCOMPARABLE = "NOT_INCOMPARABLE"
     CONDITIONAL = "CONDITIONAL"
-
-
-@dataclass(frozen=True)
-class CaseVerdict:
-    """A predicted verdict; a CONDITIONAL one also carries its boundary
-    expression and whether that expression implies incomparability."""
-
-    case_id: CaseId
-    subcase: Subcase
-    predicted: Prediction
-    condition_value: float | None = None
-    condition: bool | None = None
 
 
 class ContractViolationError(RuntimeError):
@@ -129,23 +123,14 @@ def predict_case(big_a: np.ndarray, big_b: np.ndarray) -> tuple[np.ndarray, np.n
     return case, subcase, predicted
 
 
-def _condition(roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The boundary expression 2 sqrt(A) cos(angle) (the second root) and
-    whether it implies incomparability: it is below sqrt(3)/2 by more than
-    3 MAJORIZATION_TOL, so the final smallest eigenvalue (1 - value)/3
-    exceeds the initial one by more than classify_pair's tie band."""
-    value = roots[..., 1]
-    return value, value < SQRT3_HALF - 3.0 * MAJORIZATION_TOL
-
-
-def _verdict(case: int, subcase: int, prediction: Prediction, roots: np.ndarray) -> CaseVerdict:
-    """The CaseVerdict of one point's codes and prediction; the roots are
-    read only for a CONDITIONAL prediction."""
-    case_id, sub = _CASE_IDS[case], _SUBCASES[subcase]
-    if prediction is not Prediction.CONDITIONAL:
-        return CaseVerdict(case_id, sub, prediction)
-    value, incomparable = _condition(roots)
-    return CaseVerdict(case_id, sub, prediction, float(value), bool(incomparable))
+def _conditional_incomparable(big_a: np.ndarray, big_b: np.ndarray) -> np.ndarray:
+    """Whether a CONDITIONAL point is predicted incomparable: f(x) = x^3 -
+    3Ax + B is positive at x = sqrt(3)/2 - 3 MAJORIZATION_TOL, which lies
+    above sqrt(A), so the largest root, 1 - 3 lam3, is below x and the final
+    smallest eigenvalue exceeds the initial one by more than classify_pair's
+    tie band."""
+    x = SQRT3_HALF - 3.0 * MAJORIZATION_TOL
+    return x**3 - 3.0 * big_a * x + big_b > 0.0
 
 
 @lru_cache(maxsize=1)
@@ -166,16 +151,17 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     (N,) arrays under a sweep's column names, in its column order: A, B,
     the trig eigenvalues lam1 .. lam3, entropy_i and entropy_f, observed
     and predicted as PairLabel and Prediction objects, and agree.  Then,
-    for case-analyze, the case and subcase codes and the (N, 3) roots.
+    for case-analyze, the case and subcase codes.  A NaN gap fails the
+    check too.
     """
     alpha, beta = _unit_amplitudes(alpha, beta)
     coefficients = pqr(alpha, beta)
     big_a, big_b = cubic_coefficients(*coefficients)
     root = _discriminant_root(*coefficients, big_a, big_b)
-    roots, eigenvalues = spectrum_from_ab(big_a, big_b, root)[1:]
+    eigenvalues = spectrum_from_ab(big_a, big_b, root)
     final = schmidt_vector(pi_final(alpha, beta))
     gap = np.max(np.abs(eigenvalues - final), axis=-1)
-    failing = np.flatnonzero(gap > SOLVER_AGREE_TOL)
+    failing = np.flatnonzero(~(gap <= SOLVER_AGREE_TOL))
     if failing.size:
         i = failing[0]
         raise ContractViolationError(
@@ -185,10 +171,9 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     initial_vec, initial_entropy = _pi_initial_schmidt()
     case, subcase, predicted = predict_case(big_a, big_b)
     observed = _pair_codes(initial_vec, final)[0]
-    incomparable_if = _condition(roots)[1]
     agree = np.where(
         predicted == _CONDITIONAL,
-        incomparable_if == (observed == _INCOMPARABLE),
+        _conditional_incomparable(big_a, big_b) == (observed == _INCOMPARABLE),
         _ADMITTED[predicted, observed],
     )
     return {
@@ -197,5 +182,5 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
         "entropy_i": np.full(len(final), initial_entropy),
         "entropy_f": entropy_of_entanglement(final),
         "observed": _LABEL_ENUMS[observed], "predicted": _PREDICTION_ENUMS[predicted],
-        "agree": agree, "case": case, "subcase": subcase, "roots": roots,
+        "agree": agree, "case": case, "subcase": subcase,
     }

@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .cases import _certify, _verdict
+from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify
 from .linalg import JacobiConvergenceError, is_normalized
 from .majorization import classify_pair
 from .qubits import _canonical_angles
@@ -170,14 +170,16 @@ def _cmd_ipp_demo(args: argparse.Namespace) -> int:
 def _cmd_case_analyze(args: argparse.Namespace) -> int:
     alpha, beta = np.array([parse_complex(args.alpha)]), np.array([parse_complex(args.beta)])
     grid = _certify(alpha, beta)
-    verdict = _verdict(*(grid[name][0] for name in ("case", "subcase", "predicted", "roots")))
+    predicted = grid["predicted"][0]
+    conditional = predicted is Prediction.CONDITIONAL
     row = {
         "A": grid["A"],
         "B": grid["B"],
-        "case": verdict.case_id,
-        "subcase": verdict.subcase,
-        "predicted": verdict.predicted,
-        "condition_value": verdict.condition_value,
+        "case": _CASE_IDS[grid["case"][0]],
+        "subcase": _SUBCASES[grid["subcase"][0]],
+        "predicted": predicted,
+        # the largest cubic root x = 1 - 3 lam3, on which a CONDITIONAL prediction hinges
+        "condition_value": 1.0 - 3.0 * grid["lam3"] if conditional else None,
     }
     _emit(args.format, row)
     return 0

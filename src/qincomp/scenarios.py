@@ -130,18 +130,17 @@ def _discriminant_root(p, q, r, big_a: np.ndarray, big_b: np.ndarray) -> np.ndar
     return np.sqrt(two_a / 3.0 * (diagonal + 2.0 * upper))
 
 
-def spectrum_from_ab(big_a: np.ndarray, big_b: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, ...]:
+def spectrum_from_ab(big_a: np.ndarray, big_b: np.ndarray, root: np.ndarray) -> np.ndarray:
     """Trigonometric spectrum of the cubic over equal-shape arrays of (A, B)
-    and of the root sqrt(4A^3 - B^2) of their discriminant: the eigen-angles
-    in [0, pi/3], with 3*angle = atan2(root, -B); the roots 2 sqrt(A)
-    cos(2 pi/3 + angle), 2 sqrt(A) cos(angle) and 2 sqrt(A) cos(2 pi/3 -
-    angle), in that order along a new last axis; and the eigenvalues
-    (1 - root)/3, descending along that axis.  ValueError unless every
-    spectrum sums to 1, as a nan or inf discriminant root does not."""
+    and of the root sqrt(4A^3 - B^2) of their discriminant: with 3 angle =
+    atan2(root, -B), the cubic's roots are x = 2 sqrt(A) cos(angle + 2 pi
+    k/3), and the eigenvalues (1 - x)/3 are returned, descending along a new
+    last axis.  ValueError unless every spectrum sums to 1, as a nan or inf
+    discriminant root does not."""
     angle = np.arctan2(root, -big_b) / 3.0
     third = 2.0 * math.pi / 3.0
     cosines = np.cos(np.stack([third + angle, angle, third - angle], axis=-1))
     roots = (2.0 * np.sqrt(big_a))[..., None] * cosines
     eigenvalues = np.sort((1.0 - roots) / 3.0, axis=-1)[..., ::-1]
     _check_spectrum_sum(eigenvalues)
-    return angle, roots, eigenvalues
+    return eigenvalues

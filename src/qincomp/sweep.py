@@ -103,9 +103,10 @@ def sweep_complex(n_phi: int, n_delta: int) -> Columns:
 
 def _gamma_deviation(vecs: np.ndarray) -> float:
     """Max distance of final Schmidt vectors (Jacobi) from the closed form
-    CHI_FINAL_SCHMIDT; ContractViolationError if above SOLVER_AGREE_TOL."""
+    CHI_FINAL_SCHMIDT; ContractViolationError unless within SOLVER_AGREE_TOL,
+    so a NaN deviation fails too."""
     deviation = float(np.max(np.abs(vecs - CHI_FINAL_SCHMIDT)))
-    if deviation > SOLVER_AGREE_TOL:
+    if not deviation <= SOLVER_AGREE_TOL:
         raise ContractViolationError(
             f"final Schmidt vector deviates by {deviation:.3e} from its parameter-free value"
         )

@@ -4,16 +4,25 @@ so they stay outside checks of it: closed-form reduced densities, the real
 scenario's initial Schmidt vector.  Then point(), which reads the package's
 certified kernel at one amplitude pair; spectrum_at() and verdict_at(),
 which read its cubic spectrum and case analysis at cubic data (A, B) given
-alone, refusing data that no amplitudes realize; converts(), the Nielsen
-test on two vectors; and jacobi_reference(), the stacked Jacobi kernel's
-arithmetic one matrix and one pair at a time.
+alone, refusing data that no amplitudes realize; largest_root(), the
+cubic's largest root by a trigonometric formula of its own; converts(), the
+Nielsen test on two vectors; and jacobi_reference(), the stacked Jacobi
+kernel's arithmetic one matrix and one pair at a time.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from qincomp.cases import _PREDICTIONS, _certify, _verdict, predict_case
+from qincomp.cases import (
+    _CASE_IDS,
+    _PREDICTIONS,
+    _SUBCASES,
+    Prediction,
+    _certify,
+    _conditional_incomparable,
+    predict_case,
+)
 from qincomp.linalg import JACOBI_OFF_TOL, JACOBI_SWEEP_CAP
 from qincomp.majorization import PairLabel, classify_pair
 from qincomp.qubits import general_unitary, named_ket
@@ -77,7 +86,7 @@ def real_ab(alpha: float, beta: float) -> tuple[float, float]:
 
 def point(alpha: complex, beta: complex) -> dict:
     """The certified kernel's columns at one amplitude pair, each as its one
-    value: A .. agree, the case and subcase codes, and the three roots."""
+    value: A .. agree, and the case and subcase codes."""
     grid = _certify(np.array([alpha]), np.array([beta]))
     return {name: column[0] for name, column in grid.items()}
 
@@ -99,26 +108,39 @@ def _ab_discriminant_root(big_a: np.ndarray, big_b: np.ndarray) -> np.ndarray:
         return np.sqrt(np.maximum(cubed - squared, 0.0))
 
 
-def spectrum_at(big_a: float, big_b: float) -> SimpleNamespace:
-    """The package's cubic spectrum at (A, B) given alone: eigen_angle, the
-    descending eigenvalues and the three x-roots in spectrum_from_ab's
-    order.  ValueError unless (A, B) is finite, in the cubic's domain and
-    has A >= 1/12, as every amplitude pair does."""
+def spectrum_at(big_a: float, big_b: float) -> np.ndarray:
+    """The package's cubic spectrum at (A, B) given alone: the descending
+    eigenvalues.  ValueError unless (A, B) is finite, in the cubic's domain
+    and has A >= 1/12, as every amplitude pair does."""
     big_a, big_b = np.array(float(big_a)), np.array(float(big_b))
-    angle, roots, eigenvalues = spectrum_from_ab(big_a, big_b, _ab_discriminant_root(big_a, big_b))
-    return SimpleNamespace(
-        eigen_angle=float(angle), eigenvalues=eigenvalues, roots=tuple(roots.tolist())
-    )
+    return spectrum_from_ab(big_a, big_b, _ab_discriminant_root(big_a, big_b))
 
 
-def verdict_at(big_a: float, big_b: float):
-    """The CaseVerdict of the package's predict_case codes at (A, B) given
-    alone.  ValueError unless (A, B) is finite, in the cubic's domain and
+def largest_root(big_a, big_b) -> np.ndarray:
+    """The largest root 2 sqrt(A) cos(angle), 3 angle = atan2(sqrt(4A^3 -
+    B^2), -B), of x^3 - 3Ax + B over arrays (or scalars) of cubic data in
+    its domain, written here apart from the package's spectrum_from_ab."""
+    big_a, big_b = np.asarray(big_a, dtype=float), np.asarray(big_b, dtype=float)
+    angle = np.arctan2(_ab_discriminant_root(big_a, big_b), -big_b) / 3.0
+    return 2.0 * np.sqrt(big_a) * np.cos(angle)
+
+
+def verdict_at(big_a: float, big_b: float) -> SimpleNamespace:
+    """The package's case analysis at (A, B) given alone: case_id, subcase
+    and predicted from predict_case's codes, and, for a CONDITIONAL
+    prediction, condition, whether incomparability is predicted (else
+    None).  ValueError unless (A, B) is finite, in the cubic's domain and
     realized by some amplitudes (A at least 1/12, and A above 1/4 needs B
     above 0)."""
-    roots = np.array(spectrum_at(big_a, big_b).roots)
+    spectrum_at(big_a, big_b)  # the oracle's and the spectrum's refusals
     case, subcase, predicted = (int(code) for code in predict_case(float(big_a), float(big_b)))
-    return _verdict(case, subcase, _PREDICTIONS[predicted], roots)
+    prediction = _PREDICTIONS[predicted]
+    condition = None
+    if prediction is Prediction.CONDITIONAL:
+        condition = bool(_conditional_incomparable(float(big_a), float(big_b)))
+    return SimpleNamespace(
+        case_id=_CASE_IDS[case], subcase=_SUBCASES[subcase], predicted=prediction, condition=condition
+    )
 
 
 def converts(src: np.ndarray, dst: np.ndarray) -> bool:

@@ -101,7 +101,7 @@ def test_criterion_04_unitary_alone_leaves_reduced_density_fixed():
 
 def test_criterion_05_flipping_and_hadamard_points():
     flip_ab = real_ab(0.0, 1.0)
-    flip_spec = spectrum_at(*flip_ab).eigenvalues
+    flip_spec = spectrum_at(*flip_ab)
     flip_obs = point(0, 1)["observed"]
     had_ab = real_ab(SQ2, SQ2)
     had_obs = point(SQ2, SQ2)["observed"]
@@ -124,7 +124,7 @@ def test_criterion_05_flipping_and_hadamard_points():
 
 
 def test_criterion_06_identity_point_is_equal():
-    spec = spectrum_at(*real_ab(1.0, 0.0)).eigenvalues
+    spec = spectrum_at(*real_ab(1.0, 0.0))
     observed = point(1, 0)["observed"]
     ok = (
         bool(np.all(np.abs(spec - PI_INITIAL_SCHMIDT) < 1e-12))
@@ -167,7 +167,7 @@ def test_criterion_08_dual_route_oracle_equivalence():
     for _ in range(1000):
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         raw /= np.linalg.norm(raw)
-        trig = spectrum_at(*cubic_coefficients(*pqr(raw[0], raw[1]))).eigenvalues
+        trig = spectrum_at(*cubic_coefficients(*pqr(raw[0], raw[1])))
         direct = schmidt_vector(pi_final(raw[0], raw[1]))
         worst_spec = max(worst_spec, float(np.max(np.abs(trig - direct))))
     worst_ab = 0.0

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qincomp import cases, states, sweep
+from qincomp import cases, cli, states, sweep
 from qincomp.cli import main, parse_complex, parse_schmidt_arg, parse_state_file
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.sweep import CSV_HEADER
@@ -432,6 +432,30 @@ class TestSweepCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "internal contract violation" in captured.err
+
+
+class TestPlantedNanExits3:
+    """A NaN planted in the Jacobi route fails the certifying comparison
+    that reads it: a NaN gap or deviation is no agreement."""
+
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            pytest.param(cases, ["ipp-demo", "--alpha", "0.6", "--beta", "0.8"], id="ipp-demo"),
+            pytest.param(cases, ["sweep-real", "--n", "4"], id="sweep-real"),
+            pytest.param(cli, ["gamma-demo"], id="gamma-demo"),
+            pytest.param(sweep, ["sweep-gamma", "--n-theta", "2", "--n-a", "2", "--n-b", "2"],
+                         id="sweep-gamma"),
+        ],
+    )
+    def test_nan_schmidt_vector_exits_3(self, capsys, monkeypatch, module, argv):
+        schmidt_vector = module.schmidt_vector
+        monkeypatch.setattr(module, "schmidt_vector", lambda m: schmidt_vector(m) * np.nan)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal contract violation: ")
+        assert " nan " in captured.err
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

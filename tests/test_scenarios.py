@@ -315,15 +315,15 @@ class TestCubicData:
 class TestSpectrumFromAB:
     def test_flipping_spectrum(self):
         spec = spectrum_at(0.25, 0.25)
-        np.testing.assert_allclose(spec.eigenvalues, CHI_INITIAL_SCHMIDT, atol=1e-12)
+        np.testing.assert_allclose(spec, CHI_INITIAL_SCHMIDT, atol=1e-12)
 
     def test_identity_spectrum(self):
         spec = spectrum_at(0.25, 0.0)
-        np.testing.assert_allclose(spec.eigenvalues, PI_INITIAL_SCHMIDT, atol=1e-12)
+        np.testing.assert_allclose(spec, PI_INITIAL_SCHMIDT, atol=1e-12)
 
     def test_hadamard_spectrum(self):
         spec = spectrum_at(1 / 3, 0.25)
-        np.testing.assert_allclose(spec.eigenvalues, HADAMARD_SPECTRUM, atol=1e-12)
+        np.testing.assert_allclose(spec, HADAMARD_SPECTRUM, atol=1e-12)
 
     # The next three check the spectrum_at oracle's own refusals in
     # tests/oracles.py, not the package's, which takes no (A, B) alone.
@@ -346,8 +346,11 @@ class TestSpectrumFromAB:
         for _ in range(500):
             big_a, big_b = cubic_coefficients(*pqr(*random_ipp_params(rng)))
             spec = spectrum_at(big_a, big_b)
-            assert 0.0 <= spec.eigen_angle <= math.pi / 3 + 1e-15
-            assert float(np.sum(spec.eigenvalues)) == pytest.approx(1.0, abs=1e-10)
+            # an eigen-angle in [0, pi/3] puts the largest root x = 1 - 3 lam3
+            # = 2 sqrt(A) cos(angle) in [sqrt(A), 2 sqrt(A)]
+            largest = 1.0 - 3.0 * spec[2]
+            assert math.sqrt(big_a) - 1e-14 <= largest <= 2.0 * math.sqrt(big_a) + 1e-14
+            assert float(np.sum(spec)) == pytest.approx(1.0, abs=1e-10)
             assert big_b**2 <= 4.0 * big_a**3 + 1e-12
 
     def test_closed_form_matches_direct_construction(self):
@@ -356,7 +359,7 @@ class TestSpectrumFromAB:
             p = random_ipp_params(rng)
             spec = spectrum_at(*cubic_coefficients(*pqr(*p)))
             np.testing.assert_allclose(
-                spec.eigenvalues, schmidt_vector(pi_final(*p)), atol=1e-10
+                spec, schmidt_vector(pi_final(*p)), atol=1e-10
             )
 
     def test_closed_form_matches_jacobi_on_closed_form_density(self):
@@ -365,7 +368,7 @@ class TestSpectrumFromAB:
             p = random_ipp_params(rng)
             spec = spectrum_at(*cubic_coefficients(*pqr(*p)))
             jac = eigenvalues_hermitian_jacobi(pi_final_density_closed_form(*p))
-            np.testing.assert_allclose(spec.eigenvalues, jac, atol=1e-10)
+            np.testing.assert_allclose(spec, jac, atol=1e-10)
 
     def test_spectrum_record_rejects_bad_sum(self):
         from qincomp.scenarios import _check_spectrum_sum

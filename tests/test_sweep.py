@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import CHI_INITIAL_SCHMIDT, pi_final_density_closed_form, spectrum_at
-from qincomp.cases import ContractViolationError, Prediction
+from qincomp.cases import SQRT3_HALF, ContractViolationError, Prediction, _conditional_incomparable
 from qincomp.cli import main
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel
@@ -126,6 +126,10 @@ class TestSweepComplex:
             assert grid["predicted"][row] is Prediction.CONDITIONAL
             assert grid["observed"][row] is PairLabel.CONVERTIBLE_FORWARD
             assert grid["lam3"][row] == pytest.approx(PI_INITIAL_SCHMIDT[2], abs=1e-15)
+            # the largest root sits at sqrt(3)/2 to rounding, inside the
+            # 3 MAJORIZATION_TOL margin of the (A, B) condition
+            assert 1.0 - 3.0 * grid["lam3"][row] == pytest.approx(SQRT3_HALF, abs=1e-14)
+            assert not _conditional_incomparable(grid["A"][row], grid["B"][row])
         assert grid["agree"].all()
 
     def test_grid_shape_and_agreement(self):
@@ -147,7 +151,7 @@ class TestSweepComplex:
         # amplifies coefficient rounding to ~sqrt(eps) in the eigenvalues,
         # so the closed-form route cannot certify 1e-10 there
         spec = spectrum_at(0.25, 0.25 - 2.8e-17)
-        split = np.max(np.abs(spec.eigenvalues - np.array([2 / 3, 1 / 6, 1 / 6])))
+        split = np.max(np.abs(spec - np.array([2 / 3, 1 / 6, 1 / 6])))
         assert 1e-10 < split < 1e-8
 
     def test_double_root_grid_point_certified(self):
