@@ -27,6 +27,7 @@ code with either eigen-route.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from enum import Enum
 from functools import lru_cache
 
@@ -71,6 +72,16 @@ class Prediction(Enum):
 
 class ContractViolationError(RuntimeError):
     """An internal cross-check failed beyond its stated tolerance."""
+
+
+@contextmanager
+def _internal():
+    """Past input validation, a ValueError (a refused NaN that a kernel
+    made, say) is the program's fault: re-raise it as ContractViolationError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ContractViolationError(str(exc)) from exc
 
 
 # A case is the sign class of B and a subcase the position of A against
@@ -152,35 +163,36 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     the trig eigenvalues lam1 .. lam3, entropy_i and entropy_f, observed
     and predicted as PairLabel and Prediction objects, and agree.  Then,
     for case-analyze, the case and subcase codes.  A NaN gap fails the
-    check too.
+    check too, and past the amplitude check a ValueError is _internal.
     """
     alpha, beta = _unit_amplitudes(alpha, beta)
-    coefficients = pqr(alpha, beta)
-    big_a, big_b = cubic_coefficients(*coefficients)
-    root = _discriminant_root(*coefficients, big_a, big_b)
-    eigenvalues = spectrum_from_ab(big_a, big_b, root)
-    final = schmidt_vector(pi_final(alpha, beta))
-    gap = np.max(np.abs(eigenvalues - final), axis=-1)
-    failing = np.flatnonzero(~(gap <= SOLVER_AGREE_TOL))
-    if failing.size:
-        i = failing[0]
-        raise ContractViolationError(
-            f"trig and Jacobi spectra disagree by {gap[i]:.3e} at "
-            f"alpha={complex(alpha[i])!r}, beta={complex(beta[i])!r}"
+    with _internal():
+        coefficients = pqr(alpha, beta)
+        big_a, big_b = cubic_coefficients(*coefficients)
+        root = _discriminant_root(*coefficients, big_a, big_b)
+        eigenvalues = spectrum_from_ab(big_a, big_b, root)
+        final = schmidt_vector(pi_final(alpha, beta))
+        gap = np.max(np.abs(eigenvalues - final), axis=-1)
+        failing = np.flatnonzero(~(gap <= SOLVER_AGREE_TOL))
+        if failing.size:
+            i = failing[0]
+            raise ContractViolationError(
+                f"trig and Jacobi spectra disagree by {gap[i]:.3e} at "
+                f"alpha={complex(alpha[i])!r}, beta={complex(beta[i])!r}"
+            )
+        initial_vec, initial_entropy = _pi_initial_schmidt()
+        case, subcase, predicted = predict_case(big_a, big_b)
+        observed = _pair_codes(initial_vec, final)[0]
+        agree = np.where(
+            predicted == _CONDITIONAL,
+            _conditional_incomparable(big_a, big_b) == (observed == _INCOMPARABLE),
+            _ADMITTED[predicted, observed],
         )
-    initial_vec, initial_entropy = _pi_initial_schmidt()
-    case, subcase, predicted = predict_case(big_a, big_b)
-    observed = _pair_codes(initial_vec, final)[0]
-    agree = np.where(
-        predicted == _CONDITIONAL,
-        _conditional_incomparable(big_a, big_b) == (observed == _INCOMPARABLE),
-        _ADMITTED[predicted, observed],
-    )
-    return {
-        "A": big_a, "B": big_b,
-        "lam1": eigenvalues[:, 0], "lam2": eigenvalues[:, 1], "lam3": eigenvalues[:, 2],
-        "entropy_i": np.full(len(final), initial_entropy),
-        "entropy_f": entropy_of_entanglement(final),
-        "observed": _LABEL_ENUMS[observed], "predicted": _PREDICTION_ENUMS[predicted],
-        "agree": agree, "case": case, "subcase": subcase,
-    }
+        return {
+            "A": big_a, "B": big_b,
+            "lam1": eigenvalues[:, 0], "lam2": eigenvalues[:, 1], "lam3": eigenvalues[:, 2],
+            "entropy_i": np.full(len(final), initial_entropy),
+            "entropy_f": entropy_of_entanglement(final),
+            "observed": _LABEL_ENUMS[observed], "predicted": _PREDICTION_ENUMS[predicted],
+            "agree": agree, "case": case, "subcase": subcase,
+        }

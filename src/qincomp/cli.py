@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify
+from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify, _internal
 from .linalg import JacobiConvergenceError, is_normalized
 from .majorization import classify_pair
 from .qubits import _canonical_angles
@@ -150,8 +150,9 @@ def _cmd_gamma_demo(args: argparse.Namespace) -> int:
         name: float(_canonical_angles(name, getattr(args, name)))
         for name in ("theta", "phi_a", "phi_b")
     }
-    initial, final = schmidt_vector(np.stack([build_chi_initial(), chi_final(**row)]))
-    _gamma_deviation(final)
+    with _internal():
+        initial, final = schmidt_vector(np.stack([build_chi_initial(), chi_final(**row)], axis=-1))
+        _gamma_deviation(final)
     row.update((f"lam_i{i + 1}", v) for i, v in enumerate(initial))
     row.update((f"lam_f{i + 1}", v) for i, v in enumerate(final))
     row["entropy_i"] = entropy_of_entanglement(initial)

@@ -1,5 +1,6 @@
 """Dense complex linear algebra: normalization and Hermitian checks, tensor
-products, and a hand-written cyclic Jacobi Hermitian eigensolver.
+products, and a hand-written cyclic Jacobi Hermitian eigensolver, which
+stops a matrix by its off-diagonal mass or by the Kato-Temple bound.
 
 Jacobi is one of the package's two eigen-routes; the other, the closed-form
 trigonometric cubic, lives in scenarios and shares no code with it, so each
@@ -23,12 +24,16 @@ class JacobiConvergenceError(RuntimeError):
 
 
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of kets along the last axis of a and b, leading axes
-    broadcast: entry i*dim(b)+j is a_i*b_j.  The kets are not checked:
+    """Kronecker product of kets along the first axis of a and b, trailing
+    axes broadcast: entry i*dim(b)+j is a_i*b_j.  The kets are not checked:
     qubits._unit_amplitudes checks the probe amplitudes once, inside
     cases._certify."""
-    out = a[..., :, None] * b[..., None, :]
-    return out.reshape(out.shape[:-2] + (a.shape[-1] * b.shape[-1],))
+    a, b = np.asarray(a), np.asarray(b)
+    extra = max(a.ndim, b.ndim) - 1
+    out = a.reshape(a.shape[:1] + (1,) * (extra + 2 - a.ndim) + a.shape[1:]) * b.reshape(
+        b.shape[:1] + (1,) * (extra + 1 - b.ndim) + b.shape[1:]
+    )
+    return out.reshape((len(a) * len(b),) + out.shape[2:])
 
 
 def is_normalized(v: np.ndarray) -> bool:
@@ -40,11 +45,11 @@ def is_normalized(v: np.ndarray) -> bool:
 
 
 def is_hermitian(m: np.ndarray) -> bool:
-    """True iff m, or every matrix of an (N, n, n) stack m, equals its
+    """True iff m, or every matrix of an (n, n, N) stack m, equals its
     conjugate transpose entrywise within HERMITIAN_TOL."""
     m = np.asarray(m, dtype=complex)
-    return m.ndim in (2, 3) and m.shape[-1] == m.shape[-2] and bool(
-        np.all(np.abs(m - m.conj().swapaxes(-1, -2)) <= HERMITIAN_TOL)
+    return m.ndim in (2, 3) and m.shape[0] == m.shape[1] and bool(
+        np.all(np.abs(m - m.conj().swapaxes(0, 1)) <= HERMITIAN_TOL)
     )
 
 
@@ -91,8 +96,8 @@ def _round_views(flat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     that a Jacobi round reads and writes, with k = floor(n/2): the (k, N)
     pivots a_pq (the first k entries of the k-th superdiagonal) and the
     real parts of a_pp and a_qq (diagonal entries 0 .. k-1 and k .. 2k-1);
-    columns p, q as an (n, 2, k, N) block and its float pairs; rows p, q
-    as a (2, k, n, N) block; each block also with its halves swapped.
+    columns p, q as an (n, 2, k, N) block and rows p, q as a (2, k, n, N)
+    one, each with its float pairs and with its halves swapped.
     For n odd the column block skips a column in every row; numpy adds
     such complex blocks several times slower than the same bytes as
     floats, and a complex sum is the float sums of its parts, bit for bit.
@@ -105,43 +110,50 @@ def _round_views(flat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     rows = square[: 2 * k].reshape(2, k, n, width)
     return (
         flat[k :: n + 1][:k], diagonal[:k].real, diagonal[k : 2 * k].real,
-        columns, columns.view(float), columns[:, ::-1], rows, rows[::-1],
+        columns, columns.view(float), columns[:, ::-1], rows, rows.view(float), rows[::-1],
     )
 
 
 def _norms(flat: np.ndarray, n: int, off_diagonal: bool = False) -> np.ndarray:
     """Frobenius norm of each matrix of an (n*n, N) stack of row-major
     matrices, one per column, or of its off-diagonal part.  Each matrix's
-    squares are summed as one contiguous row, in numpy's pairwise order."""
-    squares = flat.real**2 + flat.imag**2
+    squares are summed in row-major order, one entry after another."""
+    squares = np.square(flat.real)
+    squares += np.square(flat.imag)
     if off_diagonal:
         squares[:: n + 1] = 0.0
-    return np.sqrt(np.sum(np.ascontiguousarray(squares.T), axis=1))
+    return np.sqrt(np.sum(squares, axis=0))
 
 
 def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, or of each matrix of an (N, n, n)
+    """Eigenvalues of a Hermitian matrix, or of each matrix of an (n, n, N)
     stack, via cyclic complex Jacobi rotations.
 
     A sweep visits every upper-triangle pivot once, in round-robin order:
     each step annihilates floor(n/2) disjoint pivots (p, q) at once in every
     matrix still rotating, with unitary plane rotations that update only rows
-    and columns p and q.  A matrix stops at the first sweep that starts with
-    its off-diagonal Frobenius mass below tol = 1e-14 max(1, ||m||_F), and
-    is not touched again.  Pivots of modulus at most tol/n are left alone
+    and columns p and q.  A matrix stops, and is not touched again, at the
+    first sweep that starts with its off-diagonal Frobenius mass eps below
+    tol = 1e-14 max(1, ||m||_F), or with delta > 2 eps and eps^2 <= tol
+    (delta - eps) for the least gap delta between its diagonal entries:
+    then by Weyl and Kato-Temple each eigenvalue is within eps^2 / (delta -
+    eps) <= tol of its diagonal entry.  delta <= 2 ||m||_F, so delta is
+    computed only in sweeps where some eps^2 <= 2 tol max(1, ||m||_F).
+    Pivots of modulus at most tol/n are left alone
     (the identity rotation, c = 1 and s = 0): were every off-diagonal entry
     that small the matrix would already stop, while rotating one between
     (nearly) equal diagonal entries turns by up to 45 degrees and undoes the
     round's other work, which costs round-robin order its quadratic
     convergence on repeated eigenvalues.  So each matrix's eigenvalues do
-    not depend on the rest of the stack.  The stack is held matrix-last, as
+    not depend on the rest of the stack.  The stack is read matrix-last, as
     (n*n, N), so that every step works on rows of N contiguous entries.
     During a round it is held in that round's order (see _round_robin), so
     the pivots sit at fixed places and the column and row updates write
-    into fixed views of it (see _round_views); one np.take moves it into a
-    second buffer in the next round's order, and the stop test reads it in
-    canonical order.  The buffers are made once per call and again only
-    when the set of rotating matrices shrinks.
+    into fixed views of it (see _round_views); one np.take moves it into
+    the other of two buffers in the next round's order, and the stop test
+    reads it in canonical order.  The two stack buffers are made once per
+    call, the work buffers again when the set of rotating matrices shrinks;
+    m is only read.
     Raises ValueError if any matrix is not Hermitian and
     JacobiConvergenceError if any has not stopped after JACOBI_SWEEP_CAP sweeps.
     Returns eigenvalues descending along the last axis: shape (n,) for one
@@ -150,63 +162,73 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if not is_hermitian(a):
         raise ValueError("eigenvalues_hermitian_jacobi requires a Hermitian matrix")
-    single = a.ndim == 2
-    stack = a[None] if single else a
-    n = a.shape[-1]
-    flat = stack.reshape(len(stack), n * n).T.copy()
+    n, count = a.shape[0], 1 if a.ndim == 2 else a.shape[2]
+    flat = a.reshape(n * n, count)
     k = n // 2
     moves = _round_robin(n)
-    stacks = ()
-    values = np.empty((len(stack), n))
+    # two stacks that the rounds write in turn; compress, which unlike a
+    # boolean index keeps a stack C-contiguous, writes into the one that
+    # does not hold flat (which is m at first)
+    room, side, stacks = np.empty((2, n * n * count), complex), 1, ()
+    values = np.empty((count, n))
     # the matrices still rotating, as their stack indices, and their stopping
     # masses: rotations keep ||a||_F fixed, so these are fixed too
-    live = np.arange(len(stack))
+    live = np.arange(count)
     off_tol = JACOBI_OFF_TOL * np.maximum(1.0, _norms(flat, n))
-    for sweep in range(JACOBI_SWEEP_CAP + 1):
-        off = _norms(flat, n, off_diagonal=True)
-        rotating = off >= off_tol
-        if not rotating.all():
-            values[live[~rotating]] = flat[:: n + 1, ~rotating].real.T
-            live, off, off_tol = live[rotating], off[rotating], off_tol[rotating]
-            # compress, unlike a boolean index, keeps the stack C-contiguous
-            flat = flat.compress(rotating, axis=1)
-        if not live.size:
-            break
-        if sweep == JACOBI_SWEEP_CAP:
-            raise JacobiConvergenceError(
-                f"off-diagonal mass {np.max(off):.3e} after {JACOBI_SWEEP_CAP} sweeps"
-            )
-        width = live.size
-        if not stacks or stacks[0][0].shape != flat.shape:
-            spare = np.empty_like(flat)
-            stacks = ((flat, _round_views(flat, n)), (spare, _round_views(spare, n)))
-            # the swapped halves' products, as one block for the columns and
-            # one for the rows; the real rotation parameters, contiguous, as a
-            # numpy call on strided operands costs about twice as much; c again
-            # as a complex array, so that no product casts it; the pairs that
-            # get the identity rotation; cross = (-conj(s), s)
-            work = np.empty(2 * k * n * width, dtype=complex)
-            column_products = work.reshape(n, 2, k, width)
-            product_floats = column_products.view(float)
-            row_products = work.reshape(2, k, n, width)
-            size, tau, t, c = np.empty((4, k, width))
-            c_complex = np.zeros((k, width), dtype=complex)
-            c_real, c_rows = c_complex.real, c_complex[:, None]
-            idle = np.empty((k, width), dtype=bool)
-            cross = np.empty((2, k, width), dtype=complex)
-            s, cross_rows = cross[1], cross[:, :, None]
-        here, there = stacks if stacks[0][0] is flat else stacks[::-1]
-        # pivots at or below this modulus get the identity rotation
-        pivot_tol = off_tol / n
-        # past |tau| ~ 1e154, tau * tau overflows to inf and t becomes 0, the
-        # limit of 1/(2 tau); a pivot of size 0 gives nan, replaced below
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    # past |tau| ~ 1e154, tau * tau overflows to inf and t becomes 0, the
+    # limit of 1/(2 tau); a pivot of size 0 gives nan, replaced below
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for sweep in range(JACOBI_SWEEP_CAP + 1):
+            off = _norms(flat, n, off_diagonal=True)
+            rotating = off >= off_tol
+            near = rotating & (off <= off_tol * np.sqrt(2.0 / JACOBI_OFF_TOL))
+            if near.any():
+                i, j = np.triu_indices(n, 1)
+                gap = np.min(np.abs(flat[i * (n + 1)].real - flat[j * (n + 1)].real), axis=0) - off
+                rotating &= ~(near & (gap > off) & (off * off <= off_tol * gap))
+            if not rotating.any():
+                values[live] = flat[:: n + 1].real.T
+                break
+            if not rotating.all():
+                values[live[~rotating]] = flat[:: n + 1, ~rotating].real.T
+                live, off, off_tol = live[rotating], off[rotating], off_tol[rotating]
+                side, width = 1 - side, live.size
+                out = room[side, : n * n * width].reshape(n * n, width)
+                flat = np.compress(rotating, flat, axis=1, out=out)
+            if sweep == JACOBI_SWEEP_CAP:
+                raise JacobiConvergenceError(
+                    f"off-diagonal mass {np.max(off):.3e} after {JACOBI_SWEEP_CAP} sweeps"
+                )
+            width = live.size
+            if not stacks or stacks[0][0].shape != flat.shape:
+                halves = room[:, : n * n * width].reshape(2, n * n, width)
+                stacks = [(stack, _round_views(stack, n)) for stack in halves]
+                # the swapped halves' products, as one block for the columns and
+                # one for the rows; the real rotation parameters, contiguous, as a
+                # numpy call on strided operands costs about twice as much; c
+                # twice per pivot, to scale float pairs (as a complex product
+                # would, but for the signs of zeros); the pairs that get the
+                # identity rotation; cross = (-conj(s), s)
+                work = np.empty(2 * k * n * width, dtype=complex)
+                column_products = work.reshape(n, 2, k, width)
+                row_products = work.reshape(2, k, n, width)
+                column_product_floats = column_products.view(float)
+                row_product_floats = row_products.view(float)
+                size, tau, t, c = np.empty((4, k, width))
+                c_twice = np.empty((k, width, 2))
+                c_columns, c_rows = c_twice.reshape(k, 2 * width), c_twice.reshape(k, 1, 2 * width)
+                idle = np.empty((k, width), dtype=bool)
+                cross = np.empty((2, k, width), dtype=complex)
+                s, cross_rows = cross[1], cross[:, :, None]
+            # pivots at or below this modulus get the identity rotation
+            pivot_tol = off_tol / n
             # with out=, take's default mode="raise" fills a temporary first;
             # the moves are valid indices, so "clip" changes nothing else
-            np.take(here[0], moves[0], axis=0, out=there[0], mode="clip")
+            np.take(flat, moves[0], axis=0, out=stacks[1 - side][0], mode="clip")
             for move in moves[1:]:
-                here, there = there, here
-                apq, app, aqq, columns, column_floats, columns_swapped, rows, rows_swapped = here[1]
+                side = 1 - side
+                (apq, app, aqq, columns, column_floats, columns_swapped,
+                 rows, row_floats, rows_swapped) = stacks[side][1]
                 # tau = (a_qq - a_pp) / (2 |a_pq|),
                 # t = sign(tau) / (|tau| + sqrt(1 + tau^2)),
                 # c = 1 / sqrt(1 + t^2) and s = (t c) (a_pq / |a_pq|),
@@ -223,18 +245,21 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
                 np.logical_not(np.greater(size, pivot_tol, out=idle), out=idle)
                 np.copyto(c, 1.0, where=idle)
                 np.copyto(s, 0.0, where=idle)
-                np.copyto(c_real, c)
+                c_twice[..., 0] = c
+                c_twice[..., 1] = c
                 np.negative(np.conjugate(s, out=cross[0]), out=cross[0])
                 # columns p, q times J = [[c, s], [-conj(s), c]], then rows
                 # p, q times J^H from the left: c x + cross (swapped x), with
                 # cross conjugated for the rows; x - y is x + (-y) bit for bit
                 np.multiply(cross, columns_swapped, out=column_products)
-                np.multiply(c_complex, columns, out=columns)
-                np.add(column_floats, product_floats, out=column_floats)
+                np.multiply(c_columns, column_floats, out=column_floats)
+                np.add(column_floats, column_product_floats, out=column_floats)
                 np.conjugate(cross, out=cross)
                 np.multiply(cross_rows, rows_swapped, out=row_products)
-                np.add(np.multiply(c_rows, rows, out=rows), row_products, out=rows)
-                np.take(here[0], move, axis=0, out=there[0], mode="clip")
-        flat = there[0]
+                np.multiply(c_rows, row_floats, out=row_floats)
+                np.add(row_floats, row_product_floats, out=row_floats)
+                np.take(stacks[side][0], move, axis=0, out=stacks[1 - side][0], mode="clip")
+            side = 1 - side
+            flat = stacks[side][0]
     values = np.sort(values, axis=-1)[:, ::-1]
-    return values[0] if single else values
+    return values[0] if a.ndim == 2 else values

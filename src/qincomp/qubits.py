@@ -66,21 +66,22 @@ def named_ket(label: SpinLabel, which: int) -> np.ndarray:
 
 def general_unitary(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
     """The 2x2 unitary [[cos t, e^{i a} sin t], [-e^{i b} sin t, e^{i(a+b)} cos t]],
-    or a stack of them over equal-shape angle arrays: shape theta.shape + (2, 2)."""
+    or a matrix-last stack of them over equal-shape angle arrays: shape
+    (2, 2) + theta.shape."""
     ct, st = np.cos(theta), np.sin(theta)
     ea, eb = np.exp(1j * phi_a), np.exp(1j * phi_b)
-    u = np.empty(np.shape(ct) + (2, 2), dtype=complex)
-    u[..., 0, 0] = ct
-    u[..., 0, 1] = ea * st
-    u[..., 1, 0] = -eb * st
-    u[..., 1, 1] = ea * eb * ct
+    u = np.empty((2, 2) + np.shape(ct), dtype=complex)
+    u[0, 0] = ct
+    u[0, 1] = ea * st
+    u[1, 0] = -eb * st
+    u[1, 1] = ea * eb * ct
     return u
 
 
 def apply_antiunitary(u: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Apply the unitary u, or each of a stack of them (from general_unitary),
     to the ket k, then conjugate every amplitude in the computational basis:
-    conj(u k), shape u.shape[:-2] + (2,).
+    conj(u k), shape (2,) + u.shape[2:].
 
     The resulting map is anti-linear and preserves inner-product modulus.
     Only k is checked: it must be one normalized single-qubit ket.
@@ -90,12 +91,11 @@ def apply_antiunitary(u: np.ndarray, k: np.ndarray) -> np.ndarray:
         raise ValueError("apply_antiunitary acts on single-qubit kets")
     if not is_normalized(k):
         raise ValueError("apply_antiunitary requires a normalized ket")
-    return np.conj(u @ k)
+    return np.conj(u[:, 0] * k[0] + u[:, 1] * k[1])
 
 
 def ipp_image(label: SpinLabel, alpha: object, beta: object) -> np.ndarray:
     """Image alpha|0_label> + beta|1_label> of the restricted superposition map,
-    over equal-shape amplitude arrays (or scalars): shape alpha.shape + (2,)."""
-    alpha = np.asarray(alpha)[..., None]
-    beta = np.asarray(beta)[..., None]
-    return alpha * named_ket(label, 0) + beta * named_ket(label, 1)
+    over equal-shape amplitude arrays (or scalars): shape (2,) + alpha.shape."""
+    shape = (2,) + (1,) * np.ndim(alpha)
+    return alpha * named_ket(label, 0).reshape(shape) + beta * named_ket(label, 1).reshape(shape)

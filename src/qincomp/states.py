@@ -12,16 +12,17 @@ ENTROPY_CLAMP = 1e-13
 
 def reduced_density_a(m: np.ndarray) -> np.ndarray:
     """Trace out subsystem B of a (dim_a, dim_b) amplitude matrix, or of each
-    matrix of an (N, dim_a, dim_b) stack, in one (stacked) matmul: entry
-    (i, k) = sum_j m[i, j] * conj(m[k, j]).  The norm is not checked."""
-    return m @ m.conj().swapaxes(-1, -2)
+    matrix of a (dim_a, dim_b, N) stack into a (dim_a, dim_a, N) one: entry
+    (i, k) = sum_j m[i, j] * conj(m[k, j]), summed over Bob's axis in one
+    einsum.  The norm is not checked."""
+    return np.einsum("ij...,kj...->ik...", m, m.conj())
 
 
 def schmidt_vector(m: np.ndarray) -> np.ndarray:
     """Descending Schmidt coefficients of a (dim_a, dim_b) amplitude matrix,
-    or of each matrix of an (N, dim_a, dim_b) stack: the min(dim_a, dim_b)
-    eigenvalues of the shared nonzero spectrum, from the smaller side's Gram
-    matrix.
+    or of each matrix of a (dim_a, dim_b, N) stack as the rows of an (N, n)
+    array: the n = min(dim_a, dim_b) eigenvalues of the shared nonzero
+    spectrum, from the smaller side's Gram matrix.
 
     That is M M^H (the A-side reduced density) when dim_a <= dim_b, else
     M^H M (the transposed B-side one); both have the squared singular values
@@ -30,8 +31,8 @@ def schmidt_vector(m: np.ndarray) -> np.ndarray:
     checked: cli.parse_state_file checks a state file's, and qubits checks
     the parameters behind the probe states.
     """
-    dim_a, dim_b = m.shape[-2:]
-    gram = reduced_density_a(m if dim_a <= dim_b else m.conj().swapaxes(-1, -2))
+    dim_a, dim_b = m.shape[:2]
+    gram = reduced_density_a(m if dim_a <= dim_b else m.conj().swapaxes(0, 1))
     return np.clip(eigenvalues_hermitian_jacobi(gram), 0.0, None)
 
 

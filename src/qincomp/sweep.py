@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cases import SOLVER_AGREE_TOL, ContractViolationError, _certify
+from .cases import SOLVER_AGREE_TOL, ContractViolationError, _certify, _internal
 from .majorization import PairLabel
 from .scenarios import CHI_FINAL_SCHMIDT, chi_final
 from .states import schmidt_vector
@@ -64,20 +64,16 @@ def _blocks(total: int):
 
 
 def _grid_angles(*sizes: int):
-    """Per block of the row-major grid of the given axis sizes, each axis's
-    angles 2 pi i / n at the block's points."""
+    """Per block of the row-major grid of the given axis sizes, the block's
+    point indices and each axis's angles 2 pi i / n at those points."""
     for index in _blocks(math.prod(sizes)):
-        yield [2.0 * math.pi * i / n for i, n in zip(np.unravel_index(index, sizes), sizes)]
+        yield index, [2.0 * math.pi * i / n for i, n in zip(np.unravel_index(index, sizes), sizes)]
 
 
 def _certified(alpha: np.ndarray, beta: np.ndarray) -> Columns:
     """The columns A .. agree of the certified kernel at (N,) amplitude arrays."""
     grid = _certify(alpha, beta)
     return {name: grid[name] for name in _COLUMNS[2:]}
-
-
-def _joined(blocks: list[Columns]) -> Columns:
-    return {name: np.concatenate([block[name] for block in blocks]) for name in _COLUMNS}
 
 
 def sweep_real(n: int) -> Columns:
@@ -94,11 +90,16 @@ def sweep_complex(n_phi: int, n_delta: int) -> Columns:
     """Classify the (phi, delta) grid with alpha = cos(phi), beta = e^{i delta} sin(phi)."""
     if n_phi < 2 or n_delta < 1:
         raise ValueError("sweep_complex requires n_phi >= 2 and n_delta >= 1")
-    blocks = []
-    for phi, delta in _grid_angles(n_phi, n_delta):
+    # blocks fill columns made once, so the result is not held twice
+    result = {}
+    for index, (phi, delta) in _grid_angles(n_phi, n_delta):
         beta = np.exp(1j * delta) * np.sin(phi)
-        blocks.append({"phi": phi, "delta": delta, **_certified(np.cos(phi), beta)})
-    return _joined(blocks)
+        block = {"phi": phi, "delta": delta, **_certified(np.cos(phi), beta)}
+        if not result:
+            result = {name: np.empty(n_phi * n_delta, col.dtype) for name, col in block.items()}
+        for name, column in block.items():
+            result[name][index] = column
+    return result
 
 
 def _gamma_deviation(vecs: np.ndarray) -> float:
@@ -119,8 +120,9 @@ def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
     axes start at 0.  Any deviation above SOLVER_AGREE_TOL (1e-10) raises."""
     if n_theta < 1 or n_a < 1 or n_b < 1:
         raise ValueError("sweep_gamma requires positive grid sizes")
-    blocks = _grid_angles(n_theta, n_a, n_b)
-    worst = max(_gamma_deviation(schmidt_vector(chi_final(*angles))) for angles in blocks)
+    with _internal():
+        blocks = _grid_angles(n_theta, n_a, n_b)
+        worst = max(_gamma_deviation(schmidt_vector(chi_final(*angles))) for _, angles in blocks)
     return GammaSweepSummary(n_theta, n_a, n_b, n_theta * n_a * n_b, worst)
 
 
@@ -138,6 +140,16 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
+def _json_float(cell: str) -> str:
+    """repr(float(cell)) of a format_float cell: its digits, as no shorter
+    text names a normal float of at most 15 digits, with ".0" on a whole
+    number; by the round trip at exponent +15 (repr's starts at 16) or
+    below -299 (subnormals have fewer digits)."""
+    if "e+15" in cell or "e-3" in cell:
+        return repr(float(cell))
+    return cell if "." in cell or "e" in cell or "n" in cell else cell + ".0"
+
+
 def _cells(column: np.ndarray, fmt: str) -> list[str]:
     """The text of each cell of a column in fmt ("csv" or "json"): floats
     to 15 significant digits (in JSON, the repr of that float, as json.dumps
@@ -147,7 +159,7 @@ def _cells(column: np.ndarray, fmt: str) -> list[str]:
     in_json = fmt == "json"
     if column.dtype.kind == "f":
         cells = list(map(format_float, values))
-        return [repr(float(cell)) for cell in cells] if in_json else cells
+        return list(map(_json_float, cells)) if in_json else cells
     if column.dtype.kind == "b":
         return ["true" if value else "false" for value in values]
     if isinstance(values[0], Enum):

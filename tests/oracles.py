@@ -164,21 +164,45 @@ def _circle_rounds(n: int) -> list[list[tuple[int, int]]]:
     return [pairs for pairs in rounds if pairs]
 
 
-def jacobi_reference(m: np.ndarray) -> np.ndarray:
+def _running_sum(values: np.ndarray) -> float:
+    """The sum of the values, one after another, from the first."""
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total
+
+
+def _scaled(c: float, x: np.ndarray) -> np.ndarray:
+    """c x for real c, as real products with the parts of x."""
+    return (c * x.view(float)).view(complex)
+
+
+def jacobi_reference(m: np.ndarray, record: list | None = None) -> np.ndarray:
     """Descending eigenvalues of one Hermitian matrix by cyclic Jacobi, with
     the arithmetic of linalg.eigenvalues_hermitian_jacobi in its order, one
-    pair at a time: each sweep first tests the off-diagonal mass (squares
-    summed in row-major order), then per round takes every pair's (c, s)
-    from its pivots, then rotates the columns of each pair, then the rows.
-    No stacks, layouts, buffers or index plans."""
+    pair at a time: each sweep first tests the off-diagonal mass eps
+    (squares summed in row-major order) against the mass rule, then the
+    Kato-Temple rule, then per round takes every pair's (c, s) from its
+    pivots, then rotates the columns of each pair, then the rows.  No
+    stacks, layouts, buffers or index plans.  With a record list, appends
+    how the matrix stopped: the sweep, the rule ("mass" or "kato-temple"),
+    the matrix as it stopped, its eps and tol, and delta - eps."""
     a = np.array(m, dtype=complex)
     n = len(a)
-    off_tol = JACOBI_OFF_TOL * max(1.0, np.sqrt(np.sum((a.real**2 + a.imag**2).ravel())))
+    off_tol = JACOBI_OFF_TOL * max(1.0, np.sqrt(_running_sum((a.real**2 + a.imag**2).ravel())))
     rounds = _circle_rounds(n)
-    for _ in range(JACOBI_SWEEP_CAP + 1):
+    for sweep in range(JACOBI_SWEEP_CAP + 1):
         squares = a.real**2 + a.imag**2
         np.fill_diagonal(squares, 0.0)
-        if not np.sqrt(np.sum(squares.ravel())) >= off_tol:
+        eps = np.sqrt(_running_sum(squares.ravel()))
+        rule, gap = ("mass", None) if not eps >= off_tol else (None, None)
+        if rule is None and eps <= off_tol * np.sqrt(2.0 / JACOBI_OFF_TOL):
+            gap = np.min(np.diff(np.sort(a.diagonal().real))) - eps
+            if gap > eps and eps * eps <= off_tol * gap:
+                rule = "kato-temple"
+        if rule is not None:
+            if record is not None:
+                record.append(SimpleNamespace(sweep=sweep, rule=rule, matrix=a, eps=eps, tol=off_tol, gap=gap))
             return np.sort(a.diagonal().real)[::-1]
         pivot_tol = off_tol / n
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -196,10 +220,10 @@ def jacobi_reference(m: np.ndarray) -> np.ndarray:
                     rotations.append((p, q, c, s))
                 for p, q, c, s in rotations:
                     col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                    a[:, p] = c * col_p + -np.conj(s) * col_q
-                    a[:, q] = c * col_q + s * col_p
+                    a[:, p] = _scaled(c, col_p) + -np.conj(s) * col_q
+                    a[:, q] = _scaled(c, col_q) + s * col_p
                 for p, q, c, s in rotations:
                     row_p, row_q = a[p].copy(), a[q].copy()
-                    a[p] = c * row_p + -s * row_q
-                    a[q] = c * row_q + np.conj(s) * row_p
+                    a[p] = _scaled(c, row_p) + -s * row_q
+                    a[q] = _scaled(c, row_q) + np.conj(s) * row_p
     raise AssertionError("jacobi_reference did not converge")

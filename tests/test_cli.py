@@ -244,7 +244,7 @@ class TestGammaDemoCommand:
 
         monkeypatch.setattr(states, "eigenvalues_hermitian_jacobi", counted)
         assert main(["gamma-demo"]) == 0
-        assert calls == [(2, 3, 3)]
+        assert calls == [(3, 3, 2)]
 
 
 class TestIppDemoCommand:
@@ -456,6 +456,52 @@ class TestPlantedNanExits3:
         assert captured.out == ""
         assert captured.err.startswith("internal contract violation: ")
         assert " nan " in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["ipp-demo", "--alpha", "0.6", "--beta", "0.8"], id="ipp-demo"),
+            pytest.param(["sweep-real", "--n", "4"], id="sweep-real"),
+            pytest.param(["gamma-demo"], id="gamma-demo"),
+            pytest.param(["sweep-gamma", "--n-theta", "2", "--n-a", "2", "--n-b", "2"], id="sweep-gamma"),
+        ],
+    )
+    def test_nan_gram_exits_3(self, capsys, monkeypatch, argv):
+        # the Jacobi route refuses the NaN Gram as non-Hermitian: past the
+        # input checks that refusal is the program's fault, not the input's
+        gram = states.reduced_density_a
+        monkeypatch.setattr(states, "reduced_density_a", lambda m: gram(m) * np.nan)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "internal contract violation: eigenvalues_hermitian_jacobi requires a Hermitian matrix\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["ipp-demo", "--alpha", "0.6", "--beta", "0.8"], id="ipp-demo"),
+            pytest.param(["case-analyze", "--alpha", "0.6", "--beta", "0.8"], id="case-analyze"),
+            pytest.param(["sweep-real", "--n", "4"], id="sweep-real"),
+        ],
+    )
+    def test_nan_discriminant_root_exits_3(self, capsys, monkeypatch, argv):
+        # the trig route refuses the spectrum of a NaN root, which does not
+        # sum to 1
+        root = cases._discriminant_root
+        monkeypatch.setattr(cases, "_discriminant_root", lambda *data: root(*data) * np.nan)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal contract violation: spectrum must sum to 1\n"
+
+    def test_malformed_input_still_exits_2(self, capsys):
+        # the input checks come first and keep their exit code
+        for argv in (["ipp-demo", "--alpha", "nan", "--beta", "0.8"], ["gamma-demo", "--theta", "nan"],
+                     ["sweep-gamma", "--n-theta", "0", "--n-a", "2", "--n-b", "2"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith("error: ")
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")

@@ -8,6 +8,7 @@ import pytest
 from oracles import jacobi_reference, spectrum_at
 from qincomp import linalg
 from qincomp.linalg import (
+    JACOBI_OFF_TOL,
     JACOBI_SWEEP_CAP,
     JacobiConvergenceError,
     _round_robin,
@@ -17,6 +18,9 @@ from qincomp.linalg import (
     is_normalized,
     tensor_product,
 )
+from qincomp.scenarios import chi_final, pi_final
+from qincomp.states import reduced_density_a
+from qincomp.sweep import _grid_angles
 
 SQ2 = 1.0 / math.sqrt(2.0)
 KET_0X = np.array([SQ2, SQ2], dtype=complex)
@@ -63,23 +67,31 @@ def test_tensor_product_preserves_normalization():
 
 
 def test_tensor_product_over_stacks():
-    # kets along the last axis, leading axes broadcast against each other
+    # kets along the first axis, trailing axes broadcast against each other
     rng = np.random.default_rng(11)
-    a = rng.normal(size=(5, 1, 3)) + 1j * rng.normal(size=(5, 1, 3))
-    b = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+    a = rng.normal(size=(3, 5, 1)) + 1j * rng.normal(size=(3, 5, 1))
+    b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
     out = tensor_product(a, b)
-    assert out.shape == (5, 4, 6)
+    assert out.shape == (6, 5, 4)
     for i, j in np.ndindex(5, 4):
-        np.testing.assert_array_equal(out[i, j], np.kron(a[i, 0], b[j]))
-    # an empty stack keeps the width of its kets' products
-    assert tensor_product(np.ones((0, 2)), KET_0Z).shape == (0, 4)
-    assert tensor_product(KET_0X, np.ones((3, 0, 2))).shape == (3, 0, 4)
+        np.testing.assert_array_equal(out[:, i, j], np.kron(a[:, i, 0], b[:, j]))
+    # a lone ket broadcasts against a stack, and an empty stack keeps the
+    # width of its kets' products
+    np.testing.assert_array_equal(tensor_product(KET_0X, b)[:, 3], np.kron(KET_0X, b[:, 3]))
+    assert tensor_product(np.ones((2, 0)), KET_0Z).shape == (4, 0)
+    assert tensor_product(KET_0X, np.ones((2, 3, 0))).shape == (4, 3, 0)
 
 
 def test_is_hermitian():
     assert is_hermitian(np.eye(3))
     assert not is_hermitian(np.array([[0, 1j], [1j, 0]]))
     assert not is_hermitian(np.zeros((2, 3)))
+    # an (n, n, N) stack: every matrix along the last axis is checked
+    stack = np.stack([np.eye(3), np.diag([1.0, 2.0, 3.0])], axis=-1).astype(complex)
+    assert is_hermitian(stack)
+    stack[0, 1, 1] = 1j
+    assert not is_hermitian(stack)
+    assert not is_hermitian(np.zeros((3, 2, 2)))
 
 
 class TestJacobiSolver:
@@ -151,8 +163,14 @@ class TestJacobiSolver:
 
 
 def random_hermitian_stack(rng, count, n):
+    """count random Hermitian n x n matrices, as a sequence along axis 0."""
     m = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
     return m + m.conj().swapaxes(-1, -2)
+
+
+def as_stack(matrices):
+    """The matrix-last (n, n, N) stack of a sequence of matrices."""
+    return np.stack(list(matrices), axis=-1)
 
 
 def capped_jacobi(m, cap):
@@ -190,10 +208,10 @@ class TestStackedJacobi:
         )
         # members stop at different sweeps, so later sweeps rotate only some
         assert len({sweeps_to_converge(matrix) for matrix in stack}) >= 3
-        rows = eigenvalues_hermitian_jacobi(stack)
+        rows = eigenvalues_hermitian_jacobi(as_stack(stack))
         assert rows.shape == (16, 3)
         for matrix, row in zip(stack, rows):
-            np.testing.assert_array_equal(row, eigenvalues_hermitian_jacobi(matrix))
+            same_bits(row, eigenvalues_hermitian_jacobi(matrix))
 
     def test_stacks_match_library_solver(self):
         rng = np.random.default_rng(37)
@@ -201,7 +219,7 @@ class TestStackedJacobi:
             stack = random_hermitian_stack(rng, 3, n)
             expected = np.sort(np.linalg.eigvalsh(stack), axis=-1)[:, ::-1]
             np.testing.assert_allclose(
-                eigenvalues_hermitian_jacobi(stack),
+                eigenvalues_hermitian_jacobi(as_stack(stack)),
                 expected,
                 rtol=0,
                 atol=1e-12 * np.max(np.abs(expected)),
@@ -211,14 +229,16 @@ class TestStackedJacobi:
         stack = random_hermitian_stack(np.random.default_rng(41), 4, 3)
         stack[2, 0, 1] += 1.0
         with pytest.raises(ValueError):
-            eigenvalues_hermitian_jacobi(stack)
+            eigenvalues_hermitian_jacobi(as_stack(stack))
 
     def test_sweep_cap_raises_on_stack(self):
         # at every cap below the slowest member's sweep count the stack
         # raises, also once the other members have stopped
         rng = np.random.default_rng(43)
         nearly_diagonal = np.diag([3.0, 1.0, 2.0]).astype(complex)
-        nearly_diagonal[0, 1] = nearly_diagonal[1, 0] = 1e-9
+        # 1e-5, not smaller: its eps^2 must exceed tol (delta - eps), or
+        # the Kato-Temple rule stops it before the first sweep
+        nearly_diagonal[0, 1] = nearly_diagonal[1, 0] = 1e-5
         stack = np.concatenate(
             [
                 np.diag([3.0, 1.0, 2.0])[None].astype(complex),
@@ -230,17 +250,17 @@ class TestStackedJacobi:
         assert needed[0] == 0 and 0 < needed[1] < max(needed)
         for cap in range(max(needed)):
             with pytest.raises(JacobiConvergenceError):
-                capped_jacobi(stack, cap)
+                capped_jacobi(as_stack(stack), cap)
         np.testing.assert_array_equal(
-            capped_jacobi(stack, max(needed)),
-            eigenvalues_hermitian_jacobi(stack),
+            capped_jacobi(as_stack(stack), max(needed)),
+            eigenvalues_hermitian_jacobi(as_stack(stack)),
         )
 
     def test_input_left_unchanged(self):
         # one matrix, a stack of one and a stack: the solver rotates a copy
         rng = np.random.default_rng(47)
         one = random_hermitian(rng, 4)
-        for m in (one, random_hermitian_stack(rng, 1, 4), random_hermitian_stack(rng, 3, 4)):
+        for m in (one, as_stack(random_hermitian_stack(rng, 1, 4)), as_stack(random_hermitian_stack(rng, 3, 4))):
             before = m.copy()
             eigenvalues_hermitian_jacobi(m)
             np.testing.assert_array_equal(m, before)
@@ -304,7 +324,9 @@ class TestRoundPlan:
             for order in round_orders(n)[0]:
                 p, q = order[:k], order[k : 2 * k]
                 stack = (labels[(order[:, None] * n + order).ravel()] * (1 - 2j))[:, None].repeat(3, axis=1)
-                apq, app, aqq, columns, column_floats, columns_swapped, rows, rows_swapped = _round_views(stack, n)
+                apq, app, aqq, columns, column_floats, columns_swapped, rows, row_floats, rows_swapped = _round_views(
+                    stack, n
+                )
                 expected = p * n + q
                 np.testing.assert_array_equal(apq, (expected * (1 - 2j))[:, None].repeat(3, axis=1))
                 np.testing.assert_array_equal(app, (p * (n + 1))[:, None].repeat(3, axis=1))
@@ -316,7 +338,9 @@ class TestRoundPlan:
                 np.testing.assert_array_equal(rows_swapped[..., 0].real, pq[::-1, :, None] * n + order)
                 np.testing.assert_array_equal(column_floats[..., ::2], columns.real)
                 np.testing.assert_array_equal(column_floats[..., 1::2], columns.imag)
-                for view in (apq, app, aqq, columns, column_floats, rows):
+                np.testing.assert_array_equal(row_floats[..., ::2], rows.real)
+                np.testing.assert_array_equal(row_floats[..., 1::2], rows.imag)
+                for view in (apq, app, aqq, columns, column_floats, rows, row_floats):
                     assert view.size == 0 or np.shares_memory(view, stack)
 
     def test_sizes_one_and_two(self):
@@ -327,7 +351,7 @@ class TestRoundPlan:
         )
         stack = random_hermitian_stack(np.random.default_rng(53), 5, 2)
         np.testing.assert_allclose(
-            eigenvalues_hermitian_jacobi(stack),
+            eigenvalues_hermitian_jacobi(as_stack(stack)),
             np.sort(np.linalg.eigvalsh(stack), axis=-1)[:, ::-1],
             atol=1e-12,
         )
@@ -352,7 +376,7 @@ class TestReferenceBits:
     @pytest.mark.parametrize("n", [*range(2, 10), 16, 24, 32])
     def test_random_matrices_and_stacks(self, n):
         stack = random_hermitian_stack(np.random.default_rng(59 + n), 3, n)
-        rows = eigenvalues_hermitian_jacobi(stack)
+        rows = eigenvalues_hermitian_jacobi(as_stack(stack))
         for matrix, row in zip(stack, rows):
             expected = jacobi_reference(matrix)
             same_bits(row, expected)
@@ -370,10 +394,99 @@ class TestReferenceBits:
             ]
         )
         assert len({sweeps_to_converge(matrix) for matrix in stack}) >= 3
-        for matrix, row in zip(stack, eigenvalues_hermitian_jacobi(stack)):
+        for matrix, row in zip(stack, eigenvalues_hermitian_jacobi(as_stack(stack))):
             same_bits(row, jacobi_reference(matrix))
 
     @pytest.mark.parametrize("name", EDGE_MATRICES)
     def test_edge_matrices(self, name):
         matrix = EDGE_MATRICES[name]
         same_bits(eigenvalues_hermitian_jacobi(matrix), jacobi_reference(matrix))
+
+
+def _grams(states):
+    """The (n, n, N) Gram stack of a matrix-last stack of states, and its
+    matrices one by one."""
+    grams = reduced_density_a(states)
+    return grams, list(np.moveaxis(grams, -1, 0))
+
+
+def _canonical_grams():
+    """Gram matrices of the canonical grids' final states: the 8x10x12
+    conjugation grid and every 30th point of the 3600-point real circle."""
+    (_, angles), = _grid_angles(8, 10, 12)
+    phi = np.linspace(0.0, 2.0 * math.pi, 3600, endpoint=False)[::30]
+    return [chi_final(*angles), pi_final(np.cos(phi), np.sin(phi) + 0j)]
+
+
+class TestKatoTempleStop:
+    """A matrix also stops once its off-diagonal mass eps is small against
+    the least gap delta between its diagonal entries: delta > 2 eps and
+    eps^2 <= tol (delta - eps).  Then every eigenvalue is within
+    eps^2 / (delta - eps) <= tol of its diagonal entry."""
+
+    def test_stopped_matrices_are_within_their_bound(self):
+        import mpmath
+
+        stopped = []
+        for states in _canonical_grams():
+            grams, matrices = _grams(states)
+            rows = eigenvalues_hermitian_jacobi(grams)
+            for matrix, row in zip(matrices[::4], rows[::4]):
+                record = []
+                same_bits(row, jacobi_reference(matrix, record))
+                if record[0].rule == "kato-temple":
+                    stopped.append(record[0])
+        assert len(stopped) > 200
+        with mpmath.workdps(40):
+            for stop in stopped:
+                bound = stop.eps**2 / stop.gap
+                assert stop.gap > stop.eps and bound <= stop.tol
+                exact = sorted(mpmath.eighe(mpmath.matrix(stop.matrix.tolist()), eigvals_only=True))
+                diagonal = np.sort(stop.matrix.diagonal().real)
+                # the eigenvalues of the matrix as it stopped, from its exact
+                # float entries, against its diagonal
+                assert max(abs(x - mpmath.mpf(d)) for x, d in zip(exact, diagonal)) <= bound
+
+    def test_stops_a_sweep_earlier_on_the_conjugation_grid(self):
+        # after sweep 3 eps is about 1e-11 and delta about 0.29: the mass
+        # rule would rotate every matrix once more
+        grams, matrices = _grams(_canonical_grams()[0])
+        for matrix in matrices[::40]:
+            record = []
+            jacobi_reference(matrix, record)
+            assert (record[0].rule, record[0].sweep) == ("kato-temple", 3)
+            assert 1e-12 < record[0].eps < 1e-10 and 0.28 < record[0].gap < 0.3
+        with pytest.raises(JacobiConvergenceError):
+            capped_jacobi(grams, 2)
+        capped_jacobi(grams, 3)
+
+    @pytest.mark.parametrize("phi", [math.pi / 2, math.pi / 2 - 1e-9, math.pi / 2 - 1e-6])
+    def test_near_double_roots_stop_by_mass(self, phi):
+        # at phi = pi/2 with delta = pi/3 two eigenvalues coincide, and
+        # near it they nearly do: delta - eps is too small for the rule
+        beta = np.sin(phi) * np.exp(1j * math.pi / 3)
+        _, (matrix,) = _grams(pi_final(np.array([math.cos(phi)]), np.array([beta])))
+        record = []
+        same_bits(eigenvalues_hermitian_jacobi(matrix), jacobi_reference(matrix, record))
+        assert record[0].rule == "mass"
+        assert record[0].eps < JACOBI_OFF_TOL
+
+    def test_b_zero_points_of_the_real_circle(self):
+        # B = 0 on the real circle: at A = 1/6 the mass rule stops first, at
+        # phi = 0 and pi (A = 1/4) the spectrum is far from degenerate and
+        # the rule stops the matrix a sweep early
+        phi = np.array([0.0, 3 * math.pi / 8, math.pi, 7 * math.pi / 8])
+        _, matrices = _grams(pi_final(np.cos(phi), np.sin(phi) + 0j))
+        rules = []
+        for matrix in matrices:
+            record = []
+            jacobi_reference(matrix, record)
+            rules.append(record[0].rule)
+        assert rules == ["kato-temple", "mass", "kato-temple", "mass"]
+
+    def test_degenerate_diagonals_never_stop_by_the_rule(self):
+        # equal diagonal entries give delta = 0: only the mass rule applies
+        for matrix in (np.eye(3) + 1e-9 * (np.ones((3, 3)) - np.eye(3)), np.diag([1.0, 1.0, 2.0]) + 0j):
+            record = []
+            same_bits(eigenvalues_hermitian_jacobi(matrix), jacobi_reference(matrix, record))
+            assert record[0].rule == "mass"

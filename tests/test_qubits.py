@@ -149,14 +149,18 @@ def test_antiunitary_preserves_inner_product_modulus():
 
 
 def test_antiunitary_over_a_unitary_stack():
-    # a (5, 7) stack of unitaries gives the (5, 7) stack of one-unitary images
+    # a matrix-last (2, 2, 5, 7) stack of unitaries gives the (2, 5, 7)
+    # stack of one-unitary images, each equal to its one-point call (numpy
+    # multiplies complex scalars, not arrays, with other roundings)
     angles = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, size=(3, 5, 7))
     stack = general_unitary(*angles)
+    assert stack.shape == (2, 2, 5, 7)
     k = named_ket(SpinLabel.Y, 0)
     images = apply_antiunitary(stack, k)
-    assert images.shape == (5, 7, 2)
+    assert images.shape == (2, 5, 7)
     for i, j in np.ndindex(5, 7):
-        np.testing.assert_array_equal(images[i, j], apply_antiunitary(stack[i, j], k))
+        np.testing.assert_array_equal(stack[..., i, j, None], general_unitary(*angles[:, i, j, None]))
+        np.testing.assert_array_equal(images[:, i, j], apply_antiunitary(stack[..., i, j], k))
 
 
 def test_antiunitary_validates_input():

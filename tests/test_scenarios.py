@@ -176,11 +176,40 @@ class TestAntiUnitaryTheorem:
         assert label is PairLabel.INCOMPARABLE
 
 
+def _bits(array):
+    """The bytes of an array's values, signs of zero included."""
+    return np.ascontiguousarray(array).tobytes()
+
+
+class TestMatrixLastStacks:
+    def test_stacked_pi_final_equals_scalar_calls(self):
+        rng = np.random.default_rng(83)
+        phi, delta = rng.uniform(0.0, 2.0 * math.pi, size=(2, 50))
+        alpha, beta = np.cos(phi), np.sin(phi) * np.exp(1j * delta)
+        stack = pi_final(alpha, beta)
+        assert stack.shape == (3, 4, 50)
+        for i in range(50):
+            one = pi_final(complex(alpha[i]), complex(beta[i]))
+            assert one.shape == (3, 4)
+            assert _bits(stack[..., i]) == _bits(one)
+
+    def test_stacked_chi_final_equals_one_point_calls(self):
+        # one-point arrays, not Python floats: numpy multiplies complex
+        # scalars with other roundings than complex arrays
+        angles = np.random.default_rng(89).uniform(0.0, 2.0 * math.pi, size=(3, 50))
+        stack = chi_final(*angles)
+        assert stack.shape == (3, 4, 50)
+        for i in range(50):
+            one = chi_final(*angles[:, i : i + 1])
+            assert _bits(stack[..., i : i + 1]) == _bits(one)
+        np.testing.assert_allclose(chi_final(*angles[:, 0]), stack[..., 0], rtol=0, atol=1e-15)
+
+
 class TestEmptyGrids:
     def test_builders_and_schmidt_vector_on_empty_arrays(self):
         empty = np.array([])
         for state in (pi_final(empty, empty), chi_final(empty, empty, empty)):
-            assert state.shape == (0, 3, 4)
+            assert state.shape == (3, 4, 0)
             assert schmidt_vector(state).shape == (0, 3)
 
 

@@ -61,14 +61,15 @@ def test_reduced_density_trace_and_positivity():
 
 
 def test_stack_matches_one_matrix_at_a_time():
-    # a stack of states is one matmul and one Jacobi call, with the same
-    # values as each state alone
+    # a matrix-last stack of states is one einsum and one Jacobi call, with
+    # the same values as each state alone
     rng = np.random.default_rng(47)
     for dims in [(3, 4), (4, 2)]:
-        stack = np.stack([random_state(rng, *dims) for _ in range(5)])
+        states = [random_state(rng, *dims) for _ in range(5)]
+        stack = np.stack(states, axis=-1)
         rhos, vecs = reduced_density_a(stack), schmidt_vector(stack)
-        assert vecs.shape == (5, min(dims))
-        for m, rho, vec in zip(stack, rhos, vecs):
+        assert rhos.shape == (dims[0], dims[0], 5) and vecs.shape == (5, min(dims))
+        for m, rho, vec in zip(states, np.moveaxis(rhos, -1, 0), vecs):
             np.testing.assert_allclose(rho, reduced_density_a(m), rtol=0, atol=1e-15)
             np.testing.assert_allclose(vec, schmidt_vector(m), rtol=0, atol=1e-15)
 

@@ -413,6 +413,31 @@ class TestSerialization:
         assert first["observed"] == "EQUAL"
         assert first["agree"] is True
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            *(sign * np.nextafter(edge, edge * step) for sign in (1.0, -1.0)
+              for edge in (1e15, 1e16) for step in (0.0, 1.0, 2.0)),
+            -0.0, 0.0, 1e-05, 1e-4, 0.1 + 0.2, 123.0, -7.0, 1.5e300, 2.2250738585072014e-308, 5e-324,
+            math.inf, -math.inf, math.nan,
+        ],
+    )
+    def test_json_float_cell_is_the_repr_of_the_rounded_float(self, x):
+        # the cell skips the parse and second format where it can; it must
+        # still be what json.dumps writes for the 15-digit float, including
+        # just below and above 1e15 and 1e16, where %.15g and repr switch
+        # to an exponent at different places
+        want = repr(float(format_float(x)))
+        assert sweep._cells(np.array([x]), "json") == [want]
+        if math.isfinite(x):
+            assert want == json.dumps(float(format_float(x)))
+
+    def test_json_float_cells_over_magnitudes(self):
+        rng = np.random.default_rng(71)
+        column = rng.standard_normal(20000) * 10.0 ** rng.integers(-330, 300, 20000).astype(float)
+        want = [repr(float(format_float(x))) for x in column.tolist()]
+        assert sweep._cells(column, "json") == want
+
     def test_json_complex_delta_is_number(self):
         payload = json.loads(records_to_json(sweep_complex(4, 2)))
         assert payload[1]["delta"] == pytest.approx(math.pi)
