@@ -134,11 +134,12 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     matrix still rotating, with unitary plane rotations that update only rows
     and columns p and q.  A matrix stops, and is not touched again, at the
     first sweep that starts with its off-diagonal Frobenius mass eps below
-    tol = 1e-14 max(1, ||m||_F), or with delta > 2 eps and eps^2 <= tol
-    (delta - eps) for the least gap delta between its diagonal entries:
-    then by Weyl and Kato-Temple each eigenvalue is within eps^2 / (delta -
-    eps) <= tol of its diagonal entry.  delta <= 2 ||m||_F, so delta is
-    computed only in sweeps where some eps^2 <= 2 tol max(1, ||m||_F).
+    tol = 1e-14 max(1, ||m||_F), or with delta > 2 eps and eps^2 <= b
+    (delta - eps), b = 1e-14 ||m||_F <= tol, for the least gap delta
+    between its diagonal entries: then by Weyl and Kato-Temple each
+    eigenvalue is within eps^2 / (delta - eps) <= b of its diagonal entry, a
+    bound relative to the matrix however small it is.  delta <= 2 ||m||_F,
+    so delta is computed only in sweeps where some eps^2 <= 2 b ||m||_F.
     Pivots of modulus at most tol/n are left alone
     (the identity rotation, c = 1 and s = 0): were every off-diagonal entry
     that small the matrix would already stop, while rotating one between
@@ -174,24 +175,25 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     # the matrices still rotating, as their stack indices, and their stopping
     # masses: rotations keep ||a||_F fixed, so these are fixed too
     live = np.arange(count)
-    off_tol = JACOBI_OFF_TOL * np.maximum(1.0, _norms(flat, n))
+    bound = JACOBI_OFF_TOL * _norms(flat, n)
+    off_tol = np.maximum(JACOBI_OFF_TOL, bound)
     # past |tau| ~ 1e154, tau * tau overflows to inf and t becomes 0, the
     # limit of 1/(2 tau); a pivot of size 0 gives nan, replaced below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for sweep in range(JACOBI_SWEEP_CAP + 1):
             off = _norms(flat, n, off_diagonal=True)
             rotating = off >= off_tol
-            near = rotating & (off <= off_tol * np.sqrt(2.0 / JACOBI_OFF_TOL))
+            near = rotating & (off <= bound * np.sqrt(2.0 / JACOBI_OFF_TOL))
             if near.any():
                 i, j = np.triu_indices(n, 1)
                 gap = np.min(np.abs(flat[i * (n + 1)].real - flat[j * (n + 1)].real), axis=0) - off
-                rotating &= ~(near & (gap > off) & (off * off <= off_tol * gap))
+                rotating &= ~(near & (gap > off) & (off * off <= bound * gap))
             if not rotating.any():
                 values[live] = flat[:: n + 1].real.T
                 break
             if not rotating.all():
                 values[live[~rotating]] = flat[:: n + 1, ~rotating].real.T
-                live, off, off_tol = live[rotating], off[rotating], off_tol[rotating]
+                live, off, off_tol, bound = (x[rotating] for x in (live, off, off_tol, bound))
                 side, width = 1 - side, live.size
                 out = room[side, : n * n * width].reshape(n * n, width)
                 flat = np.compress(rotating, flat, axis=1, out=out)

@@ -186,23 +186,25 @@ def jacobi_reference(m: np.ndarray, record: list | None = None) -> np.ndarray:
     pivots, then rotates the columns of each pair, then the rows.  No
     stacks, layouts, buffers or index plans.  With a record list, appends
     how the matrix stopped: the sweep, the rule ("mass" or "kato-temple"),
-    the matrix as it stopped, its eps and tol, and delta - eps."""
+    the matrix as it stopped, its eps, the rule's bound 1e-14 ||m||_F and
+    delta - eps."""
     a = np.array(m, dtype=complex)
     n = len(a)
-    off_tol = JACOBI_OFF_TOL * max(1.0, np.sqrt(_running_sum((a.real**2 + a.imag**2).ravel())))
+    bound = JACOBI_OFF_TOL * np.sqrt(_running_sum((a.real**2 + a.imag**2).ravel()))
+    off_tol = max(JACOBI_OFF_TOL, bound)
     rounds = _circle_rounds(n)
     for sweep in range(JACOBI_SWEEP_CAP + 1):
         squares = a.real**2 + a.imag**2
         np.fill_diagonal(squares, 0.0)
         eps = np.sqrt(_running_sum(squares.ravel()))
         rule, gap = ("mass", None) if not eps >= off_tol else (None, None)
-        if rule is None and eps <= off_tol * np.sqrt(2.0 / JACOBI_OFF_TOL):
+        if rule is None and eps <= bound * np.sqrt(2.0 / JACOBI_OFF_TOL):
             gap = np.min(np.diff(np.sort(a.diagonal().real))) - eps
-            if gap > eps and eps * eps <= off_tol * gap:
+            if gap > eps and eps * eps <= bound * gap:
                 rule = "kato-temple"
         if rule is not None:
             if record is not None:
-                record.append(SimpleNamespace(sweep=sweep, rule=rule, matrix=a, eps=eps, tol=off_tol, gap=gap))
+                record.append(SimpleNamespace(sweep=sweep, rule=rule, matrix=a, eps=eps, tol=bound, gap=gap))
             return np.sort(a.diagonal().real)[::-1]
         pivot_tol = off_tol / n
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

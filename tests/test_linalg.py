@@ -421,8 +421,8 @@ def _canonical_grams():
 class TestKatoTempleStop:
     """A matrix also stops once its off-diagonal mass eps is small against
     the least gap delta between its diagonal entries: delta > 2 eps and
-    eps^2 <= tol (delta - eps).  Then every eigenvalue is within
-    eps^2 / (delta - eps) <= tol of its diagonal entry."""
+    eps^2 <= b (delta - eps), b = 1e-14 ||m||_F.  Then every eigenvalue is
+    within eps^2 / (delta - eps) <= b of its diagonal entry."""
 
     def test_stopped_matrices_are_within_their_bound(self):
         import mpmath
