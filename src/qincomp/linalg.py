@@ -172,8 +172,9 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     # does not hold flat (which is m at first)
     room, side, stacks = np.empty((2, n * n * count), complex), 1, ()
     values = np.empty((count, n))
-    # the matrices still rotating, as their stack indices, and their stopping
-    # masses: rotations keep ||a||_F fixed, so these are fixed too
+    # the matrices still rotating, as their stack indices, and their mass-rule
+    # tolerance and Kato-Temple bound: rotations keep ||a||_F fixed, so these
+    # are fixed too
     live = np.arange(count)
     bound = JACOBI_OFF_TOL * _norms(flat, n)
     off_tol = np.maximum(JACOBI_OFF_TOL, bound)
