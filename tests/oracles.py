@@ -191,13 +191,12 @@ def jacobi_reference(m: np.ndarray, record: list | None = None) -> np.ndarray:
     a = np.array(m, dtype=complex)
     n = len(a)
     bound = JACOBI_OFF_TOL * np.sqrt(_running_sum((a.real**2 + a.imag**2).ravel()))
-    off_tol = max(JACOBI_OFF_TOL, bound)
     rounds = _circle_rounds(n)
     for sweep in range(JACOBI_SWEEP_CAP + 1):
         squares = a.real**2 + a.imag**2
         np.fill_diagonal(squares, 0.0)
         eps = np.sqrt(_running_sum(squares.ravel()))
-        rule, gap = ("mass", None) if not eps >= off_tol else (None, None)
+        rule, gap = ("mass", None) if not eps > bound else (None, None)
         if rule is None and eps <= bound * np.sqrt(2.0 / JACOBI_OFF_TOL):
             gap = np.min(np.diff(np.sort(a.diagonal().real))) - eps
             if gap > eps and eps * eps <= bound * gap:
@@ -206,7 +205,7 @@ def jacobi_reference(m: np.ndarray, record: list | None = None) -> np.ndarray:
             if record is not None:
                 record.append(SimpleNamespace(sweep=sweep, rule=rule, matrix=a, eps=eps, tol=bound, gap=gap))
             return np.sort(a.diagonal().real)[::-1]
-        pivot_tol = off_tol / n
+        pivot_tol = bound / n
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for pairs in rounds:
                 rotations = []

@@ -1,6 +1,7 @@
 """Tests for the complex linear algebra layer and the Jacobi eigensolver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -67,18 +68,11 @@ def test_tensor_product_preserves_normalization():
 
 
 def test_tensor_product_over_stacks():
-    # kets along the first axis, trailing axes broadcast against each other
+    # a lone ket against a stack of kets along its first axis, and an empty
+    # stack keeps the width of its kets' products
     rng = np.random.default_rng(11)
-    a = rng.normal(size=(3, 5, 1)) + 1j * rng.normal(size=(3, 5, 1))
     b = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
-    out = tensor_product(a, b)
-    assert out.shape == (6, 5, 4)
-    for i, j in np.ndindex(5, 4):
-        np.testing.assert_array_equal(out[:, i, j], np.kron(a[:, i, 0], b[:, j]))
-    # a lone ket broadcasts against a stack, and an empty stack keeps the
-    # width of its kets' products
     np.testing.assert_array_equal(tensor_product(KET_0X, b)[:, 3], np.kron(KET_0X, b[:, 3]))
-    assert tensor_product(np.ones((2, 0)), KET_0Z).shape == (4, 0)
     assert tensor_product(KET_0X, np.ones((2, 3, 0))).shape == (4, 3, 0)
 
 
@@ -138,10 +132,11 @@ class TestJacobiSolver:
                 )
 
     def test_scaled_matrices_match_library_solver(self):
-        # the stopping mass is relative to ||m||_F, so large matrices converge
+        # both stop rules are relative to ||m||_F, so large matrices
+        # converge and small ones do not stop early
         rng = np.random.default_rng(29)
-        for scale in (1e3, 1e6):
-            for n in (3, 5):
+        for scale in (1e-150, 1e-10, 1e3, 1e6, 1e150):
+            for n in (3, 4, 5):
                 for _ in range(25):
                     m = scale * random_hermitian(rng, n)
                     expected = np.sort(np.linalg.eigvalsh(m))[::-1]
@@ -151,6 +146,17 @@ class TestJacobiSolver:
                         rtol=0,
                         atol=1e-12 * np.max(np.abs(expected)),
                     )
+
+    def test_rejects_overflowing_norm_without_warning(self):
+        # ||m||_F^2 overflows near entries of 1e155: the bound would be inf
+        # and every matrix would stop as its own diagonal
+        m = 1e155 * random_hermitian(np.random.default_rng(31), 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                eigenvalues_hermitian_jacobi(m)
+            with pytest.raises(ValueError, match="finite"):
+                eigenvalues_hermitian_jacobi(as_stack([np.eye(4), m]))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
@@ -193,8 +199,9 @@ def sweeps_to_converge(m):
 
 class TestStackedJacobi:
     def test_rows_equal_single_matrix_calls_exactly(self):
-        # converged and zero-pivot matrices get identity rotations, which
-        # leave them unchanged, so no row depends on the rest of the stack
+        # a matrix's eigenvalues are recorded at the sweep where it stops,
+        # and every step acts on each matrix alone, so no row depends on the
+        # rest of the stack
         rng = np.random.default_rng(31)
         zero_pivot = np.array([[1.0, 0.0, 0.5], [0.0, 2.0, 0.0], [0.5, 0.0, 3.0]], dtype=complex)
         stack = np.concatenate(
@@ -206,7 +213,8 @@ class TestStackedJacobi:
                 random_hermitian_stack(rng, 12, 3),
             ]
         )
-        # members stop at different sweeps, so later sweeps rotate only some
+        # members stop at different sweeps, so later sweeps also rotate
+        # matrices whose eigenvalues are already recorded
         assert len({sweeps_to_converge(matrix) for matrix in stack}) >= 3
         rows = eigenvalues_hermitian_jacobi(as_stack(stack))
         assert rows.shape == (16, 3)
@@ -255,6 +263,17 @@ class TestStackedJacobi:
             capped_jacobi(as_stack(stack), max(needed)),
             eigenvalues_hermitian_jacobi(as_stack(stack)),
         )
+
+    def test_sweep_cap_reports_mass_of_matrices_not_stopped(self):
+        # the first matrix stops at once by the Kato-Temple rule with a mass
+        # of 1.4e-5; the second, far smaller, has not stopped
+        stopped = 1e6 * np.diag([3.0, 1.0, 2.0]) + 1e-5 * (np.ones((3, 3)) - np.eye(3))
+        going = 1e-8 * density_from_off_diagonals(0.5, 0.5, 0.5)
+        with pytest.raises(JacobiConvergenceError, match="mass 4.082e-09 "):
+            capped_jacobi(as_stack([stopped, going]), 0)
+
+    def test_empty_stack(self):
+        assert eigenvalues_hermitian_jacobi(np.zeros((3, 3, 0), dtype=complex)).shape == (0, 3)
 
     def test_input_left_unchanged(self):
         # one matrix, a stack of one and a stack: the solver rotates a copy
@@ -324,9 +343,8 @@ class TestRoundPlan:
             for order in round_orders(n)[0]:
                 p, q = order[:k], order[k : 2 * k]
                 stack = (labels[(order[:, None] * n + order).ravel()] * (1 - 2j))[:, None].repeat(3, axis=1)
-                apq, app, aqq, columns, column_floats, columns_swapped, rows, row_floats, rows_swapped = _round_views(
-                    stack, n
-                )
+                apq, app, aqq, column_floats, columns_swapped, row_floats, rows_swapped = _round_views(stack, n)
+                columns, rows = column_floats.view(complex), row_floats.view(complex)
                 expected = p * n + q
                 np.testing.assert_array_equal(apq, (expected * (1 - 2j))[:, None].repeat(3, axis=1))
                 np.testing.assert_array_equal(app, (p * (n + 1))[:, None].repeat(3, axis=1))
@@ -336,11 +354,9 @@ class TestRoundPlan:
                 np.testing.assert_array_equal(columns_swapped[..., 0].real, order[:, None, None] * n + pq[::-1])
                 np.testing.assert_array_equal(rows[..., 0].real, pq[:, :, None] * n + order)
                 np.testing.assert_array_equal(rows_swapped[..., 0].real, pq[::-1, :, None] * n + order)
-                np.testing.assert_array_equal(column_floats[..., ::2], columns.real)
-                np.testing.assert_array_equal(column_floats[..., 1::2], columns.imag)
-                np.testing.assert_array_equal(row_floats[..., ::2], rows.real)
-                np.testing.assert_array_equal(row_floats[..., 1::2], rows.imag)
-                for view in (apq, app, aqq, columns, column_floats, rows, row_floats):
+                np.testing.assert_array_equal(columns.imag, -2 * columns.real)
+                np.testing.assert_array_equal(rows.imag, -2 * rows.real)
+                for view in (apq, app, aqq, column_floats, columns_swapped, row_floats, rows_swapped):
                     assert view.size == 0 or np.shares_memory(view, stack)
 
     def test_sizes_one_and_two(self):
