@@ -43,11 +43,23 @@ def is_normalized(v: np.ndarray) -> bool:
 
 def is_hermitian(m: np.ndarray) -> bool:
     """True iff m, or every matrix of an (n, n, N) stack m, equals its
-    conjugate transpose entrywise within HERMITIAN_TOL."""
+    conjugate transpose entrywise within HERMITIAN_TOL, comparing each pair
+    i <= j once: m_ji - conj(m_ij) is m_ij - conj(m_ji) with its real part negated."""
     m = np.asarray(m, dtype=complex)
-    return m.ndim in (2, 3) and m.shape[0] == m.shape[1] and bool(
-        np.all(np.abs(m - m.conj().swapaxes(0, 1)) <= HERMITIAN_TOL)
-    )
+    if m.ndim not in (2, 3) or m.shape[0] != m.shape[1]:
+        return False
+    i, j = _upper_pairs(m.shape[0], 0)
+    upper = m[i, j]
+    upper -= m[j, i].conj()
+    return bool((np.abs(upper) <= HERMITIAN_TOL).all())
+
+
+@functools.cache
+def _upper_pairs(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, offset), cached per (n, offset); read-only."""
+    i, j = np.triu_indices(n, offset)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
 
 
 @functools.cache
@@ -177,6 +189,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     if np.isinf(bound).any():
         raise ValueError("eigenvalues_hermitian_jacobi requires ||m||_F^2 to be finite")
     pivot_tol = bound / n
+    near_bound = bound * np.sqrt(2.0 / JACOBI_OFF_TOL)
     values = np.empty((count, n))
     done = np.zeros(count, dtype=bool)
     # two stacks that the rounds write in turn, flat (m at first) going into
@@ -204,14 +217,15 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
             off = _norms(flat, n, off_diagonal=True)
             # strict, so that a zero matrix stops; a nan mass stops too
             rotating = off > bound
-            near = rotating & (off <= bound * np.sqrt(2.0 / JACOBI_OFF_TOL))
+            near = rotating & (off <= near_bound)
+            diagonal = flat[:: n + 1].real
             if near.any():
-                i, j = np.triu_indices(n, 1)
-                gap = np.min(np.abs(flat[i * (n + 1)].real - flat[j * (n + 1)].real), axis=0) - off
+                i, j = _upper_pairs(n, 1)
+                gap = np.min(np.abs(diagonal[i] - diagonal[j]), axis=0) - off
                 rotating &= ~(near & (gap > off) & (off * off <= bound * gap))
             if not rotating.all():
                 stopping = ~(rotating | done)
-                values[stopping] = flat[:: n + 1, stopping].real.T
+                np.copyto(values, diagonal.T, where=stopping[:, None])
                 done |= stopping
             if done.all():
                 break

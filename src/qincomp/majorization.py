@@ -41,12 +41,13 @@ _LABELS = (
 
 
 def _descending_padded(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a and b sorted descending along the last axis, zero-padded to one length."""
+    """a and b sorted descending along the last axis, the shorter zero-padded."""
     a = np.sort(np.asarray(a, dtype=float), axis=-1)[..., ::-1]
     b = np.sort(np.asarray(b, dtype=float), axis=-1)[..., ::-1]
     n = max(a.shape[-1], b.shape[-1])
     return tuple(
-        np.pad(v, [(0, 0)] * (v.ndim - 1) + [(0, n - v.shape[-1])]) for v in (a, b)
+        v if v.shape[-1] == n else np.pad(v, [(0, 0)] * (v.ndim - 1) + [(0, n - v.shape[-1])])
+        for v in (a, b)
     )
 
 

@@ -9,11 +9,13 @@ import pytest
 from oracles import jacobi_reference, spectrum_at
 from qincomp import linalg
 from qincomp.linalg import (
+    HERMITIAN_TOL,
     JACOBI_OFF_TOL,
     JACOBI_SWEEP_CAP,
     JacobiConvergenceError,
     _round_robin,
     _round_views,
+    _upper_pairs,
     eigenvalues_hermitian_jacobi,
     is_hermitian,
     is_normalized,
@@ -86,6 +88,20 @@ def test_is_hermitian():
     stack[0, 1, 1] = 1j
     assert not is_hermitian(stack)
     assert not is_hermitian(np.zeros((3, 2, 2)))
+    # one entry of one matrix off, in either triangle or on the diagonal:
+    # each pair i <= j is compared once, and every such fault must count
+    x = np.random.default_rng(71).normal(size=(3, 3, 4, 2)) @ [1.0, 1j]
+    stack = x + x.conj().swapaxes(0, 1)
+    assert is_hermitian(stack)
+    for entry, fault in (((2, 0, 1), 1.0), ((0, 2, 1), 1.0), ((1, 1, 1), 1j)):
+        for scale, accepted in ((10.0, False), (0.1, True)):
+            faulted = stack.copy()
+            faulted[entry] += scale * HERMITIAN_TOL * fault
+            assert is_hermitian(faulted) is accepted
+            assert is_hermitian(faulted[..., 1]) is accepted
+    stack[2, 0, 1] = math.nan
+    assert not is_hermitian(stack)
+    assert not is_hermitian(stack[..., 1])
 
 
 class TestJacobiSolver:
@@ -320,6 +336,17 @@ class TestRoundPlan:
                 np.testing.assert_array_equal(np.sort(move), np.arange(n * n))
                 assert not move.flags.writeable
             np.testing.assert_array_equal(round_orders(n)[1], np.arange(n * n))
+
+    def test_upper_pairs_are_cached_and_read_only(self):
+        for n in range(1, 7):
+            for offset in (0, 1):
+                pairs = _upper_pairs(n, offset)
+                np.testing.assert_array_equal(pairs, np.triu_indices(n, offset))
+                assert _upper_pairs(n, offset) is pairs
+                for index in pairs:
+                    assert not index.flags.writeable
+                    with pytest.raises(ValueError, match="read-only"):
+                        index[...] = 0
 
     def test_pairs_are_disjoint_and_meet_once_per_sweep(self):
         for n in PLAN_SIZES:
