@@ -161,9 +161,9 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     ContractViolationError is raised for the first failing point.  Returns
     (N,) arrays under a sweep's column names, in its column order: A, B,
     the trig eigenvalues lam1 .. lam3, entropy_i and entropy_f, observed
-    and predicted as PairLabel and Prediction objects, and agree.  Then,
-    for case-analyze, the case and subcase codes.  A NaN gap fails the
-    check too, and past the amplitude check a ValueError is _internal.
+    and predicted as PairLabel and Prediction objects, and agree.  A NaN
+    gap fails the check too, and past the amplitude check a ValueError is
+    _internal.
     """
     alpha, beta = _unit_amplitudes(alpha, beta)
     with _internal():
@@ -181,7 +181,7 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
                 f"alpha={complex(alpha[i])!r}, beta={complex(beta[i])!r}"
             )
         initial_vec, initial_entropy = _pi_initial_schmidt()
-        case, subcase, predicted = predict_case(big_a, big_b)
+        predicted = predict_case(big_a, big_b)[2]
         observed = _pair_codes(initial_vec, final)[0]
         agree = np.where(
             predicted == _CONDITIONAL,
@@ -194,5 +194,5 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
             "entropy_i": np.full(len(final), initial_entropy),
             "entropy_f": entropy_of_entanglement(final),
             "observed": _LABEL_ENUMS[observed], "predicted": _PREDICTION_ENUMS[predicted],
-            "agree": agree, "case": case, "subcase": subcase,
+            "agree": agree,
         }

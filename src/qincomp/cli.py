@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify, _internal
+from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify, _internal, predict_case
 from .linalg import JacobiConvergenceError, is_normalized
 from .majorization import classify_pair
 from .qubits import _canonical_angles
@@ -25,7 +25,6 @@ from .states import entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
     _cells,
-    _certified,
     _gamma_deviation,
     _text,
     summarize,
@@ -123,16 +122,15 @@ def _rounded(values) -> list[float]:
     return [float(cell) for cell in _cells(np.atleast_1d(values), "csv")]
 
 
-def _cmd_schmidt(args: argparse.Namespace) -> int:
+def _cmd_schmidt(args: argparse.Namespace) -> None:
     vec = schmidt_vector(parse_state_file(args.state_file))
     entropy = entropy_of_entanglement(vec)
     row = {f"lam{i + 1}": v for i, v in enumerate(vec)}
     row["entropy"] = entropy
     _emit(args.format, row, {"schmidt": _rounded(vec), "entropy": _rounded(entropy)[0]})
-    return 0
 
 
-def _cmd_check_pair(args: argparse.Namespace) -> int:
+def _cmd_check_pair(args: argparse.Namespace) -> None:
     src = parse_schmidt_arg(args.vec_a)
     dst = parse_schmidt_arg(args.vec_b)
     verdict = classify_pair(src, dst)
@@ -142,16 +140,14 @@ def _cmd_check_pair(args: argparse.Namespace) -> int:
         "partial_sums_dst": _rounded(verdict.partial_sums_dst),
     }
     print(json.dumps(payload, indent=2) if args.format == "json" else verdict.label.value)
-    return 0
 
 
-def _cmd_gamma_demo(args: argparse.Namespace) -> int:
-    row = {
-        name: float(_canonical_angles(name, getattr(args, name)))
-        for name in ("theta", "phi_a", "phi_b")
-    }
+def _cmd_gamma_demo(args: argparse.Namespace) -> None:
+    # one-point angle arrays, so the final state is sweep-gamma's at these angles, bit for bit
+    row = {name: _canonical_angles(name, [getattr(args, name)]) for name in ("theta", "phi_a", "phi_b")}
     with _internal():
-        initial, final = schmidt_vector(np.stack([build_chi_initial(), chi_final(**row)], axis=-1))
+        stack = np.concatenate([build_chi_initial()[..., None], chi_final(**row)], axis=-1)
+        initial, final = schmidt_vector(stack)
         _gamma_deviation(final)
     row.update((f"lam_i{i + 1}", v) for i, v in enumerate(initial))
     row.update((f"lam_f{i + 1}", v) for i, v in enumerate(final))
@@ -159,60 +155,57 @@ def _cmd_gamma_demo(args: argparse.Namespace) -> int:
     row["entropy_f"] = entropy_of_entanglement(final)
     row["observed"] = classify_pair(initial, final).label
     _emit(args.format, row)
-    return 0
 
 
-def _cmd_ipp_demo(args: argparse.Namespace) -> int:
+def _cmd_ipp_demo(args: argparse.Namespace) -> None:
     alpha, beta = np.array([parse_complex(args.alpha)]), np.array([parse_complex(args.beta)])
-    _emit(args.format, _certified(alpha, beta))
-    return 0
+    _emit(args.format, _certify(alpha, beta))
 
 
-def _cmd_case_analyze(args: argparse.Namespace) -> int:
+def _cmd_case_analyze(args: argparse.Namespace) -> None:
     alpha, beta = np.array([parse_complex(args.alpha)]), np.array([parse_complex(args.beta)])
     grid = _certify(alpha, beta)
+    case, subcase, _ = predict_case(grid["A"], grid["B"])
     predicted = grid["predicted"][0]
     conditional = predicted is Prediction.CONDITIONAL
     row = {
         "A": grid["A"],
         "B": grid["B"],
-        "case": _CASE_IDS[grid["case"][0]],
-        "subcase": _SUBCASES[grid["subcase"][0]],
+        "case": _CASE_IDS[case[0]],
+        "subcase": _SUBCASES[subcase[0]],
         "predicted": predicted,
         # the largest cubic root x = 1 - 3 lam3, on which a CONDITIONAL prediction hinges
         "condition_value": 1.0 - 3.0 * grid["lam3"] if conditional else None,
     }
     _emit(args.format, row)
-    return 0
 
 
 def _print_result(args: argparse.Namespace, result) -> None:
     if args.summary:
         summary = summarize(result)
+        fractions = summary["fractions"]
         row = {"total": summary["total"]}
         row.update((f"count_{k}", v) for k, v in summary["counts"].items())
-        row.update((f"frac_{k}", v) for k, v in summary["fractions"].items())
-        _emit(args.format, row, summary)
+        row.update((f"frac_{k}", v) for k, v in fractions.items())
+        rounded = dict(zip(fractions, _rounded(list(fractions.values()))))
+        _emit(args.format, row, {**summary, "fractions": rounded})
     else:
         # every block is certified before the first is formatted, so a sweep
         # that exits 3 has written nothing
         sys.stdout.writelines(_text(result, args.format))
 
 
-def _cmd_sweep_real(args: argparse.Namespace) -> int:
+def _cmd_sweep_real(args: argparse.Namespace) -> None:
     _print_result(args, sweep_real(args.n))
-    return 0
 
 
-def _cmd_sweep_complex(args: argparse.Namespace) -> int:
+def _cmd_sweep_complex(args: argparse.Namespace) -> None:
     _print_result(args, sweep_complex(args.n_phi, args.n_delta))
-    return 0
 
 
-def _cmd_sweep_gamma(args: argparse.Namespace) -> int:
+def _cmd_sweep_gamma(args: argparse.Namespace) -> None:
     summary = sweep_gamma(args.n_theta, args.n_a, args.n_b)
     _emit(args.format, vars(summary))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,9 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()  # so that a buffered write fails here
-        return code
+        return 0
     except (ValueError, OSError) as exc:
         # an OSError naming no file is a failed write to stdout, which Python
         # flushes again at exit: point stdout at devnull so that one is quiet

@@ -36,7 +36,6 @@ from .states import schmidt_vector
 BLOCK_POINTS = 4096
 
 CSV_HEADER = "phi,delta,A,B,lam1,lam2,lam3,entropy_i,entropy_f,observed,predicted,agree"
-_COLUMNS = tuple(CSV_HEADER.split(","))
 
 _CATEGORY = {
     PairLabel.INCOMPARABLE: "incomparable",
@@ -70,12 +69,6 @@ def _grid_angles(*sizes: int):
         yield index, [2.0 * math.pi * i / n for i, n in zip(np.unravel_index(index, sizes), sizes)]
 
 
-def _certified(alpha: np.ndarray, beta: np.ndarray) -> Columns:
-    """The columns A .. agree of the certified kernel at (N,) amplitude arrays."""
-    grid = _certify(alpha, beta)
-    return {name: grid[name] for name in _COLUMNS[2:]}
-
-
 def sweep_real(n: int) -> Columns:
     """Classify n equally spaced real parameter points phi in [0, 2pi): the
     one-delta complex sweep, with its delta column blank."""
@@ -94,7 +87,7 @@ def sweep_complex(n_phi: int, n_delta: int) -> Columns:
     result = {}
     for index, (phi, delta) in _grid_angles(n_phi, n_delta):
         beta = np.exp(1j * delta) * np.sin(phi)
-        block = {"phi": phi, "delta": delta, **_certified(np.cos(phi), beta)}
+        block = {"phi": phi, "delta": delta, **_certify(np.cos(phi), beta)}
         if not result:
             result = {name: np.empty(n_phi * n_delta, col.dtype) for name, col in block.items()}
         for name, column in block.items():

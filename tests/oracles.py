@@ -86,7 +86,7 @@ def real_ab(alpha: float, beta: float) -> tuple[float, float]:
 
 def point(alpha: complex, beta: complex) -> dict:
     """The certified kernel's columns at one amplitude pair, each as its one
-    value: A .. agree, and the case and subcase codes."""
+    value: A .. agree."""
     grid = _certify(np.array([alpha]), np.array([beta]))
     return {name: column[0] for name, column in grid.items()}
 

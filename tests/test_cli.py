@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qincomp import cases, cli, states, sweep
+from qincomp import cases, cli, scenarios, states, sweep
 from qincomp.cli import main, parse_complex, parse_schmidt_arg, parse_state_file
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.sweep import CSV_HEADER
@@ -151,8 +151,10 @@ class TestSchmidtCommand:
         [
             ("2 2\n1 0\n", "state file needs 4 amplitude lines, found 1"),
             ("2 2\nnan 0\n0 0\n0 0\n0 0\n", "state amplitudes must have unit norm"),
+            ("2 x\n", "state file dimensions must be integers"),
+            ("2 2\n1 0 0\n0 0\n0 0\n0 0\n", "amplitude line 2 must be 're im'"),
         ],
-        ids=["wrong_count", "nan"],
+        ids=["wrong_count", "nan", "non_integer_dimension", "three_fields"],
     )
     def test_refused_file_exits_2_quietly(self, tmp_path, capsys, text, message):
         # the parser is the one check of a state file: a refusal is one
@@ -234,6 +236,19 @@ class TestGammaDemoCommand:
                 )
             else:
                 assert captured.err == "" and captured.out
+
+    def test_final_vector_is_sweep_gammas(self, monkeypatch):
+        # gamma-demo builds its final state from one-point angle arrays, as
+        # sweep-gamma does from a block of them, so the two agree bit for bit
+        rows = []
+        monkeypatch.setattr(cli, "_emit", lambda fmt, row, payload=None: rows.append(row))
+        rng = np.random.default_rng(20)
+        for theta, phi_a, phi_b in rng.uniform(0.0, 2.0 * math.pi, size=(24, 3)).tolist():
+            assert main(["gamma-demo", "--theta", repr(theta), "--phi-a", repr(phi_a),
+                         "--phi-b", repr(phi_b)]) == 0
+            one_point = [np.array([angle]) for angle in (theta, phi_a, phi_b)]
+            expected = states.schmidt_vector(scenarios.chi_final(*one_point))[0]
+            assert [rows[-1][f"lam_f{i}"] for i in (1, 2, 3)] == expected.tolist()
 
     def test_one_stacked_jacobi_call(self, capsys, monkeypatch):
         calls = []
@@ -371,6 +386,22 @@ class TestSweepCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["total"] == 8
         assert sum(payload["counts"].values()) == 8
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep-real", "--n", "3600"], ["sweep-complex", "--n-phi", "60", "--n-delta", "12"]],
+        ids=["real", "complex"],
+    )
+    def test_summary_json_fractions_are_the_csv_cells(self, capsys, argv):
+        # JSON floats carry the 15 significant digits of the CSV cells
+        assert main([*argv, "--summary"]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert main([*argv, "--summary", "--format", "json"]) == 0
+        fractions = json.loads(capsys.readouterr().out)["fractions"]
+        assert len(fractions) == 4
+        for name, value in fractions.items():
+            assert value == float(cells[f"frac_{name}"])
 
     def test_sweep_real_json_records(self, capsys):
         assert main(["sweep-real", "--n", "4", "--format", "json"]) == 0

@@ -39,6 +39,11 @@ class TestSweepReal:
         for column in result.values():
             assert isinstance(column, np.ndarray) and column.shape == (6,)
 
+    def test_kernel_returns_the_sweep_columns_in_order(self):
+        # sweep_complex and ipp-demo use the kernel's columns as it returns them
+        grid = cases._certify(np.array([0.6, 1.0]), np.array([0.8j, 0.0]))
+        assert list(grid) == CSV_HEADER.split(",")[2:]
+
     def test_four_point_labels(self):
         assert sweep_real(4)["observed"].tolist() == [
             PairLabel.EQUAL,
