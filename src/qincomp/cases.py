@@ -36,6 +36,7 @@ import numpy as np
 from .majorization import _LABELS, MAJORIZATION_TOL, PairLabel, _pair_codes
 from .qubits import _unit_amplitudes
 from .scenarios import (
+    PI_INITIAL_SCHMIDT,
     _discriminant_root,
     build_pi_initial,
     cubic_coefficients,
@@ -144,9 +145,23 @@ def _conditional_incomparable(big_a: np.ndarray, big_b: np.ndarray) -> np.ndarra
     return x**3 - 3.0 * big_a * x + big_b > 0.0
 
 
+def _closed_form_deviation(vecs: np.ndarray, closed_form: np.ndarray, which: str) -> float:
+    """Max distance of Schmidt vectors (Jacobi) from their parameter-free
+    closed form; ContractViolationError unless within SOLVER_AGREE_TOL, so a
+    NaN deviation fails too."""
+    deviation = float(np.max(np.abs(vecs - closed_form)))
+    if not deviation <= SOLVER_AGREE_TOL:
+        raise ContractViolationError(
+            f"{which} Schmidt vector deviates by {deviation:.3e} from its parameter-free value"
+        )
+    return deviation
+
+
 @lru_cache(maxsize=1)
 def _pi_initial_schmidt() -> tuple[np.ndarray, float]:
+    """The initial Schmidt vector, checked against PI_INITIAL_SCHMIDT, and its entropy."""
     vec = schmidt_vector(build_pi_initial())
+    _closed_form_deviation(vec, PI_INITIAL_SCHMIDT, "initial")
     return vec, entropy_of_entanglement(vec)
 
 

@@ -20,11 +20,12 @@ from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify, _internal, predic
 from .linalg import JacobiConvergenceError, is_normalized
 from .majorization import classify_pair
 from .qubits import _canonical_angles
-from .scenarios import SPECTRUM_SUM_TOL, build_chi_initial, chi_final
+from .scenarios import CHI_INITIAL_SCHMIDT, SPECTRUM_SUM_TOL, build_chi_initial, chi_final
 from .states import entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
     _cells,
+    _closed_form_deviation,
     _gamma_deviation,
     _text,
     summarize,
@@ -148,6 +149,7 @@ def _cmd_gamma_demo(args: argparse.Namespace) -> None:
     with _internal():
         stack = np.concatenate([build_chi_initial()[..., None], chi_final(**row)], axis=-1)
         initial, final = schmidt_vector(stack)
+        _closed_form_deviation(initial, CHI_INITIAL_SCHMIDT, "initial")
         _gamma_deviation(final)
     row.update((f"lam_i{i + 1}", v) for i, v in enumerate(initial))
     row.update((f"lam_f{i + 1}", v) for i, v in enumerate(final))

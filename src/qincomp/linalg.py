@@ -163,17 +163,17 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     _round_views); one np.take moves it into the other of two buffers in
     the next round's order, and the stop test reads it in canonical order.
     The buffers are made once per call; m is only read.
-    ||m||_F^2 must be finite, so ||m||_F below about 1e154.  Below about
-    1e-154 the squares summed into eps go subnormal, and entries below about
-    1e-162 square to 0, so a matrix may stop with such entries left: on
-    50 random 4x4 matrices s (x + x^H), x standard complex normal, the
-    worst relative error is 2e-15 at s = 1e-155, 1e-9 at 1e-158 and 2e-5
-    at 1e-160, and near 1e-162 the diagonal is returned.
+    ||m||_F^2 must be finite, so ||m||_F below about 1e154.  Below ||m||_F
+    = 2^-500 the squares summed into eps would go subnormal, so such a
+    matrix is run scaled by the power of two that brings its largest |m_ij|
+    into [1/2, 1), and its eigenvalues are scaled back; scaling by a power
+    of two is exact, so no other matrix's bits change.
     Raises ValueError if any matrix is not Hermitian or has an infinite
     ||m||_F^2, and JacobiConvergenceError if any has not stopped after
     JACOBI_SWEEP_CAP sweeps.
     Returns eigenvalues descending along the last axis: shape (n,) for one
-    matrix, (N, n) for a stack.
+    matrix, (N, n) for a stack, held point-last (its transpose is
+    C-contiguous), so that each eigenvalue index is a contiguous row.
     """
     a = np.asarray(m, dtype=complex)
     if not is_hermitian(a):
@@ -185,12 +185,21 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     # the stop bound, and the pivot size below which a pivot is left alone:
     # rotations keep ||a||_F fixed, so these are fixed too
     with np.errstate(over="ignore"):
-        bound = JACOBI_OFF_TOL * _norms(flat, n)
+        norms = _norms(flat, n)
+    tiny = norms < 2.0**-500
+    if tiny.any():
+        # powers of two as exponents, so that no scale factor overflows
+        shift = np.frexp(np.max(np.abs(flat[:, tiny]), axis=0))[1]
+        flat = flat.copy()
+        for part in (flat.real, flat.imag):
+            part[:, tiny] = np.ldexp(part[:, tiny], -shift)
+        norms[tiny] = _norms(flat[:, tiny], n)
+    bound = JACOBI_OFF_TOL * norms
     if np.isinf(bound).any():
         raise ValueError("eigenvalues_hermitian_jacobi requires ||m||_F^2 to be finite")
     pivot_tol = bound / n
     near_bound = bound * np.sqrt(2.0 / JACOBI_OFF_TOL)
-    values = np.empty((count, n))
+    values = np.empty((n, count))
     done = np.zeros(count, dtype=bool)
     # two stacks that the rounds write in turn, flat (m at first) going into
     # the first, and their round views
@@ -225,7 +234,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
                 rotating &= ~(near & (gap > off) & (off * off <= bound * gap))
             if not rotating.all():
                 stopping = ~(rotating | done)
-                np.copyto(values, diagonal.T, where=stopping[:, None])
+                np.copyto(values, diagonal, where=stopping)
                 done |= stopping
             if done.all():
                 break
@@ -252,7 +261,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
                 np.sqrt(np.add(1.0, np.multiply(t, t, out=tau), out=tau), out=tau)
                 np.divide(1.0, tau, out=c)
                 np.multiply(np.multiply(t, c, out=t), np.divide(apq, size, out=s), out=s)
-                np.logical_not(np.greater(size, pivot_tol, out=idle), out=idle)
+                np.less_equal(size, pivot_tol, out=idle)
                 np.copyto(c, 1.0, where=idle)
                 np.copyto(s, 0.0, where=idle)
                 c_twice[..., 0] = c
@@ -271,5 +280,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
                 np.take(stacks[side][0], move, axis=0, out=stacks[1 - side][0], mode="clip")
             side = 1 - side
             flat = stacks[side][0]
-    values = np.sort(values, axis=-1)[:, ::-1]
+    if tiny.any():
+        values[:, tiny] = np.ldexp(values[:, tiny], shift)
+    values = np.ascontiguousarray(np.sort(values, axis=0)[::-1]).T
     return values[0] if a.ndim == 2 else values

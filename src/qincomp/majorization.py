@@ -3,8 +3,10 @@
 A source Schmidt vector converts to a target exactly when every partial
 sum of the source (sorted descending) stays at or below the target's.
 A pair convertible in neither direction is incomparable.  majorizes tests
-descending partial sums; _pair_codes builds them from the vectors and calls
-it once per direction, for classify_pair and for the certified kernel.
+descending partial sums; _pair_codes builds them from descending vectors of
+one length and calls it once per direction, for classify_pair, which sorts
+and pads the user's vectors, and for the certified kernel, whose spectra
+are already descending.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ def majorizes(sums_b: np.ndarray, sums_a: np.ndarray) -> np.ndarray:
 
 def _pair_codes(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pair codes (indices into _LABELS) and partial sums of src and dst,
-    pairing vectors along the last axis; leading axes broadcast."""
-    src, dst = _descending_padded(src, dst)
+    pairing descending vectors of one length along the last axis; leading
+    axes broadcast."""
     sums_src, sums_dst = np.cumsum(src, axis=-1), np.cumsum(dst, axis=-1)
     forward = majorizes(sums_dst, sums_src)
     backward = majorizes(sums_src, sums_dst)
@@ -70,5 +72,5 @@ def _pair_codes(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def classify_pair(src: np.ndarray, dst: np.ndarray) -> PairVerdict:
     """Nielsen verdict for converting src into dst under deterministic LOCC."""
-    code, sums_src, sums_dst = _pair_codes(src, dst)
+    code, sums_src, sums_dst = _pair_codes(*_descending_padded(src, dst))
     return PairVerdict(_LABELS[int(code)], sums_src, sums_dst)

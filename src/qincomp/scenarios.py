@@ -35,6 +35,7 @@ PI_INITIAL_SCHMIDT = np.array(
 # The conjugation scenario's final vector coincides with the superposition
 # scenario's initial one.
 CHI_FINAL_SCHMIDT = PI_INITIAL_SCHMIDT
+CHI_INITIAL_SCHMIDT = np.array([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
 
 _CHI_BRANCHES = (
     (SpinLabel.Z, SpinLabel.Z),
@@ -138,12 +139,17 @@ def spectrum_from_ab(big_a: np.ndarray, big_b: np.ndarray, root: np.ndarray) -> 
     and of the root sqrt(4A^3 - B^2) of their discriminant: with 3 angle =
     atan2(root, -B), the cubic's roots are x = 2 sqrt(A) cos(angle + 2 pi
     k/3), and the eigenvalues (1 - x)/3 are returned, descending along a new
-    last axis.  ValueError unless every spectrum sums to 1, as a nan or inf
-    discriminant root does not."""
+    last axis that is held point-last (as the first axis of a C-contiguous
+    array), ordered by a compare-exchange network: np.sort's values for any
+    input without NaN.  ValueError unless every spectrum sums to 1, as a nan
+    or inf discriminant root does not."""
     angle = np.arctan2(root, -big_b) / 3.0
     third = 2.0 * math.pi / 3.0
-    cosines = np.cos(np.stack([third + angle, angle, third - angle], axis=-1))
-    roots = (2.0 * np.sqrt(big_a))[..., None] * cosines
-    eigenvalues = np.sort((1.0 - roots) / 3.0, axis=-1)[..., ::-1]
+    cosines = np.cos(np.stack([third + angle, angle, third - angle]))
+    lam = (1.0 - 2.0 * np.sqrt(big_a) * cosines) / 3.0
+    top, low = np.maximum(lam[0], lam[1]), np.minimum(lam[0], lam[1])
+    mid = np.minimum(top, lam[2])
+    descending = [np.maximum(top, lam[2]), np.maximum(low, mid), np.minimum(low, mid)]
+    eigenvalues = np.moveaxis(np.stack(descending), 0, -1)
     _check_spectrum_sum(eigenvalues)
     return eigenvalues

@@ -25,7 +25,7 @@ from enum import Enum
 
 import numpy as np
 
-from .cases import SOLVER_AGREE_TOL, ContractViolationError, _certify, _internal
+from .cases import ContractViolationError, _certify, _closed_form_deviation, _internal
 from .majorization import PairLabel
 from .scenarios import CHI_FINAL_SCHMIDT, chi_final
 from .states import schmidt_vector
@@ -57,16 +57,17 @@ class GammaSweepSummary:
 
 
 def _blocks(total: int):
-    """Index arrays of the consecutive blocks of at most BLOCK_POINTS grid points."""
+    """Slices of the consecutive blocks of at most BLOCK_POINTS grid points."""
     for start in range(0, total, BLOCK_POINTS):
-        yield np.arange(start, min(start + BLOCK_POINTS, total))
+        yield slice(start, min(start + BLOCK_POINTS, total))
 
 
 def _grid_angles(*sizes: int):
     """Per block of the row-major grid of the given axis sizes, the block's
-    point indices and each axis's angles 2 pi i / n at those points."""
-    for index in _blocks(math.prod(sizes)):
-        yield index, [2.0 * math.pi * i / n for i, n in zip(np.unravel_index(index, sizes), sizes)]
+    slice of point indices and each axis's angles 2 pi i / n at those points."""
+    for block in _blocks(math.prod(sizes)):
+        index = np.unravel_index(np.arange(block.start, block.stop), sizes)
+        yield block, [2.0 * math.pi * i / n for i, n in zip(index, sizes)]
 
 
 def sweep_real(n: int) -> Columns:
@@ -85,26 +86,19 @@ def sweep_complex(n_phi: int, n_delta: int) -> Columns:
         raise ValueError("sweep_complex requires n_phi >= 2 and n_delta >= 1")
     # blocks fill columns made once, so the result is not held twice
     result = {}
-    for index, (phi, delta) in _grid_angles(n_phi, n_delta):
+    for rows, (phi, delta) in _grid_angles(n_phi, n_delta):
         beta = np.exp(1j * delta) * np.sin(phi)
         block = {"phi": phi, "delta": delta, **_certify(np.cos(phi), beta)}
         if not result:
             result = {name: np.empty(n_phi * n_delta, col.dtype) for name, col in block.items()}
         for name, column in block.items():
-            result[name][index] = column
+            result[name][rows] = column
     return result
 
 
 def _gamma_deviation(vecs: np.ndarray) -> float:
-    """Max distance of final Schmidt vectors (Jacobi) from the closed form
-    CHI_FINAL_SCHMIDT; ContractViolationError unless within SOLVER_AGREE_TOL,
-    so a NaN deviation fails too."""
-    deviation = float(np.max(np.abs(vecs - CHI_FINAL_SCHMIDT)))
-    if not deviation <= SOLVER_AGREE_TOL:
-        raise ContractViolationError(
-            f"final Schmidt vector deviates by {deviation:.3e} from its parameter-free value"
-        )
-    return deviation
+    """_closed_form_deviation of final Schmidt vectors from CHI_FINAL_SCHMIDT."""
+    return _closed_form_deviation(vecs, CHI_FINAL_SCHMIDT, "final")
 
 
 def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
@@ -179,9 +173,9 @@ def _text(result: Columns, fmt: str, lone: bool = False):
     else:
         row, head, sep, tail = ",".join, ",".join(names) + "\n", "\n", "\n"
     yield head
-    for index in _blocks(len(columns[0])):
-        rows = zip(*(_cells(column[index], fmt) for column in columns))
-        yield (sep if index[0] else "") + sep.join(map(row, rows))
+    for block in _blocks(len(columns[0])):
+        rows = zip(*(_cells(column[block], fmt) for column in columns))
+        yield (sep if block.start else "") + sep.join(map(row, rows))
     yield tail
 
 

@@ -535,6 +535,43 @@ class TestPlantedNanExits3:
             assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestPlantedInitialStateExits3:
+    """Each command checks the initial Schmidt vector its verdicts read
+    against its closed form, so a perturbed initial state is a contract
+    violation, not a verdict."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_initial_vector(self):
+        # the superposition scenario's initial vector is built once per process
+        cases._pi_initial_schmidt.cache_clear()
+        yield
+        cases._pi_initial_schmidt.cache_clear()
+
+    @pytest.mark.parametrize(
+        "module, builder, argv",
+        [
+            pytest.param(cases, "build_pi_initial", ["ipp-demo", "--alpha", "0.6", "--beta", "0.8"],
+                         id="ipp-demo"),
+            pytest.param(cases, "build_pi_initial", ["sweep-real", "--n", "4"], id="sweep-real"),
+            pytest.param(cli, "build_chi_initial", ["gamma-demo"], id="gamma-demo"),
+        ],
+    )
+    def test_perturbed_initial_state_exits_3(self, capsys, monkeypatch, module, builder, argv):
+        build = getattr(module, builder)
+
+        def perturbed():
+            # the superposition scenario's vector moves only to second order
+            state = build()
+            state[0, 0] += 1e-3
+            return state / np.linalg.norm(state)
+
+        monkeypatch.setattr(module, builder, perturbed)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal contract violation: initial Schmidt vector deviates by ")
+
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 BIG_OUTPUT = ["sweep-real", "--n", "3600"]  # far more than a pipe holds
 

@@ -48,6 +48,8 @@ CANONICAL = {
     "sweep-real-n3600": ["sweep-real", "--n", "3600"],
     "sweep-real-n3600-summary": ["sweep-real", "--n", "3600", "--summary"],
     "sweep-complex-60x12": ["sweep-complex", "--n-phi", "60", "--n-delta", "12"],
+    # phi = pi/2 and delta = pi/3 are grid points, where two trig roots meet
+    "sweep-complex-40x18": ["sweep-complex", "--n-phi", "40", "--n-delta", "18"],
     "sweep-gamma-8x8x8": ["sweep-gamma", "--n-theta", "8", "--n-a", "8", "--n-b", "8"],
 }
 

@@ -21,8 +21,8 @@ from qincomp.linalg import (
     is_normalized,
     tensor_product,
 )
-from qincomp.scenarios import chi_final, pi_final
-from qincomp.states import reduced_density_a
+from qincomp.scenarios import chi_final, pi_final, spectrum_from_ab
+from qincomp.states import reduced_density_a, schmidt_vector
 from qincomp.sweep import _grid_angles
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -149,9 +149,10 @@ class TestJacobiSolver:
 
     def test_scaled_matrices_match_library_solver(self):
         # both stop rules are relative to ||m||_F, so large matrices
-        # converge and small ones do not stop early
+        # converge and small ones do not stop early; below ||m||_F = 2^-500
+        # a matrix runs scaled by a power of two
         rng = np.random.default_rng(29)
-        for scale in (1e-150, 1e-10, 1e3, 1e6, 1e150):
+        for scale in (1e-300, 1e-200, 1e-160, 1e-150, 1e-10, 1e3, 1e6, 1e150):
             for n in (3, 4, 5):
                 for _ in range(25):
                     m = scale * random_hermitian(rng, n)
@@ -227,13 +228,15 @@ class TestStackedJacobi:
                 zero_pivot[None],
                 1e6 * random_hermitian_stack(rng, 1, 3),
                 random_hermitian_stack(rng, 12, 3),
+                # below ||m||_F = 2^-500, each scaled by its own power of two
+                np.array([1e-300, 1e-160])[:, None, None] * random_hermitian_stack(rng, 2, 3),
             ]
         )
         # members stop at different sweeps, so later sweeps also rotate
         # matrices whose eigenvalues are already recorded
         assert len({sweeps_to_converge(matrix) for matrix in stack}) >= 3
         rows = eigenvalues_hermitian_jacobi(as_stack(stack))
-        assert rows.shape == (16, 3)
+        assert rows.shape == (18, 3)
         for matrix, row in zip(stack, rows):
             same_bits(row, eigenvalues_hermitian_jacobi(matrix))
 
@@ -248,6 +251,22 @@ class TestStackedJacobi:
                 rtol=0,
                 atol=1e-12 * np.max(np.abs(expected)),
             )
+
+    def test_stacked_results_are_point_last(self):
+        # each eigenvalue index is one contiguous row of N values: the
+        # transpose of every stacked (N, n) result is C-contiguous
+        rng = np.random.default_rng(43)
+        gram = as_stack(random_hermitian_stack(rng, 5, 3))
+        amplitudes = rng.normal(size=(3, 4, 5)) + 1j * rng.normal(size=(3, 4, 5))
+        big_a, big_b = np.full(5, 0.3), np.linspace(-0.05, 0.05, 5)
+        root = np.sqrt(4.0 * big_a**3 - big_b**2)
+        for result in (
+            eigenvalues_hermitian_jacobi(gram),
+            schmidt_vector(amplitudes / np.sqrt(np.sum(np.abs(amplitudes) ** 2, axis=(0, 1)))),
+            spectrum_from_ab(big_a, big_b, root),
+        ):
+            assert result.shape == (5, 3)
+            assert result.T.flags.c_contiguous
 
     def test_non_hermitian_member_rejected(self):
         stack = random_hermitian_stack(np.random.default_rng(41), 4, 3)

@@ -85,6 +85,11 @@ def test_classify_partial_sums_exposed():
     verdict = classify_pair(np.array([0.5, 0.3, 0.2]), np.array([0.6, 0.3, 0.1]))
     np.testing.assert_allclose(verdict.partial_sums_src, [0.5, 0.8, 1.0], atol=1e-15)
     np.testing.assert_allclose(verdict.partial_sums_dst, [0.6, 0.9, 1.0], atol=1e-15)
+    # the user's vectors are sorted before their partial sums are taken
+    shuffled = classify_pair(np.array([0.2, 0.5, 0.3]), np.array([0.3, 0.1, 0.6]))
+    assert shuffled.label is PairLabel.CONVERTIBLE_FORWARD
+    np.testing.assert_array_equal(shuffled.partial_sums_src, verdict.partial_sums_src)
+    np.testing.assert_array_equal(shuffled.partial_sums_dst, verdict.partial_sums_dst)
 
 
 def test_classify_mirror_labels():

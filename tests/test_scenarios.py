@@ -18,6 +18,7 @@ from oracles import (
 )
 from qincomp.linalg import NORM_TOL, eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel, classify_pair
+from qincomp import scenarios
 from qincomp.scenarios import (
     CHI_FINAL_SCHMIDT,
     PI_INITIAL_SCHMIDT,
@@ -53,6 +54,8 @@ class TestConjugationScenario:
         np.testing.assert_allclose(
             schmidt_vector(build_chi_initial()), CHI_INITIAL_SCHMIDT, atol=1e-12
         )
+        # the closed form gamma-demo checks against at run time
+        np.testing.assert_allclose(scenarios.CHI_INITIAL_SCHMIDT, CHI_INITIAL_SCHMIDT, rtol=1e-15)
 
     def test_initial_density_matches_closed_form(self):
         np.testing.assert_allclose(

@@ -222,9 +222,9 @@ class TestSweepGamma:
         # the kernel's rule: only a gap above SOLVER_AGREE_TOL raises
         vecs = sweep.CHI_FINAL_SCHMIDT + np.array([3e-11, 0.0, 0.0])
         deviation = float(np.max(np.abs(vecs - sweep.CHI_FINAL_SCHMIDT)))
-        monkeypatch.setattr(sweep, "SOLVER_AGREE_TOL", deviation)
+        monkeypatch.setattr(cases, "SOLVER_AGREE_TOL", deviation)
         assert sweep._gamma_deviation(vecs) == deviation
-        monkeypatch.setattr(sweep, "SOLVER_AGREE_TOL", np.nextafter(deviation, 0.0))
+        monkeypatch.setattr(cases, "SOLVER_AGREE_TOL", np.nextafter(deviation, 0.0))
         with pytest.raises(ContractViolationError):
             sweep._gamma_deviation(vecs)
 
