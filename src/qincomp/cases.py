@@ -34,7 +34,6 @@ from functools import lru_cache
 import numpy as np
 
 from .majorization import _LABELS, MAJORIZATION_TOL, PairLabel, _pair_codes
-from .qubits import _unit_amplitudes
 from .scenarios import (
     PI_INITIAL_SCHMIDT,
     _discriminant_root,
@@ -167,7 +166,7 @@ def _pi_initial_schmidt() -> tuple[np.ndarray, float]:
 
 def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     """The certified grid kernel: predict from (A, B) and check against the
-    directly classified pair at every point of (N,) amplitude arrays.
+    directly classified pair at every point of unchecked (N,) amplitude arrays.
 
     The cubic is solved once per point, with the root of its discriminant
     taken from p, q, r as a sum of squares, and its spectrum must match the
@@ -177,10 +176,8 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     (N,) arrays under a sweep's column names, in its column order: A, B,
     the trig eigenvalues lam1 .. lam3, entropy_i and entropy_f, observed
     and predicted as PairLabel and Prediction objects, and agree.  A NaN
-    gap fails the check too, and past the amplitude check a ValueError is
-    _internal.
+    gap fails the check too, and a ValueError is _internal.
     """
-    alpha, beta = _unit_amplitudes(alpha, beta)
     with _internal():
         coefficients = pqr(alpha, beta)
         big_a, big_b = cubic_coefficients(*coefficients)

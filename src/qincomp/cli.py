@@ -19,7 +19,7 @@ import numpy as np
 from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify, _internal, predict_case
 from .linalg import JacobiConvergenceError, is_normalized
 from .majorization import classify_pair
-from .qubits import _canonical_angles
+from .qubits import _canonical_angles, _unit_amplitudes
 from .scenarios import CHI_INITIAL_SCHMIDT, SPECTRUM_SUM_TOL, build_chi_initial, chi_final
 from .states import entropy_of_entanglement, schmidt_vector
 from .sweep import (
@@ -159,14 +159,17 @@ def _cmd_gamma_demo(args: argparse.Namespace) -> None:
     _emit(args.format, row)
 
 
+def _amplitude_args(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
+    """--alpha and --beta as one-point arrays, checked by qubits._unit_amplitudes."""
+    return _unit_amplitudes([parse_complex(args.alpha)], [parse_complex(args.beta)])
+
+
 def _cmd_ipp_demo(args: argparse.Namespace) -> None:
-    alpha, beta = np.array([parse_complex(args.alpha)]), np.array([parse_complex(args.beta)])
-    _emit(args.format, _certify(alpha, beta))
+    _emit(args.format, _certify(*_amplitude_args(args)))
 
 
 def _cmd_case_analyze(args: argparse.Namespace) -> None:
-    alpha, beta = np.array([parse_complex(args.alpha)]), np.array([parse_complex(args.beta)])
-    grid = _certify(alpha, beta)
+    grid = _certify(*_amplitude_args(args))
     case, subcase, _ = predict_case(grid["A"], grid["B"])
     predicted = grid["predicted"][0]
     conditional = predicted is Prediction.CONDITIONAL

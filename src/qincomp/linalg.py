@@ -1,7 +1,8 @@
-"""Dense complex linear algebra: normalization and Hermitian checks, the
-tensor product of a ket with a ket or a stack of kets, and a hand-written
-cyclic Jacobi Hermitian eigensolver, which stops a matrix by its
-off-diagonal mass or by the Kato-Temple bound, both relative to its norm.
+"""Dense complex linear algebra: a normalization check, and two kernels that
+do not check their stated preconditions: the tensor product of a ket with a
+ket or a stack of kets, and a hand-written cyclic Jacobi Hermitian
+eigensolver, which stops a matrix by its off-diagonal mass or by the
+Kato-Temple bound, both relative to its norm.
 
 Jacobi is one of the package's two eigen-routes; the other, the closed-form
 trigonometric cubic, lives in scenarios and shares no code with it, so each
@@ -14,7 +15,6 @@ import functools
 
 import numpy as np
 
-HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-12
 JACOBI_OFF_TOL = 1e-14
 JACOBI_SWEEP_CAP = 100
@@ -27,8 +27,8 @@ class JacobiConvergenceError(RuntimeError):
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of the ket a with the ket b, or with each ket of a
     stack b of kets along its first axis: entry i*dim(b)+j is a_i*b_j.  The
-    kets are not checked: qubits._unit_amplitudes checks the probe
-    amplitudes once, inside cases._certify."""
+    kets are not checked: the probe kets are built from named_ket constants
+    and from amplitudes that cli checks once, where it reads them."""
     a, b = np.asarray(a), np.asarray(b)
     return np.multiply.outer(a, b).reshape((len(a) * len(b),) + b.shape[1:])
 
@@ -41,23 +41,10 @@ def is_normalized(v: np.ndarray) -> bool:
     return bool(abs(total - 1.0) <= NORM_TOL)
 
 
-def is_hermitian(m: np.ndarray) -> bool:
-    """True iff m, or every matrix of an (n, n, N) stack m, equals its
-    conjugate transpose entrywise within HERMITIAN_TOL, comparing each pair
-    i <= j once: m_ji - conj(m_ij) is m_ij - conj(m_ji) with its real part negated."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim not in (2, 3) or m.shape[0] != m.shape[1]:
-        return False
-    i, j = _upper_pairs(m.shape[0], 0)
-    upper = m[i, j]
-    upper -= m[j, i].conj()
-    return bool((np.abs(upper) <= HERMITIAN_TOL).all())
-
-
 @functools.cache
-def _upper_pairs(n: int, offset: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, offset), cached per (n, offset); read-only."""
-    i, j = np.triu_indices(n, offset)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), the pairs i < j, cached per n; read-only."""
+    i, j = np.triu_indices(n, 1)
     i.flags.writeable = j.flags.writeable = False
     return i, j
 
@@ -162,22 +149,21 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     places and the column and row updates write into fixed views of it (see
     _round_views); one np.take moves it into the other of two buffers in
     the next round's order, and the stop test reads it in canonical order.
-    The buffers are made once per call; m is only read.
-    ||m||_F^2 must be finite, so ||m||_F below about 1e154.  Below ||m||_F
-    = 2^-500 the squares summed into eps would go subnormal, so such a
-    matrix is run scaled by the power of two that brings its largest |m_ij|
-    into [1/2, 1), and its eigenvalues are scaled back; scaling by a power
-    of two is exact, so no other matrix's bits change.
-    Raises ValueError if any matrix is not Hermitian or has an infinite
-    ||m||_F^2, and JacobiConvergenceError if any has not stopped after
-    JACOBI_SWEEP_CAP sweeps.
+    The buffers are made once per call; m is only read, and is not checked
+    to be Hermitian, as numpy.linalg.eigvalsh does not check it: each Gram
+    matrix the package builds is its own conjugate transpose exactly.  Below
+    ||m||_F = 2^-500 the squares summed into eps would go subnormal, so such
+    a matrix is run scaled by the power of two that brings its largest
+    |m_ij| into [1/2, 1), and its eigenvalues and sweep-cap mass are scaled
+    back; scaling by a power of two is exact, so no other matrix's bits change.
+    Raises ValueError unless every ||m||_F^2 is finite (below about 1e154,
+    with no NaN or inf entry), and JacobiConvergenceError if any matrix has
+    not stopped after JACOBI_SWEEP_CAP sweeps.
     Returns eigenvalues descending along the last axis: shape (n,) for one
     matrix, (N, n) for a stack, held point-last (its transpose is
     C-contiguous), so that each eigenvalue index is a contiguous row.
     """
     a = np.asarray(m, dtype=complex)
-    if not is_hermitian(a):
-        raise ValueError("eigenvalues_hermitian_jacobi requires a Hermitian matrix")
     n, count = a.shape[0], 1 if a.ndim == 2 else a.shape[2]
     flat = a.reshape(n * n, count)
     k = n // 2
@@ -195,7 +181,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
             part[:, tiny] = np.ldexp(part[:, tiny], -shift)
         norms[tiny] = _norms(flat[:, tiny], n)
     bound = JACOBI_OFF_TOL * norms
-    if np.isinf(bound).any():
+    if not np.isfinite(bound).all():
         raise ValueError("eigenvalues_hermitian_jacobi requires ||m||_F^2 to be finite")
     pivot_tol = bound / n
     near_bound = bound * np.sqrt(2.0 / JACOBI_OFF_TOL)
@@ -229,7 +215,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
             near = rotating & (off <= near_bound)
             diagonal = flat[:: n + 1].real
             if near.any():
-                i, j = _upper_pairs(n, 1)
+                i, j = _upper_pairs(n)
                 gap = np.min(np.abs(diagonal[i] - diagonal[j]), axis=0) - off
                 rotating &= ~(near & (gap > off) & (off * off <= bound * gap))
             if not rotating.all():
@@ -239,6 +225,8 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
             if done.all():
                 break
             if sweep == JACOBI_SWEEP_CAP:
+                if tiny.any():
+                    off[tiny] = np.ldexp(off[tiny], shift)
                 raise JacobiConvergenceError(
                     f"off-diagonal mass {np.max(off[~done]):.3e} after {JACOBI_SWEEP_CAP} sweeps"
                 )

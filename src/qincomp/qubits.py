@@ -2,9 +2,9 @@
 conjugates after it, the six axis kets, and the restricted superposition map
 defined only on the three +1 axis kets.
 
-general_unitary and ipp_image take scalars or equal-shape arrays and do not
-check them: _canonical_angles reduces the user's angles, and _unit_amplitudes
-checks the amplitudes once, inside cases._certify."""
+general_unitary, apply_antiunitary and ipp_image do not check their input:
+cli reduces the user's angles with _canonical_angles and checks the user's
+amplitudes with _unit_amplitudes, each once, where it reads them."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .linalg import NORM_TOL, is_normalized
+from .linalg import NORM_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,17 +80,11 @@ def general_unitary(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
 
 def apply_antiunitary(u: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Apply the unitary u, or each of a stack of them (from general_unitary),
-    to the ket k, then conjugate every amplitude in the computational basis:
-    conj(u k), shape (2,) + u.shape[2:].
-
-    The resulting map is anti-linear and preserves inner-product modulus.
-    Only k is checked: it must be one normalized single-qubit ket.
+    to the single-qubit unit ket k (a named_ket, unchecked), then conjugate
+    every amplitude in the computational basis: conj(u k), shape (2,) +
+    u.shape[2:].  The resulting map is anti-linear and preserves
+    inner-product modulus.
     """
-    k = np.asarray(k, dtype=complex)
-    if k.shape != (2,):
-        raise ValueError("apply_antiunitary acts on single-qubit kets")
-    if not is_normalized(k):
-        raise ValueError("apply_antiunitary requires a normalized ket")
     return np.conj(u[:, 0] * k[0] + u[:, 1] * k[1])
 
 

@@ -10,8 +10,8 @@ final state, the eigen-route that shares no code with linalg's Jacobi.
 
 pi_final, chi_final, pqr, cubic_coefficients and spectrum_from_ab take
 scalars or equal-shape arrays and do not check them: qubits._canonical_angles
-reduces the user's angles, and qubits._unit_amplitudes checks the amplitudes
-once, inside cases._certify.
+reduces the user's angles, and qubits._unit_amplitudes checks the user's
+amplitudes, each once, where cli reads them.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def pi_final(alpha: object, beta: object) -> np.ndarray:
     """Probe state after the superposition map acts on Bob's last qubit,
     over equal-shape amplitude arrays (or scalars): shape (3, 4) +
     alpha.shape.  Each branch ends in alpha|0_l> + beta|1_l> for its axis l.
-    The amplitudes are not checked: cases._certify checks them once."""
+    The amplitudes are not checked (see the module docstring)."""
     return _amplitudes(_PI_BRANCHES, lambda label: ipp_image(label, alpha, beta))
 
 
@@ -100,7 +100,7 @@ def pqr(a: object, b: object) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     matrix, times 3, over amplitude arrays (or scalars) alpha = a, beta = b.
 
     p is real for every valid amplitude pair and Im(r) is exactly -1/2.
-    The amplitudes are not checked: cases._certify checks them once.
+    The amplitudes are not checked (see the module docstring).
     """
     cross = a * np.conj(b) + b * np.conj(a)
     return (

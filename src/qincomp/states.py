@@ -28,8 +28,8 @@ def schmidt_vector(m: np.ndarray) -> np.ndarray:
     M^H M (the transposed B-side one); both have the squared singular values
     of M as their nonzero spectrum.  Eigenvalue noise below zero is clamped
     to 0.  Invariant under a global phase on the state.  The norm is not
-    checked: cli.parse_state_file checks a state file's, and qubits checks
-    the parameters behind the probe states.
+    checked: cli checks a state file's, and the user's parameters behind
+    the probe states, where it reads them.
     """
     dim_a, dim_b = m.shape[:2]
     gram = reduced_density_a(m if dim_a <= dim_b else m.conj().swapaxes(0, 1))

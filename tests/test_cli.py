@@ -498,15 +498,16 @@ class TestPlantedNanExits3:
         ],
     )
     def test_nan_gram_exits_3(self, capsys, monkeypatch, argv):
-        # the Jacobi route refuses the NaN Gram as non-Hermitian: past the
-        # input checks that refusal is the program's fault, not the input's
+        # the Jacobi route refuses the NaN Gram, whose norm is not finite:
+        # past the input checks that refusal is the program's fault, not the
+        # input's
         gram = states.reduced_density_a
         monkeypatch.setattr(states, "reduced_density_a", lambda m: gram(m) * np.nan)
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "internal contract violation: eigenvalues_hermitian_jacobi requires a Hermitian matrix\n"
+            "internal contract violation: eigenvalues_hermitian_jacobi requires ||m||_F^2 to be finite\n"
         )
 
     @pytest.mark.parametrize(

@@ -163,14 +163,6 @@ def test_antiunitary_over_a_unitary_stack():
         np.testing.assert_array_equal(images[:, i, j], apply_antiunitary(stack[..., i, j], k))
 
 
-def test_antiunitary_validates_input():
-    p = general_unitary(0, 0, 0)
-    with pytest.raises(ValueError):
-        apply_antiunitary(p, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        apply_antiunitary(p, np.array([1.0, 0.0, 0.0]))
-
-
 def test_ipp_image_identity_params():
     out = ipp_image(SpinLabel.Z, 1, 0)
     np.testing.assert_allclose(out, named_ket(SpinLabel.Z, 0), atol=1e-15)

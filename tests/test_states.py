@@ -7,7 +7,9 @@ import pytest
 
 from oracles import converts
 from qincomp.cli import parse_state_file
+from qincomp.scenarios import chi_final, pi_final
 from qincomp.states import entropy_of_entanglement, reduced_density_a, schmidt_vector
+from qincomp.sweep import _grid_angles
 
 BELL = np.array([[1, 0], [0, 1]], dtype=complex) / math.sqrt(2)
 
@@ -58,6 +60,33 @@ def test_reduced_density_trace_and_positivity():
         rho = reduced_density_a(random_state(rng, 3, 4))
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
         assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+
+
+def _canonical_final_states():
+    """The final-state stacks of the canonical grids, built as the sweeps
+    build them: sweep-real 3600, sweep-complex 60x12 and 40x18, and
+    sweep-gamma 8x8x8."""
+    for sizes in ((3600, 1), (60, 12), (40, 18)):
+        for _, (phi, delta) in _grid_angles(*sizes):
+            yield pi_final(np.cos(phi), np.exp(1j * delta) * np.sin(phi))
+    for _, angles in _grid_angles(8, 8, 8):
+        yield chi_final(*angles)
+
+
+def test_reduced_density_is_exactly_hermitian():
+    # m_ij conj(m_kj) and m_kj conj(m_ij) round to exact conjugates, so
+    # every Gram matrix, of M or of M^H (schmidt_vector's side for tall
+    # states), equals its conjugate transpose exactly (only the sign of a
+    # zero may differ): Jacobi relies on this and does not check it
+    rng = np.random.default_rng(53)
+    random_stacks = [
+        np.stack([random_state(rng, *dims) for _ in range(4)], axis=-1)
+        for dims in [(2, 3), (3, 2), (5, 5), (24, 32), (32, 24)]
+    ]
+    for states in [*_canonical_final_states(), *random_stacks]:
+        for m in (states, states.conj().swapaxes(0, 1)):
+            gram = reduced_density_a(m)
+            assert np.array_equal(gram, gram.conj().swapaxes(0, 1))
 
 
 def test_stack_matches_one_matrix_at_a_time():
