@@ -147,8 +147,8 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     step works on rows of N contiguous entries.  During a round it is held
     in that round's order (see _round_robin), so the pivots sit at fixed
     places and the column and row updates write into fixed views of it (see
-    _round_views); one np.take moves it into the other of two buffers in
-    the next round's order, and the stop test reads it in canonical order.
+    _round_views); one ndarray.take moves it into the other of two buffers
+    in the next round's order, and the stop test reads it in canonical order.
     The buffers are made once per call; m is only read, and is not checked
     to be Hermitian, as numpy.linalg.eigvalsh does not check it: each Gram
     matrix the package builds is its own conjugate transpose exactly.  Below
@@ -232,7 +232,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
                 )
             # with out=, take's default mode="raise" fills a temporary first;
             # the moves are valid indices, so "clip" changes nothing else
-            np.take(flat, moves[0], axis=0, out=stacks[1 - side][0], mode="clip")
+            flat.take(moves[0], axis=0, out=stacks[1 - side][0], mode="clip")
             for move in moves[1:]:
                 side = 1 - side
                 apq, app, aqq, column_floats, columns_swapped, row_floats, rows_swapped = stacks[side][1]
@@ -265,7 +265,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
                 np.multiply(cross_rows, rows_swapped, out=row_products)
                 np.multiply(c_rows, row_floats, out=row_floats)
                 np.add(row_floats, row_product_floats, out=row_floats)
-                np.take(stacks[side][0], move, axis=0, out=stacks[1 - side][0], mode="clip")
+                stacks[side][0].take(move, axis=0, out=stacks[1 - side][0], mode="clip")
             side = 1 - side
             flat = stacks[side][0]
     if tiny.any():

@@ -320,7 +320,8 @@ class TestIppDemoCommand:
 class TestAmplitudeCheck:
     # |alpha|^2 + |beta|^2 - 1 is 9.9987e-13 here, inside NORM_TOL = 1e-12,
     # while the 12 squared amplitudes of the final state sum to 1 only within
-    # rounding: amplitudes are checked once, by the kernel, at NORM_TOL
+    # rounding: amplitudes are checked once, at NORM_TOL, where cli reads
+    # them (cli._amplitude_args, through qubits._unit_amplitudes)
     EDGE = ["--alpha", "0.6236624066638249", "--beta=-0.35862063110343056-0.694576450408638i"]
 
     @pytest.mark.parametrize("command", ["ipp-demo", "case-analyze"])

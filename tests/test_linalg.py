@@ -1,6 +1,8 @@
 """Tests for the complex linear algebra layer and the Jacobi eigensolver."""
 
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -535,3 +537,53 @@ class TestKatoTempleStop:
             record = []
             same_bits(eigenvalues_hermitian_jacobi(matrix), jacobi_reference(matrix, record))
             assert record[0].rule == "mass"
+
+
+
+
+class TestRepeatedCalls:
+    """Each call's buffers are its own: no thread or later call writes into
+    another call's result."""
+
+    def test_threads_match_serial_results(self):
+        # four threads, more than the cores of a small machine, on two
+        # stacks of one shape, switching often
+        rng = np.random.default_rng(67)
+        stacks = [as_stack(random_hermitian_stack(rng, 960, 3)) for _ in range(2)]
+        serial = [eigenvalues_hermitian_jacobi(stack) for stack in stacks]
+        results = [[] for _ in range(4)]
+
+        def run(i):
+            for _ in range(20):
+                results[i].append(eigenvalues_hermitian_jacobi(stacks[i % 2]))
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for i, runs in enumerate(results):
+            assert len(runs) == 20
+            for result in runs:
+                same_bits(result, serial[i % 2])
+
+    def test_results_survive_later_calls(self):
+        # the last matrix of the raising stack stops at once, so its done
+        # flag is set when the cap is hit: a later call starts clear
+        rng = np.random.default_rng(71)
+        first = as_stack(random_hermitian_stack(rng, 64, 3))
+        second = as_stack([*random_hermitian_stack(rng, 63, 3), np.diag([3.0, 1.0, 2.0])])
+        result = eigenvalues_hermitian_jacobi(first)
+        expected = result.copy()
+        eigenvalues_hermitian_jacobi(second)
+        same_bits(result, expected)
+        with pytest.raises(JacobiConvergenceError):
+            capped_jacobi(second, 0)
+        same_bits(result, expected)
+        same_bits(eigenvalues_hermitian_jacobi(first), expected)
