@@ -151,46 +151,43 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     in the next round's order, and the stop test reads it in canonical order.
     The buffers are made once per call; m is only read, and is not checked
     to be Hermitian, as numpy.linalg.eigvalsh does not check it: each Gram
-    matrix the package builds is its own conjugate transpose exactly.  Below
-    ||m||_F = 2^-500 the squares summed into eps would go subnormal, so such
-    a matrix is run scaled by the power of two that brings its largest
-    |m_ij| into [1/2, 1), and its eigenvalues and sweep-cap mass are scaled
-    back; scaling by a power of two is exact, so no other matrix's bits change.
-    Raises ValueError unless every ||m||_F^2 is finite (below about 1e154,
-    with no NaN or inf entry), and JacobiConvergenceError if any matrix has
-    not stopped after JACOBI_SWEEP_CAP sweeps.
+    matrix the package builds is its own conjugate transpose exactly.  Each
+    matrix is run scaled by the power of two that brings its largest real
+    or imaginary part into [1/2, 1), so that ||m||_F^2 neither overflows
+    nor goes subnormal, and its eigenvalues and sweep-cap mass are scaled
+    back.  Every step commutes with scaling by a power of two, which is
+    exact outside the subnormal range, so the scale changes no bits there.
+    Raises ValueError if an entry is NaN or inf, and JacobiConvergenceError
+    if any matrix has not stopped after JACOBI_SWEEP_CAP sweeps.
     Returns eigenvalues descending along the last axis: shape (n,) for one
     matrix, (N, n) for a stack, held point-last (its transpose is
     C-contiguous), so that each eigenvalue index is a contiguous row.
     """
-    a = np.asarray(m, dtype=complex)
+    a = np.ascontiguousarray(m, dtype=complex)
     n, count = a.shape[0], 1 if a.ndim == 2 else a.shape[2]
-    flat = a.reshape(n * n, count)
     k = n // 2
     moves = _round_robin(n)
+    # two stacks that the rounds write in turn, and their round views; a
+    # sweep reads flat from the second (side = 1), so m goes there, each
+    # matrix scaled by 2^-shift, after the |parts| have been put there to
+    # find each matrix's largest, so that no other block-sized array is made;
+    # as floats, each entry's real and imaginary parts are adjacent columns
+    side = 1
+    stacks = [(stack, _round_views(stack, n)) for stack in np.empty((2, n * n, count), complex)]
+    flat = stacks[1][0]
+    parts, source = flat.view(float), a.reshape(n * n, count).view(float)
+    peak = np.max(np.abs(source, out=parts), axis=0)
+    shift = np.frexp(np.maximum(peak[0::2], peak[1::2]))[1]
+    np.ldexp(source, np.repeat(-shift, 2), out=parts)
     # the stop bound, and the pivot size below which a pivot is left alone:
     # rotations keep ||a||_F fixed, so these are fixed too
-    with np.errstate(over="ignore"):
-        norms = _norms(flat, n)
-    tiny = norms < 2.0**-500
-    if tiny.any():
-        # powers of two as exponents, so that no scale factor overflows
-        shift = np.frexp(np.max(np.abs(flat[:, tiny]), axis=0))[1]
-        flat = flat.copy()
-        for part in (flat.real, flat.imag):
-            part[:, tiny] = np.ldexp(part[:, tiny], -shift)
-        norms[tiny] = _norms(flat[:, tiny], n)
-    bound = JACOBI_OFF_TOL * norms
+    bound = JACOBI_OFF_TOL * _norms(flat, n)
     if not np.isfinite(bound).all():
-        raise ValueError("eigenvalues_hermitian_jacobi requires ||m||_F^2 to be finite")
+        raise ValueError("eigenvalues_hermitian_jacobi requires finite entries")
     pivot_tol = bound / n
     near_bound = bound * np.sqrt(2.0 / JACOBI_OFF_TOL)
     values = np.empty((n, count))
     done = np.zeros(count, dtype=bool)
-    # two stacks that the rounds write in turn, flat (m at first) going into
-    # the first, and their round views
-    side = 1
-    stacks = [(stack, _round_views(stack, n)) for stack in np.empty((2, n * n, count), complex)]
     # the swapped halves' products, as one block for the columns and one for
     # the rows; the real rotation parameters, contiguous, as a numpy call on
     # strided operands costs about twice as much; c twice per pivot, to
@@ -225,11 +222,8 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
             if done.all():
                 break
             if sweep == JACOBI_SWEEP_CAP:
-                if tiny.any():
-                    off[tiny] = np.ldexp(off[tiny], shift)
-                raise JacobiConvergenceError(
-                    f"off-diagonal mass {np.max(off[~done]):.3e} after {JACOBI_SWEEP_CAP} sweeps"
-                )
+                mass = np.max(np.ldexp(off, shift)[~done])
+                raise JacobiConvergenceError(f"off-diagonal mass {mass:.3e} after {JACOBI_SWEEP_CAP} sweeps")
             # with out=, take's default mode="raise" fills a temporary first;
             # the moves are valid indices, so "clip" changes nothing else
             flat.take(moves[0], axis=0, out=stacks[1 - side][0], mode="clip")
@@ -268,7 +262,5 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
                 stacks[side][0].take(move, axis=0, out=stacks[1 - side][0], mode="clip")
             side = 1 - side
             flat = stacks[side][0]
-    if tiny.any():
-        values[:, tiny] = np.ldexp(values[:, tiny], shift)
-    values = np.ascontiguousarray(np.sort(values, axis=0)[::-1]).T
+    values = np.ascontiguousarray(np.sort(np.ldexp(values, shift, out=values), axis=0)[::-1]).T
     return values[0] if a.ndim == 2 else values

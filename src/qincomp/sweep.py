@@ -5,12 +5,13 @@ A sweep builds its parameter grid as arrays and certifies it in blocks of
 BLOCK_POINTS points with the grid kernel cases._certify, which
 cross-checks the trigonometric spectrum against the Jacobi spectrum of the
 directly constructed state, raises ContractViolationError on disagreement,
-and returns the columns A .. agree under their CSV_HEADER names; by the
-same rule, sweep_gamma and gamma-demo raise when a Jacobi vector is more
-than SOLVER_AGREE_TOL from the closed form CHI_FINAL_SCHMIDT.  A sweep's
-result is a dict of numpy columns keyed by the CSV_HEADER names,
-one entry per grid point: phi and delta (None in a real sweep), then the
-kernel's columns: floats, the PairLabel and Prediction enums, and bools.
+and returns the columns A, B, lam1, lam2, lam3, entropy_i, entropy_f,
+observed, predicted and agree; by the same rule, sweep_gamma and gamma-demo
+raise when a Jacobi vector is more than SOLVER_AGREE_TOL from the closed
+form CHI_FINAL_SCHMIDT.  A sweep's result is a dict of numpy columns keyed
+by the CSV header's names, one entry per grid point: phi and delta (None in
+a real sweep), then the kernel's columns in that order: floats, the
+PairLabel and Prediction enums, and bools.
 One cell formatter picks a column's text once, from its dtype, in either
 format; one generator writes a result BLOCK_POINTS rows at a time as CSV
 lines or as the JSON array that json.dumps(..., indent=2) would write.
@@ -34,8 +35,6 @@ from .states import schmidt_vector
 # in the sweeps, and rows per formatting step, so array temporaries stay
 # bounded for any grid.  A chosen round number, not a measured optimum.
 BLOCK_POINTS = 4096
-
-CSV_HEADER = "phi,delta,A,B,lam1,lam2,lam3,entropy_i,entropy_f,observed,predicted,agree"
 
 _CATEGORY = {
     PairLabel.INCOMPARABLE: "incomparable",

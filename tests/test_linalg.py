@@ -123,14 +123,15 @@ class TestJacobiSolver:
 
     def test_scaled_matrices_match_library_solver(self):
         # both stop rules are relative to ||m||_F, so large matrices
-        # converge and small ones do not stop early; below ||m||_F = 2^-500
-        # a matrix runs scaled by a power of two.  A product X D X^H at
-        # scale 1e6 is Hermitian only up to its rounding, which leaves its
-        # entries 1e-10 to 4e-9 (about 1e-16 relative) off their conjugates
+        # converge and small ones do not stop early; each matrix runs scaled
+        # by its own power of two, so ||m||_F^2 overflows at no scale, 1e155
+        # and 1e300 included.  A product X D X^H at scale 1e6 is Hermitian
+        # only up to its rounding, which leaves its entries 1e-10 to 4e-9
+        # (about 1e-16 relative) off their conjugates
         rng = np.random.default_rng(29)
         matrices = [
             scale * random_hermitian(rng, n)
-            for scale in (1e-300, 1e-200, 1e-160, 1e-150, 1e-10, 1e3, 1e6, 1e150)
+            for scale in (1e-300, 1e-200, 1e-160, 1e-150, 1e-10, 1e3, 1e6, 1e150, 1e155, 1e300)
             for n in (3, 4, 5)
             for _ in range(25)
         ]
@@ -149,18 +150,31 @@ class TestJacobiSolver:
                 atol=1e-12 * np.max(np.abs(expected)),
             )
 
-    def test_rejects_overflowing_norm_without_warning(self):
-        # ||m||_F^2 overflows near entries of 1e155: the bound would be inf
-        # and every matrix would stop as its own diagonal; a NaN or inf
-        # entry, in either part, makes ||m||_F non-finite too
-        m = 1e155 * random_hermitian(np.random.default_rng(31), 4)
+    def test_scaling_by_a_power_of_two_scales_the_eigenvalues_exactly(self):
+        # each matrix runs at its own power of two, so 2^k m has 2^k times
+        # the eigenvalues of m, bit for bit and sign of zero included, alone
+        # and in a stack, far below 1 and far past where ||m||_F^2 overflows
+        rng = np.random.default_rng(53)
+        powers = (-1000, -600, -1, 1, 500, 600, 1000)
+        for n in (3, 4, 5, 24):
+            m = random_hermitian(rng, n)
+            values = eigenvalues_hermitian_jacobi(m)
+            scaled = [power_of_two_times(m, power) for power in powers]
+            rows = eigenvalues_hermitian_jacobi(as_stack(scaled))
+            for power, matrix, row in zip(powers, scaled, rows):
+                same_bits(eigenvalues_hermitian_jacobi(matrix), np.ldexp(values, power))
+                same_bits(row, np.ldexp(values, power))
+
+    def test_rejects_non_finite_entries_without_warning(self):
+        # a NaN or inf entry, in either part, makes ||m||_F non-finite: the
+        # bound would not be finite and the stop rules would mean nothing
         nan_off_diagonal, inf_diagonal, nan_imaginary = (np.eye(4, dtype=complex) for _ in range(3))
         nan_off_diagonal[0, 1] = nan_off_diagonal[1, 0] = math.nan
         inf_diagonal[2, 2] = math.inf
         nan_imaginary[3, 3] = complex(1.0, math.nan)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for bad in (m, nan_off_diagonal, inf_diagonal, nan_imaginary):
+            for bad in (nan_off_diagonal, inf_diagonal, nan_imaginary):
                 with pytest.raises(ValueError, match="finite"):
                     eigenvalues_hermitian_jacobi(bad)
                 with pytest.raises(ValueError, match="finite"):
@@ -181,6 +195,14 @@ def random_hermitian_stack(rng, count, n):
 def as_stack(matrices):
     """The matrix-last (n, n, N) stack of a sequence of matrices."""
     return np.stack(list(matrices), axis=-1)
+
+
+def power_of_two_times(m, power):
+    """2^power m, exactly where no entry goes subnormal: each part of each
+    entry is scaled by np.ldexp."""
+    scaled = np.empty_like(m)
+    scaled.real, scaled.imag = np.ldexp(m.real, power), np.ldexp(m.imag, power)
+    return scaled
 
 
 def capped_jacobi(m, cap):
@@ -215,15 +237,16 @@ class TestStackedJacobi:
                 zero_pivot[None],
                 1e6 * random_hermitian_stack(rng, 1, 3),
                 random_hermitian_stack(rng, 12, 3),
-                # below ||m||_F = 2^-500, each scaled by its own power of two
-                np.array([1e-300, 1e-160])[:, None, None] * random_hermitian_stack(rng, 2, 3),
+                # each runs at its own power of two, far below 1 and past
+                # where ||m||_F^2 overflows
+                np.array([1e-300, 1e-160, 1e300])[:, None, None] * random_hermitian_stack(rng, 3, 3),
             ]
         )
         # members stop at different sweeps, so later sweeps also rotate
         # matrices whose eigenvalues are already recorded
         assert len({sweeps_to_converge(matrix) for matrix in stack}) >= 3
         rows = eigenvalues_hermitian_jacobi(as_stack(stack))
-        assert rows.shape == (18, 3)
+        assert rows.shape == (19, 3)
         for matrix, row in zip(stack, rows):
             same_bits(row, eigenvalues_hermitian_jacobi(matrix))
 
@@ -287,7 +310,7 @@ class TestStackedJacobi:
         going = 1e-8 * density_from_off_diagonals(0.5, 0.5, 0.5)
         with pytest.raises(JacobiConvergenceError, match="mass 4.082e-09 "):
             capped_jacobi(as_stack([stopped, going]), 0)
-        # below ||m||_F = 2^-500 a matrix runs scaled, and its mass is
+        # each matrix runs scaled by its own power of two, and its mass is
         # reported at its own scale, not at the scaled copy's
         tiny = 1e-200 * density_from_off_diagonals(0.5, 0.5, 0.5)
         with pytest.raises(JacobiConvergenceError, match="mass 4.082e-201 "):

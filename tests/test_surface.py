@@ -1,6 +1,6 @@
 """Tests of the package's public surface: the bare package root, the
-per-layer benchmark metrics that name its functions, and a caller outside
-the tests for every public function and class."""
+per-layer benchmark metrics that name its functions, and a reader outside
+the tests for every public function and class and every module constant."""
 
 import ast
 import importlib
@@ -38,7 +38,7 @@ def _span_names(metrics) -> set[str]:
 
 def _names_read(paths) -> set[str]:
     """Every bare name and attribute name that the given modules read; a
-    def, an import or an annotation alone reads nothing."""
+    def, an import, an annotation or an assignment alone reads nothing."""
     read = set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -50,7 +50,7 @@ def _names_read(paths) -> set[str]:
             for sub in ast.walk(annotation)
         }
         for node in ast.walk(tree):
-            if id(node) in annotations:
+            if id(node) in annotations or isinstance(getattr(node, "ctx", None), ast.Store):
                 continue
             if isinstance(node, ast.Name):
                 read.add(node.id)
@@ -113,5 +113,21 @@ def test_every_public_class_is_read_outside_the_tests():
         if isinstance(node, ast.ClassDef)
         and not node.name.startswith("_")
         and node.name not in read
+    ]
+    assert unread == []
+
+
+def test_every_module_constant_is_read_outside_the_tests():
+    # the same rule for module-level UPPER_CASE names: a constant that only
+    # the tests read, such as a pinned output, belongs in tests/
+    modules = sorted(SRC.glob("*.py"))
+    read = _names_read(modules) | _names_read(BENCH.glob("*.py"))
+    unread = [
+        f"{path.stem}.{target.id}"
+        for path in modules
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper() and target.id not in read
     ]
     assert unread == []

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import CHI_INITIAL_SCHMIDT, pi_final_density_closed_form, spectrum_at
+from test_cli import CSV_HEADER
 from qincomp.cases import SQRT3_HALF, ContractViolationError, Prediction, _conditional_incomparable
 from qincomp.cli import main
 from qincomp.linalg import eigenvalues_hermitian_jacobi
@@ -16,7 +17,6 @@ from qincomp.scenarios import PI_INITIAL_SCHMIDT, pi_final
 from qincomp.states import schmidt_vector
 from qincomp import cases, scenarios, states, sweep
 from qincomp.sweep import (
-    CSV_HEADER,
     format_float,
     records_to_csv,
     records_to_json,
