@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .majorization import _LABELS, MAJORIZATION_TOL, PairLabel, _pair_codes
 from .scenarios import (
     PI_INITIAL_SCHMIDT,
     _discriminant_root,
-    build_pi_initial,
     cubic_coefficients,
     pi_final,
     pqr,
@@ -156,34 +154,30 @@ def _closed_form_deviation(vecs: np.ndarray, closed_form: np.ndarray, which: str
     return deviation
 
 
-@lru_cache(maxsize=1)
-def _pi_initial_schmidt() -> tuple[np.ndarray, float]:
-    """The initial Schmidt vector, checked against PI_INITIAL_SCHMIDT, and its entropy."""
-    vec = schmidt_vector(build_pi_initial())
-    _closed_form_deviation(vec, PI_INITIAL_SCHMIDT, "initial")
-    return vec, entropy_of_entanglement(vec)
-
-
 def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
     """The certified grid kernel: predict from (A, B) and check against the
     directly classified pair at every point of unchecked (N,) amplitude arrays.
 
     The cubic is solved once per point, with the root of its discriminant
     taken from p, q, r as a sum of squares, and its spectrum must match the
-    Jacobi spectrum of the directly built final state (one stacked Jacobi
-    call for all points) within SOLVER_AGREE_TOL; otherwise
-    ContractViolationError is raised for the first failing point.  Returns
-    (N,) arrays under a sweep's column names, in its column order: A, B,
-    the trig eigenvalues lam1 .. lam3, entropy_i and entropy_f, observed
-    and predicted as PairLabel and Prediction objects, and agree.  A NaN
-    gap fails the check too, and a ValueError is _internal.
+    Jacobi spectrum of the directly built final state within
+    SOLVER_AGREE_TOL; otherwise ContractViolationError is raised for the
+    first failing point.  One stacked Jacobi call diagonalizes the final
+    states behind point 0, (alpha, beta) = (1, 0): the identity map, whose
+    final state is the initial one, so its vector must lie within
+    SOLVER_AGREE_TOL of PI_INITIAL_SCHMIDT in every call.  Returns (N,)
+    arrays under a sweep's column names, in its column order: A, B, the trig
+    eigenvalues lam1 .. lam3, entropy_i and entropy_f, observed and
+    predicted as PairLabel and Prediction objects, and agree.  A NaN gap
+    fails the check too, and a ValueError is _internal.
     """
     with _internal():
         coefficients = pqr(alpha, beta)
         big_a, big_b = cubic_coefficients(*coefficients)
         root = _discriminant_root(*coefficients, big_a, big_b)
         eigenvalues = spectrum_from_ab(big_a, big_b, root)
-        final = schmidt_vector(pi_final(alpha, beta))
+        vecs = schmidt_vector(pi_final(np.concatenate(([1.0], alpha)), np.concatenate(([0.0], beta))))
+        initial, final = vecs[0], vecs[1:]
         gap = np.max(np.abs(eigenvalues - final), axis=-1)
         failing = np.flatnonzero(~(gap <= SOLVER_AGREE_TOL))
         if failing.size:
@@ -192,9 +186,10 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
                 f"trig and Jacobi spectra disagree by {gap[i]:.3e} at "
                 f"alpha={complex(alpha[i])!r}, beta={complex(beta[i])!r}"
             )
-        initial_vec, initial_entropy = _pi_initial_schmidt()
+        _closed_form_deviation(initial, PI_INITIAL_SCHMIDT, "initial")
+        entropy = entropy_of_entanglement(vecs)
         predicted = predict_case(big_a, big_b)[2]
-        observed = _pair_codes(initial_vec, final)[0]
+        observed = _pair_codes(initial, final)[0]
         agree = np.where(
             predicted == _CONDITIONAL,
             _conditional_incomparable(big_a, big_b) == (observed == _INCOMPARABLE),
@@ -203,8 +198,8 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
         return {
             "A": big_a, "B": big_b,
             "lam1": eigenvalues[:, 0], "lam2": eigenvalues[:, 1], "lam3": eigenvalues[:, 2],
-            "entropy_i": np.full(len(final), initial_entropy),
-            "entropy_f": entropy_of_entanglement(final),
+            "entropy_i": np.full(len(final), entropy[0]),
+            "entropy_f": entropy[1:],
             "observed": _LABEL_ENUMS[observed], "predicted": _PREDICTION_ENUMS[predicted],
             "agree": agree,
         }

@@ -1,8 +1,8 @@
 """Command-line interface: demos, pair checks, and classification sweeps.
 
 Exit codes: 0 success, 1 a failed write to stdout (a closed pipe ends
-quietly), 2 malformed input or an unreadable state file, 3 internal
-contract violation.
+quietly), 2 malformed input, an unreadable state file or a request too
+large for memory, 3 internal contract violation.
 """
 
 from __future__ import annotations
@@ -148,13 +148,12 @@ def _cmd_gamma_demo(args: argparse.Namespace) -> None:
     row = {name: _canonical_angles(name, [getattr(args, name)]) for name in ("theta", "phi_a", "phi_b")}
     with _internal():
         stack = np.concatenate([build_chi_initial()[..., None], chi_final(**row)], axis=-1)
-        initial, final = schmidt_vector(stack)
+        initial, final = vecs = schmidt_vector(stack)
         _closed_form_deviation(initial, CHI_INITIAL_SCHMIDT, "initial")
         _gamma_deviation(final)
     row.update((f"lam_i{i + 1}", v) for i, v in enumerate(initial))
     row.update((f"lam_f{i + 1}", v) for i, v in enumerate(final))
-    row["entropy_i"] = entropy_of_entanglement(initial)
-    row["entropy_f"] = entropy_of_entanglement(final)
+    row["entropy_i"], row["entropy_f"] = entropy_of_entanglement(vecs)
     row["observed"] = classify_pair(initial, final).label
     _emit(args.format, row)
 
@@ -284,6 +283,9 @@ def main(argv: list[str] | None = None) -> int:
         if not isinstance(exc, BrokenPipeError):
             print(f"error: {exc}", file=sys.stderr)
         return 1 if stdout_failed else 2
+    except MemoryError as exc:
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
+        return 2
     except (ContractViolationError, JacobiConvergenceError) as exc:
         print(f"internal contract violation: {exc}", file=sys.stderr)
         return 3

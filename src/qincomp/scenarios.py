@@ -82,11 +82,6 @@ def chi_final(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
     return _amplitudes(_CHI_BRANCHES, lambda label: apply_antiunitary(u, named_ket(label, 0)))
 
 
-def build_pi_initial() -> np.ndarray:
-    """Probe state for the restricted superposition-map scenario."""
-    return _amplitudes(_PI_BRANCHES, lambda label: named_ket(label, 0))
-
-
 def pi_final(alpha: object, beta: object) -> np.ndarray:
     """Probe state after the superposition map acts on Bob's last qubit,
     over equal-shape amplitude arrays (or scalars): shape (3, 4) +

@@ -106,9 +106,11 @@ def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
     axes start at 0.  Any deviation above SOLVER_AGREE_TOL (1e-10) raises."""
     if n_theta < 1 or n_a < 1 or n_b < 1:
         raise ValueError("sweep_gamma requires positive grid sizes")
-    with _internal():
-        blocks = _grid_angles(n_theta, n_a, n_b)
-        worst = max(_gamma_deviation(schmidt_vector(chi_final(*angles))) for _, angles in blocks)
+    worst = 0.0
+    # the grid is walked outside _internal: numpy refusing its size is the input's fault
+    for _, angles in _grid_angles(n_theta, n_a, n_b):
+        with _internal():
+            worst = max(worst, _gamma_deviation(schmidt_vector(chi_final(*angles))))
     return GammaSweepSummary(n_theta, n_a, n_b, n_theta * n_a * n_b, worst)
 
 

@@ -1,6 +1,7 @@
 """Independent references that only the tests use, kept outside the package
 so they stay outside checks of it: closed-form reduced densities, the real
-(A, B) shortcut, the unitary-only conjugation state and the conjugation
+(A, B) shortcut, the superposition scenario's initial state built from the
+axis kets, the unitary-only conjugation state and the conjugation
 scenario's initial Schmidt vector.  Then point(), which reads the package's
 certified kernel at one amplitude pair; spectrum_at() and verdict_at(),
 which read its cubic spectrum and case analysis at cubic data (A, B) given
@@ -26,12 +27,18 @@ from qincomp.cases import (
 from qincomp.linalg import JACOBI_OFF_TOL, JACOBI_SWEEP_CAP
 from qincomp.majorization import PairLabel, classify_pair
 from qincomp.qubits import general_unitary, named_ket
-from qincomp.scenarios import _CHI_BRANCHES, _amplitudes, pqr, spectrum_from_ab
+from qincomp.scenarios import _CHI_BRANCHES, _PI_BRANCHES, _amplitudes, pqr, spectrum_from_ab
 
 REAL_PARAM_TOL = 1e-12
 CUBIC_DOMAIN_TOL = 1e-12
 
 CHI_INITIAL_SCHMIDT = np.array([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
+
+
+def pi_initial() -> np.ndarray:
+    """Probe state for the superposition scenario before the map acts, built
+    from the +1 ket of each branch's axis, as its 3x4 amplitude matrix."""
+    return _amplitudes(_PI_BRANCHES, lambda label: named_ket(label, 0))
 
 
 def chi_final_unitary_only(theta: float, phi_a: float, phi_b: float) -> np.ndarray:

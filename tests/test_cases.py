@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import largest_root, point, spectrum_at, verdict_at
+from oracles import largest_root, pi_initial, point, spectrum_at, verdict_at
 from qincomp.cases import (
     _ADMITTED,
     _DECISION,
@@ -22,7 +22,6 @@ from qincomp.cases import (
 from qincomp.majorization import _LABELS, MAJORIZATION_TOL, PairLabel, classify_pair
 from qincomp.scenarios import (
     PI_INITIAL_SCHMIDT,
-    build_pi_initial,
     cubic_coefficients,
     pi_final,
     pqr,
@@ -194,7 +193,7 @@ class TestVerifyPrediction:
         assert check["agree"]
 
     def test_observed_verdict_is_classify_pair(self):
-        initial = schmidt_vector(build_pi_initial())
+        initial = schmidt_vector(pi_initial())
         for alpha, beta in ((1, 0), (0, 1), (SQ2, SQ2), (0.6, 0.8j), (0.8, -0.6)):
             observed = point(alpha, beta)["observed"]
             direct = classify_pair(initial, schmidt_vector(pi_final(alpha, beta)))

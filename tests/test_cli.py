@@ -541,32 +541,28 @@ class TestPlantedNanExits3:
 class TestPlantedInitialStateExits3:
     """Each command checks the initial Schmidt vector its verdicts read
     against its closed form, so a perturbed initial state is a contract
-    violation, not a verdict."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_initial_vector(self):
-        # the superposition scenario's initial vector is built once per process
-        cases._pi_initial_schmidt.cache_clear()
-        yield
-        cases._pi_initial_schmidt.cache_clear()
+    violation, not a verdict.  The certified kernel reads the superposition
+    scenario's initial state as point 0 of its pi_final stack."""
 
     @pytest.mark.parametrize(
         "module, builder, argv",
         [
-            pytest.param(cases, "build_pi_initial", ["ipp-demo", "--alpha", "0.6", "--beta", "0.8"],
+            pytest.param(cases, "pi_final", ["ipp-demo", "--alpha", "0.6", "--beta", "0.8"],
                          id="ipp-demo"),
-            pytest.param(cases, "build_pi_initial", ["sweep-real", "--n", "4"], id="sweep-real"),
+            pytest.param(cases, "pi_final", ["sweep-real", "--n", "4"], id="sweep-real"),
             pytest.param(cli, "build_chi_initial", ["gamma-demo"], id="gamma-demo"),
         ],
     )
     def test_perturbed_initial_state_exits_3(self, capsys, monkeypatch, module, builder, argv):
         build = getattr(module, builder)
 
-        def perturbed():
+        def perturbed(*args):
             # the superposition scenario's vector moves only to second order
-            state = build()
-            state[0, 0] += 1e-3
-            return state / np.linalg.norm(state)
+            state = build(*args)
+            initial = state[..., 0] if state.ndim == 3 else state
+            initial[0, 0] += 1e-3
+            initial /= np.linalg.norm(initial)
+            return state
 
         monkeypatch.setattr(module, builder, perturbed)
         assert main(argv) == 3
@@ -576,6 +572,7 @@ class TestPlantedInitialStateExits3:
 
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+DATA = Path(__file__).resolve().parent / "data"
 BIG_OUTPUT = ["sweep-real", "--n", "3600"]  # far more than a pipe holds
 
 
@@ -613,6 +610,74 @@ class TestStdoutWriteErrors:
             )
         assert done.stderr.decode() == "error: [Errno 28] No space left on device\n"
         assert done.returncode == 1
+
+
+# Counts the Jacobi calls one command makes, in an interpreter of its own, so
+# that nothing an earlier command built in the same process is reused.
+_COUNT_JACOBI = """
+import contextlib, io, sys
+from qincomp import cli, states
+shapes = []
+jacobi = states.eigenvalues_hermitian_jacobi
+def counted(gram):
+    shapes.append(gram.shape)
+    return jacobi(gram)
+states.eigenvalues_hermitian_jacobi = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, len(shapes))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["ipp-demo", "--alpha", "0.6", "--beta", "0.8"], id="ipp-demo"),
+        pytest.param(["case-analyze", "--alpha", "0.6", "--beta", "0.8"], id="case-analyze"),
+        pytest.param(["sweep-real", "--n", "4"], id="sweep-real"),
+        pytest.param(["sweep-complex", "--n-phi", "4", "--n-delta", "2"], id="sweep-complex"),
+        pytest.param(["gamma-demo"], id="gamma-demo"),
+        pytest.param(["sweep-gamma", "--n-theta", "4", "--n-a", "3", "--n-b", "2"], id="sweep-gamma"),
+        pytest.param(["schmidt", str(DATA / "entangled-2x3.txt")], id="schmidt"),
+    ],
+)
+def test_each_command_makes_one_jacobi_call(argv):
+    # the initial state is a point of the one stacked call, never a lone call
+    done = subprocess.run(
+        [sys.executable, "-c", _COUNT_JACOBI, *argv],
+        capture_output=True, text=True, env=_cli_env(False), timeout=120,
+    )
+    assert done.stderr == ""
+    assert done.stdout == "0 1\n"
+
+
+class TestOversizedGrids:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-gamma", "--n-theta", "4294967296", "--n-a", "4294967296", "--n-b", "2"],
+            ["sweep-complex", "--n-phi", "4294967296", "--n-delta", "4294967296"],
+        ],
+        ids=["sweep-gamma", "sweep-complex"],
+    )
+    def test_a_grid_numpy_cannot_index_exits_2(self, argv):
+        # numpy refuses the grid's index space before anything is allocated
+        code, err = _exit_code_and_stderr(argv)
+        assert code == 2
+        assert err.startswith("error: dimensions are too large")
+
+    def test_a_request_too_large_for_memory_is_one_error_line(self, capsys, monkeypatch):
+        # planted, as a real huge allocation may succeed lazily and end in an OOM kill
+        message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000,) and data type float64"
+
+        def refused(n):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "sweep_real", refused)
+        assert main(["sweep-real", "--n", "10000000000000", "--summary"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: not enough memory: {message}\n"
 
 
 class TestParserErrors:

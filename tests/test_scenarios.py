@@ -11,6 +11,7 @@ from oracles import (
     chi_final_unitary_only,
     chi_initial_density_closed_form,
     pi_final_density_closed_form,
+    pi_initial,
     pi_initial_density_closed_form,
     point,
     real_ab,
@@ -24,7 +25,6 @@ from qincomp.scenarios import (
     PI_INITIAL_SCHMIDT,
     _discriminant_root,
     build_chi_initial,
-    build_pi_initial,
     chi_final,
     cubic_coefficients,
     pi_final,
@@ -219,22 +219,25 @@ class TestEmptyGrids:
 class TestSuperpositionScenario:
     def test_initial_schmidt_vector(self):
         np.testing.assert_allclose(
-            schmidt_vector(build_pi_initial()), PI_INITIAL_SCHMIDT, atol=1e-12
+            schmidt_vector(pi_initial()), PI_INITIAL_SCHMIDT, atol=1e-12
         )
 
     def test_initial_density_matches_closed_form(self):
         np.testing.assert_allclose(
-            reduced_density_a(build_pi_initial()),
+            reduced_density_a(pi_initial()),
             pi_initial_density_closed_form(),
             atol=1e-12,
         )
 
     def test_initial_density_corner_entry(self):
-        rho = reduced_density_a(build_pi_initial())
+        rho = reduced_density_a(pi_initial())
         assert 3.0 * rho[1, 2] == pytest.approx(-0.5j, abs=1e-12)
 
     def test_identity_params_reproduce_initial_state(self):
-        np.testing.assert_allclose(pi_final(1, 0), build_pi_initial(), atol=1e-15)
+        # bit for bit: the certified kernel reads the initial state as this point
+        identity, initial = pi_final(1.0, 0.0), pi_initial()
+        assert identity.dtype == initial.dtype and identity.shape == initial.shape
+        assert identity.tobytes() == initial.tobytes()
 
     def test_flipping_schmidt_vector(self):
         vec = schmidt_vector(pi_final(0, 1))

@@ -280,11 +280,10 @@ class TestBlocks:
 
             monkeypatch.setattr(module, name, counted)
 
-        cases._pi_initial_schmidt()  # built once per process, then cached
         count(cases, "schmidt_vector")
         count(sweep, "schmidt_vector")
         count(states, "reduced_density_a")
-        for name in ("pqr", "cubic_coefficients", "pi_final"):
+        for name in ("pqr", "cubic_coefficients", "pi_final", "entropy_of_entanglement"):
             count(cases, name)
         count(scenarios, "ipp_image")
         count(sweep, "chi_final")
@@ -301,6 +300,7 @@ class TestBlocks:
             "qincomp.cases.pqr": 8,
             "qincomp.cases.cubic_coefficients": 8,
             "qincomp.cases.pi_final": 8,
+            "qincomp.cases.entropy_of_entanglement": 8,
             "qincomp.scenarios.ipp_image": 24,
             "qincomp.cases.schmidt_vector": 8,
             "qincomp.states.reduced_density_a": 8,
