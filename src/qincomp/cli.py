@@ -16,17 +16,16 @@ import sys
 
 import numpy as np
 
-from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify, _internal, predict_case
+from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify, predict_case
 from .linalg import JacobiConvergenceError, is_normalized
 from .majorization import classify_pair
 from .qubits import _canonical_angles, _unit_amplitudes
-from .scenarios import CHI_INITIAL_SCHMIDT, SPECTRUM_SUM_TOL, build_chi_initial, chi_final
+from .scenarios import SPECTRUM_SUM_TOL
 from .states import entropy_of_entanglement, schmidt_vector
 from .sweep import (
     ContractViolationError,
     _cells,
-    _closed_form_deviation,
-    _gamma_deviation,
+    _certify_gamma,
     _text,
     summarize,
     sweep_complex,
@@ -146,11 +145,7 @@ def _cmd_check_pair(args: argparse.Namespace) -> None:
 def _cmd_gamma_demo(args: argparse.Namespace) -> None:
     # one-point angle arrays, so the final state is sweep-gamma's at these angles, bit for bit
     row = {name: _canonical_angles(name, [getattr(args, name)]) for name in ("theta", "phi_a", "phi_b")}
-    with _internal():
-        stack = np.concatenate([build_chi_initial()[..., None], chi_final(**row)], axis=-1)
-        initial, final = vecs = schmidt_vector(stack)
-        _closed_form_deviation(initial, CHI_INITIAL_SCHMIDT, "initial")
-        _gamma_deviation(final)
+    initial, final = vecs = _certify_gamma(**row)[0]
     row.update((f"lam_i{i + 1}", v) for i, v in enumerate(initial))
     row.update((f"lam_f{i + 1}", v) for i, v in enumerate(final))
     row["entropy_i"], row["entropy_f"] = entropy_of_entanglement(vecs)

@@ -2,19 +2,19 @@
 CSV/JSON serializer that every command's rows go through.
 
 A sweep builds its parameter grid as arrays and certifies it in blocks of
-BLOCK_POINTS points with the grid kernel cases._certify, which
-cross-checks the trigonometric spectrum against the Jacobi spectrum of the
-directly constructed state, raises ContractViolationError on disagreement,
-and returns the columns A, B, lam1, lam2, lam3, entropy_i, entropy_f,
-observed, predicted and agree; by the same rule, sweep_gamma and gamma-demo
-raise when a Jacobi vector is more than SOLVER_AGREE_TOL from the closed
-form CHI_FINAL_SCHMIDT.  A sweep's result is a dict of numpy columns keyed
-by the CSV header's names, one entry per grid point: phi and delta (None in
-a real sweep), then the kernel's columns in that order: floats, the
-PairLabel and Prediction enums, and bools.
-One cell formatter picks a column's text once, from its dtype, in either
-format; one generator writes a result BLOCK_POINTS rows at a time as CSV
-lines or as the JSON array that json.dumps(..., indent=2) would write.
+BLOCK_POINTS points, each with one stacked Jacobi call whose point 0 is the
+scenario's initial state.  The grid kernel cases._certify cross-checks the
+trigonometric spectrum against the Jacobi spectrum of the directly built
+state and returns the columns A, B, lam1, lam2, lam3, entropy_i, entropy_f,
+observed, predicted and agree; _certify_gamma, the kernel of sweep_gamma and
+gamma-demo, checks both Jacobi vectors against their closed forms within
+SOLVER_AGREE_TOL.  Either raises ContractViolationError on a failed check.
+A sweep's result is a dict of numpy columns keyed by the CSV header's names,
+one entry per grid point: phi and delta (None in a real sweep), then the
+kernel's columns in that order: floats, the PairLabel and Prediction enums,
+and bools.  One cell formatter picks a column's text once, from its dtype,
+in either format; one generator writes a result BLOCK_POINTS rows at a time
+as CSV lines or as the JSON array that json.dumps(..., indent=2) would write.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from .cases import ContractViolationError, _certify, _closed_form_deviation, _internal
 from .majorization import PairLabel
-from .scenarios import CHI_FINAL_SCHMIDT, chi_final
+from .scenarios import CHI_FINAL_SCHMIDT, CHI_INITIAL_SCHMIDT, build_chi_initial, chi_final
 from .states import schmidt_vector
 
 # Grid points per call of the certified kernel (and of the stacked Jacobi)
@@ -95,22 +95,27 @@ def sweep_complex(n_phi: int, n_delta: int) -> Columns:
     return result
 
 
-def _gamma_deviation(vecs: np.ndarray) -> float:
-    """_closed_form_deviation of final Schmidt vectors from CHI_FINAL_SCHMIDT."""
-    return _closed_form_deviation(vecs, CHI_FINAL_SCHMIDT, "final")
+def _certify_gamma(theta: np.ndarray, phi_a: np.ndarray, phi_b: np.ndarray) -> tuple[np.ndarray, float]:
+    """The anti-unitary scenario's certified kernel over unchecked (N,) angle
+    arrays: one Jacobi call's (N + 1, 3) Schmidt vectors, initial state first,
+    and the largest final deviation; ContractViolationError unless row 0 is
+    within SOLVER_AGREE_TOL of CHI_INITIAL_SCHMIDT and rows 1: of CHI_FINAL_SCHMIDT."""
+    with _internal():
+        initial = build_chi_initial()[..., None]
+        vecs = schmidt_vector(np.concatenate([initial, chi_final(theta, phi_a, phi_b)], axis=-1))
+        _closed_form_deviation(vecs[0], CHI_INITIAL_SCHMIDT, "initial")
+        return vecs, _closed_form_deviation(vecs[1:], CHI_FINAL_SCHMIDT, "final")
 
 
 def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
-    """Max deviation of the anti-unitary scenario's final Schmidt vector from
-    its parameter-free value, over an (n_theta x n_a x n_b) angle grid whose
-    axes start at 0.  Any deviation above SOLVER_AGREE_TOL (1e-10) raises."""
+    """Summary of the (n_theta x n_a x n_b) angle grid whose axes start at 0:
+    its largest final deviation, from _certify_gamma a block at a time."""
     if n_theta < 1 or n_a < 1 or n_b < 1:
         raise ValueError("sweep_gamma requires positive grid sizes")
     worst = 0.0
     # the grid is walked outside _internal: numpy refusing its size is the input's fault
     for _, angles in _grid_angles(n_theta, n_a, n_b):
-        with _internal():
-            worst = max(worst, _gamma_deviation(schmidt_vector(chi_final(*angles))))
+        worst = max(worst, _certify_gamma(*angles)[1])
     return GammaSweepSummary(n_theta, n_a, n_b, n_theta * n_a * n_b, worst)
 
 
@@ -131,8 +136,8 @@ def format_float(x: float) -> str:
 def _json_float(cell: str) -> str:
     """repr(float(cell)) of a format_float cell: its digits, as no shorter
     text names a normal float of at most 15 digits, with ".0" on a whole
-    number; by the round trip at exponent +15 (repr's starts at 16) or
-    below -299 (subnormals have fewer digits)."""
+    number; by the round trip at exponent +15 (repr's starts at 16) and at
+    the exponents "e-3" matches: -30 to -39, and below -299 (subnormals have fewer digits)."""
     if "e+15" in cell or "e-3" in cell:
         return repr(float(cell))
     return cell if "." in cell or "e" in cell or "n" in cell else cell + ".0"

@@ -477,7 +477,7 @@ class TestPlantedNanExits3:
         [
             pytest.param(cases, ["ipp-demo", "--alpha", "0.6", "--beta", "0.8"], id="ipp-demo"),
             pytest.param(cases, ["sweep-real", "--n", "4"], id="sweep-real"),
-            pytest.param(cli, ["gamma-demo"], id="gamma-demo"),
+            pytest.param(sweep, ["gamma-demo"], id="gamma-demo"),
             pytest.param(sweep, ["sweep-gamma", "--n-theta", "2", "--n-a", "2", "--n-b", "2"],
                          id="sweep-gamma"),
         ],
@@ -541,8 +541,9 @@ class TestPlantedNanExits3:
 class TestPlantedInitialStateExits3:
     """Each command checks the initial Schmidt vector its verdicts read
     against its closed form, so a perturbed initial state is a contract
-    violation, not a verdict.  The certified kernel reads the superposition
-    scenario's initial state as point 0 of its pi_final stack."""
+    violation, not a verdict.  Each scenario's kernel reads its initial
+    state as point 0 of its one Jacobi stack: cases._certify as pi_final at
+    the identity, sweep._certify_gamma as build_chi_initial's state."""
 
     @pytest.mark.parametrize(
         "module, builder, argv",
@@ -550,7 +551,10 @@ class TestPlantedInitialStateExits3:
             pytest.param(cases, "pi_final", ["ipp-demo", "--alpha", "0.6", "--beta", "0.8"],
                          id="ipp-demo"),
             pytest.param(cases, "pi_final", ["sweep-real", "--n", "4"], id="sweep-real"),
-            pytest.param(cli, "build_chi_initial", ["gamma-demo"], id="gamma-demo"),
+            pytest.param(sweep, "build_chi_initial", ["gamma-demo"], id="gamma-demo"),
+            pytest.param(sweep, "build_chi_initial",
+                         ["sweep-gamma", "--n-theta", "2", "--n-a", "2", "--n-b", "2"],
+                         id="sweep-gamma"),
         ],
     )
     def test_perturbed_initial_state_exits_3(self, capsys, monkeypatch, module, builder, argv):

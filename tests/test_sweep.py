@@ -13,7 +13,7 @@ from qincomp.cases import SQRT3_HALF, ContractViolationError, Prediction, _condi
 from qincomp.cli import main
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel
-from qincomp.scenarios import PI_INITIAL_SCHMIDT, pi_final
+from qincomp.scenarios import PI_INITIAL_SCHMIDT, build_chi_initial, chi_final, pi_final
 from qincomp.states import schmidt_vector
 from qincomp import cases, scenarios, states, sweep
 from qincomp.sweep import (
@@ -219,14 +219,35 @@ class TestSweepGamma:
             assert sweep_gamma(2, 2, 2).max_deviation == pytest.approx(shift, rel=1e-5)
 
     def test_deviation_equal_to_the_tolerance_certifies(self, monkeypatch):
-        # the kernel's rule: only a gap above SOLVER_AGREE_TOL raises
-        vecs = sweep.CHI_FINAL_SCHMIDT + np.array([3e-11, 0.0, 0.0])
-        deviation = float(np.max(np.abs(vecs - sweep.CHI_FINAL_SCHMIDT)))
-        monkeypatch.setattr(cases, "SOLVER_AGREE_TOL", deviation)
-        assert sweep._gamma_deviation(vecs) == deviation
-        monkeypatch.setattr(cases, "SOLVER_AGREE_TOL", np.nextafter(deviation, 0.0))
-        with pytest.raises(ContractViolationError):
-            sweep._gamma_deviation(vecs)
+        # the kernel's rule: only a deviation above SOLVER_AGREE_TOL raises,
+        # on the initial row 0 as on the final rows 1:
+        angles = np.array([[0.3, 2.0], [1.1, 0.0], [4.0, 5.5]])
+        for name, which, rows in (("CHI_FINAL_SCHMIDT", "final", slice(1, None)),
+                                  ("CHI_INITIAL_SCHMIDT", "initial", 0)):
+            monkeypatch.setattr(sweep, name, getattr(sweep, name) + np.array([3e-11, 0.0, 0.0]))
+            vecs, final_deviation = sweep._certify_gamma(*angles)
+            deviation = float(np.max(np.abs(vecs[rows] - getattr(sweep, name))))
+            assert which == "initial" or final_deviation == deviation
+            monkeypatch.setattr(cases, "SOLVER_AGREE_TOL", deviation)
+            assert sweep._certify_gamma(*angles)[0].tobytes() == vecs.tobytes()
+            monkeypatch.setattr(cases, "SOLVER_AGREE_TOL", np.nextafter(deviation, 0.0))
+            with pytest.raises(ContractViolationError, match=f"^{which} Schmidt vector deviates by"):
+                sweep._certify_gamma(*angles)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("width", [1, 7, 960])
+    def test_kernel_rows_equal_lone_calls_exactly(self, width):
+        # the initial state rides as point 0 of the kernel's one Jacobi call;
+        # Jacobi treats each matrix alone, so no row changes a bit
+        angles = np.random.default_rng(width).uniform(0.0, 2.0 * math.pi, size=(3, width))
+        vecs = sweep._certify_gamma(*angles)[0]
+        assert vecs.shape == (width + 1, 3)
+        assert vecs[0].tobytes() == schmidt_vector(build_chi_initial()).tobytes()
+        assert vecs[1:].tobytes() == schmidt_vector(chi_final(*angles)).tobytes()
+
+    def test_grid_deviation_is_that_of_the_final_states_alone(self):
+        # 2^-51 on this grid when its final states ran through Jacobi alone
+        assert sweep_gamma(8, 10, 12).max_deviation == 2.0**-51
 
 
 def _assert_same_columns(got, want):
@@ -423,7 +444,8 @@ class TestSerialization:
         [
             *(sign * np.nextafter(edge, edge * step) for sign in (1.0, -1.0)
               for edge in (1e15, 1e16) for step in (0.0, 1.0, 2.0)),
-            -0.0, 0.0, 1e-05, 1e-4, 0.1 + 0.2, 123.0, -7.0, 1.5e300, 2.2250738585072014e-308, 5e-324,
+            -0.0, 0.0, 1e-05, 1e-4, 0.1 + 0.2, 123.0, -7.0, 1.5e300, 1.5e-35,
+            2.2250738585072014e-308, 5e-324,
             math.inf, -math.inf, math.nan,
         ],
     )
@@ -431,7 +453,8 @@ class TestSerialization:
         # the cell skips the parse and second format where it can; it must
         # still be what json.dumps writes for the 15-digit float, including
         # just below and above 1e15 and 1e16, where %.15g and repr switch
-        # to an exponent at different places
+        # to an exponent at different places; and at 1.5e-35, whose "e-35"
+        # takes the round trip that only subnormals need
         want = repr(float(format_float(x)))
         assert sweep._cells(np.array([x]), "json") == [want]
         if math.isfinite(x):
