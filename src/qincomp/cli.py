@@ -55,7 +55,7 @@ def parse_state_file(path: str) -> np.ndarray:
     as the (dimA, dimB) amplitude matrix; ValueError if the file is malformed
     or its norm is off 1 by more than NORM_TOL."""
     with open(path, encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
+        lines = [line for line in handle if not line.isspace()]
     if not lines:
         raise ValueError("state file is empty")
     head = lines[0].split()
@@ -72,15 +72,15 @@ def parse_state_file(path: str) -> np.ndarray:
         raise ValueError(
             f"state file needs {dim_a * dim_b} amplitude lines, found {len(body)}"
         )
-    amps = np.empty(dim_a * dim_b, dtype=complex)
-    for index, line in enumerate(body):
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"amplitude line {index + 2} must be 're im'")
+    values = []
+    for number, fields in enumerate(map(str.split, body), start=2):
+        if len(fields) != 2:
+            raise ValueError(f"amplitude line {number} must be 're im'")
         try:
-            amps[index] = complex(float(parts[0]), float(parts[1]))
+            values += (float(fields[0]), float(fields[1]))
         except ValueError as exc:
-            raise ValueError(f"amplitude line {index + 2} is not numeric") from exc
+            raise ValueError(f"amplitude line {number} is not numeric") from exc
+    amps = np.array(values).view(complex)
     if not is_normalized(amps):
         raise ValueError("state amplitudes must have unit norm")
     return amps.reshape(dim_a, dim_b)

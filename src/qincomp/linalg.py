@@ -12,6 +12,7 @@ can vouch for the other.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,8 +50,26 @@ def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
+class _BuiltMoves(Sequence):
+    """Flat moves, each built from its (n,) row move when read: O(n^2) bytes, not 8 n^3."""
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index: int | slice) -> np.ndarray | _BuiltMoves:
+        rows = self.rows[index]
+        if rows.ndim == 2:
+            return _BuiltMoves(rows)
+        move = (rows[:, None] * len(rows) + rows).ravel()
+        move.flags.writeable = False
+        return move
+
+
 @functools.cache
-def _round_robin(n: int) -> tuple[np.ndarray, ...]:
+def _round_robin(n: int) -> Sequence[np.ndarray]:
     """Flat permutations that move an (n*n, N) stack of row-major matrices
     through the rounds of a round-robin tournament on n indices.
 
@@ -64,7 +83,7 @@ def _round_robin(n: int) -> tuple[np.ndarray, ...]:
     The moves are indices for np.take along axis 0: canonical order to
     round 0, round r to round r + 1, and the last round back to canonical
     order, so a sweep's moves compose to the identity.  Cached per n; the
-    arrays are read-only.
+    arrays are read-only.  Above n = 32 each is built as read (_BuiltMoves).
     """
     m = n + n % 2
     ring = list(range(1, m))
@@ -78,13 +97,9 @@ def _round_robin(n: int) -> tuple[np.ndarray, ...]:
             orders.append(np.array(order + sorted(set(range(n)) - set(order))))
         ring = ring[-1:] + ring[:-1]
     orders.append(orders[0])
-    moves = []
-    for before, after in zip(orders, orders[1:]):
-        rows = np.argsort(before)[after]
-        move = (rows[:, None] * n + rows).ravel()
-        move.flags.writeable = False
-        moves.append(move)
-    return tuple(moves)
+    rows = np.array([np.argsort(before)[after] for before, after in zip(orders, orders[1:])])
+    rows.flags.writeable = False
+    return tuple(_BuiltMoves(rows)) if n <= 32 else _BuiltMoves(rows)
 
 
 def _round_views(flat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -93,7 +108,8 @@ def _round_views(flat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     pivots a_pq (the first k entries of the k-th superdiagonal) and the
     real parts of a_pp and a_qq (diagonal entries 0 .. k-1 and k .. 2k-1);
     columns p, q as an (n, 2, k, N) block and rows p, q as a (2, k, n, N)
-    one, each as its float pairs and with its halves swapped.
+    one, each as its float pairs (for N = 1 the rows as (2, k, 2n), so that
+    c (k, 1) scales a row as one run of 2n floats) and with its halves swapped.
     For n odd the column block skips a column in every row; numpy adds
     such complex blocks several times slower than the same bytes as
     floats, and a complex sum is the float sums of its parts, bit for bit.
@@ -104,9 +120,10 @@ def _round_views(flat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     square = flat.reshape(n, n, width)
     columns = square[:, : 2 * k].reshape(n, 2, k, width, copy=False)
     rows = square[: 2 * k].reshape(2, k, n, width)
+    row_floats = (2, k, 2 * n) if width == 1 else (2, k, n, 2 * width)
     return (
         flat[k :: n + 1][:k], diagonal[:k].real, diagonal[k : 2 * k].real,
-        columns.view(float), columns[:, ::-1], rows.view(float), rows[::-1],
+        columns.view(float), columns[:, ::-1], rows.view(float).reshape(row_floats), rows[::-1],
     )
 
 
@@ -188,17 +205,20 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     near_bound = bound * np.sqrt(2.0 / JACOBI_OFF_TOL)
     values = np.empty((n, count))
     done = np.zeros(count, dtype=bool)
-    # the swapped halves' products, as one block for the columns and one for
-    # the rows; the real rotation parameters, contiguous, as a numpy call on
-    # strided operands costs about twice as much; c twice per pivot, to
-    # scale float pairs (as a complex product would, but for the signs of
-    # zeros); the pairs that get the identity rotation; cross = (-conj(s), s)
+    # the swapped halves' products, one block for the columns and one for the
+    # rows, its floats shaped as a stack's view 5; the real rotation parameters,
+    # contiguous, as a numpy call on strided operands costs about twice as
+    # much, and ones, cheaper a call than 1.0; c twice per pivot, to scale
+    # float pairs (as a complex product would, but for the signs of zeros), or
+    # c for one matrix's rows; the identity-rotation pairs; cross = (-conj(s), s)
     work = np.empty(2 * k * n * count, dtype=complex)
     column_products, row_products = work.reshape(n, 2, k, count), work.reshape(2, k, n, count)
-    column_product_floats, row_product_floats = column_products.view(float), row_products.view(float)
+    column_product_floats = column_products.view(float)
+    row_product_floats = work.view(float).reshape(stacks[0][1][5].shape)
     size, tau, t, c = np.empty((4, k, count))
+    ones = np.ones((k, count))
     c_twice = np.empty((k, count, 2))
-    c_columns, c_rows = c_twice.reshape(k, 2 * count), c_twice.reshape(k, 1, 2 * count)
+    c_columns, c_rows = c_twice.reshape(k, 2 * count), c if count == 1 else c_twice.reshape(k, 1, 2 * count)
     idle = np.empty((k, count), dtype=bool)
     cross = np.empty((2, k, count), dtype=complex)
     s, cross_rows = cross[1], cross[:, :, None]
@@ -236,16 +256,16 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
                 # each operation in this order, into reused buffers
                 np.abs(apq, out=size)
                 np.subtract(aqq, app, out=tau)
-                np.divide(tau, np.multiply(2.0, size, out=c), out=tau)
-                np.sqrt(np.add(1.0, np.multiply(tau, tau, out=c), out=c), out=c)
+                np.divide(tau, np.add(size, size, out=c), out=tau)
+                np.sqrt(np.add(ones, np.multiply(tau, tau, out=c), out=c), out=c)
                 np.add(np.abs(tau, out=t), c, out=c)
-                np.divide(np.copysign(1.0, tau, out=t), c, out=t)
-                np.sqrt(np.add(1.0, np.multiply(t, t, out=tau), out=tau), out=tau)
-                np.divide(1.0, tau, out=c)
+                np.divide(np.copysign(ones, tau, out=t), c, out=t)
+                np.sqrt(np.add(ones, np.multiply(t, t, out=tau), out=tau), out=tau)
+                np.divide(ones, tau, out=c)
                 np.multiply(np.multiply(t, c, out=t), np.divide(apq, size, out=s), out=s)
                 np.less_equal(size, pivot_tol, out=idle)
-                np.copyto(c, 1.0, where=idle)
-                np.copyto(s, 0.0, where=idle)
+                np.putmask(c, idle, 1.0)
+                np.putmask(s, idle, 0.0)
                 c_twice[..., 0] = c
                 c_twice[..., 1] = c
                 np.negative(np.conjugate(s, out=cross[0]), out=cross[0])

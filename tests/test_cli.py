@@ -83,6 +83,23 @@ class TestParsers:
         with pytest.raises(ValueError):
             parse_state_file(str(path))
 
+    def test_parse_state_file_accepts_tabs_and_crlf(self, tmp_path):
+        path = tmp_path / "bell.txt"
+        path.write_bytes(BELL_FILE.replace(" ", "\t").replace("\n", "\r\n").encode())
+        tabs_and_crlf = parse_state_file(str(path)).view(np.uint64)
+        path.write_text(BELL_FILE, encoding="utf-8")
+        np.testing.assert_array_equal(tabs_and_crlf, parse_state_file(str(path)).view(np.uint64))
+
+    def test_parse_state_file_reads_repr_amplitudes_bit_for_bit(self, tmp_path):
+        m = np.random.default_rng(83).normal(size=(3, 4, 2)).view(complex)[..., 0]
+        m[0, 1] = m[2, 3] = 0.0
+        m /= np.linalg.norm(m)
+        m[0, 1], m[2, 3] = complex(-0.0, 5e-324), complex(5e-324, -0.0)
+        path = tmp_path / "state.txt"
+        lines = ["3 4", *(f"{float(z.real)!r} {float(z.imag)!r}" for z in m.ravel())]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        np.testing.assert_array_equal(parse_state_file(str(path)).view(np.uint64), m.view(np.uint64))
+
 
 class TestSchmidtCommand:
     def test_csv_output(self, bell_path, capsys):
@@ -155,8 +172,12 @@ class TestSchmidtCommand:
             ("2 2\nnan 0\n0 0\n0 0\n0 0\n", "state amplitudes must have unit norm"),
             ("2 x\n", "state file dimensions must be integers"),
             ("2 2\n1 0 0\n0 0\n0 0\n0 0\n", "amplitude line 2 must be 're im'"),
+            # line 3 is not numeric and line 5 has three fields: line 3 wins
+            ("2 2\n1 0\nx 0\n0 0\n0 0 0\n", "amplitude line 3 is not numeric"),
+            # blank lines are not counted: the third line with text is line 3
+            ("\n2 2\n\n1 0\n  \t\n0 0 0\n0 0\n0 0\n", "amplitude line 3 must be 're im'"),
         ],
-        ids=["wrong_count", "nan", "non_integer_dimension", "three_fields"],
+        ids=["wrong_count", "nan", "non_integer_dimension", "three_fields", "first_error_wins", "blank_lines_not_counted"],
     )
     def test_refused_file_exits_2_quietly(self, tmp_path, capsys, text, message):
         # the parser is the one check of a state file: a refusal is one

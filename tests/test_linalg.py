@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -365,6 +366,22 @@ class TestRoundPlan:
                 assert not move.flags.writeable
             np.testing.assert_array_equal(round_orders(n)[1], np.arange(n * n))
 
+    def test_moves_above_32_keep_quadratic_bytes(self):
+        # n flat moves of n^2 indices would keep 8 n^3 bytes, 64 MB at
+        # n = 200; above n = 32 only the (n,) row moves are kept, and each
+        # flat move is built when it is read
+        n = 200
+        _round_robin.cache_clear()
+        tracemalloc.start()
+        try:
+            moves = _round_robin(n)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= 4 * n * n * np.dtype(np.intp).itemsize
+        assert len(moves) == n and moves[0].shape == (n * n,) and not moves[0].flags.writeable
+        np.testing.assert_array_equal(round_orders(n)[1], np.arange(n * n))
+
     def test_upper_pairs_are_cached_and_read_only(self):
         for n in range(1, 7):
             pairs = _upper_pairs(n)
@@ -451,6 +468,17 @@ class TestReferenceBits:
             expected = jacobi_reference(matrix)
             same_bits(row, expected)
             same_bits(eigenvalues_hermitian_jacobi(matrix), expected)
+
+    @pytest.mark.parametrize("n", [2, 3, 11, 24, 25, 33, 40])
+    def test_lone_matrix_as_width_one_and_width_three(self, n):
+        # a lone matrix and a width-1 stack scale each row as one run of 2n
+        # floats, a wider stack as float pairs; above n = 32 each round's
+        # move is built as the round reaches it
+        matrices = random_hermitian_stack(np.random.default_rng(73 + n), 3, n)
+        expected = jacobi_reference(matrices[1])
+        same_bits(eigenvalues_hermitian_jacobi(matrices[1]), expected)
+        same_bits(eigenvalues_hermitian_jacobi(matrices[1][..., None])[0], expected)
+        same_bits(eigenvalues_hermitian_jacobi(as_stack(matrices))[1], expected)
 
     def test_mixed_convergence_stack(self):
         rng = np.random.default_rng(61)
@@ -568,17 +596,16 @@ class TestRepeatedCalls:
     """Each call's buffers are its own: no thread or later call writes into
     another call's result."""
 
-    def test_threads_match_serial_results(self):
+    @staticmethod
+    def _threads_match_serial_results(inputs):
         # four threads, more than the cores of a small machine, on two
-        # stacks of one shape, switching often
-        rng = np.random.default_rng(67)
-        stacks = [as_stack(random_hermitian_stack(rng, 960, 3)) for _ in range(2)]
-        serial = [eigenvalues_hermitian_jacobi(stack) for stack in stacks]
+        # inputs of one shape, switching often
+        serial = [eigenvalues_hermitian_jacobi(m) for m in inputs]
         results = [[] for _ in range(4)]
 
         def run(i):
             for _ in range(20):
-                results[i].append(eigenvalues_hermitian_jacobi(stacks[i % 2]))
+                results[i].append(eigenvalues_hermitian_jacobi(inputs[i % 2]))
 
         threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
         interval = sys.getswitchinterval()
@@ -595,6 +622,15 @@ class TestRepeatedCalls:
             assert len(runs) == 20
             for result in runs:
                 same_bits(result, serial[i % 2])
+
+    def test_threads_match_serial_results(self):
+        rng = np.random.default_rng(67)
+        self._threads_match_serial_results([as_stack(random_hermitian_stack(rng, 960, 3)) for _ in range(2)])
+
+    def test_threads_match_serial_results_on_a_lone_matrix(self):
+        # the N = 1 row view and the array of ones belong to one call each
+        rng = np.random.default_rng(79)
+        self._threads_match_serial_results(list(random_hermitian_stack(rng, 2, 24)))
 
     def test_results_survive_later_calls(self):
         # the last matrix of the raising stack stops at once, so its done
