@@ -1,7 +1,10 @@
 """Decision procedure over the cubic data (A, B): predict_case codes the pair
 verdict from the sign of B and the position of A relative to 1/4; and the
-one certified grid kernel, which checks every prediction against the directly
-classified pair and is the route of every prediction the CLI prints.
+two certified kernels, one per scenario, which hold every check a printed
+verdict passes: _certify checks every prediction against the directly
+classified pair and is the route of every prediction the CLI prints, and
+_certify_gamma checks the anti-unitary scenario's Jacobi vectors against
+their closed forms.
 
 The final cubic is f(x) = x^3 - 3Ax + B, with roots x = 1 - 3 lam at the
 final eigenvalues lam, and the initial vector sits at x = -c, 0, c with
@@ -34,8 +37,12 @@ import numpy as np
 
 from .majorization import _LABELS, MAJORIZATION_TOL, PairLabel, _pair_codes
 from .scenarios import (
+    CHI_FINAL_SCHMIDT,
+    CHI_INITIAL_SCHMIDT,
     PI_INITIAL_SCHMIDT,
     _discriminant_root,
+    build_chi_initial,
+    chi_final,
     cubic_coefficients,
     pi_final,
     pqr,
@@ -203,3 +210,15 @@ def _certify(alpha: np.ndarray, beta: np.ndarray) -> dict[str, np.ndarray]:
             "observed": _LABEL_ENUMS[observed], "predicted": _PREDICTION_ENUMS[predicted],
             "agree": agree,
         }
+
+
+def _certify_gamma(theta: np.ndarray, phi_a: np.ndarray, phi_b: np.ndarray) -> tuple[np.ndarray, float]:
+    """The anti-unitary scenario's certified kernel over unchecked (N,) angle
+    arrays: one Jacobi call's (N + 1, 3) Schmidt vectors, initial state first,
+    and the largest final deviation; ContractViolationError unless row 0 is
+    within SOLVER_AGREE_TOL of CHI_INITIAL_SCHMIDT and rows 1: of CHI_FINAL_SCHMIDT."""
+    with _internal():
+        initial = build_chi_initial()[..., None]
+        vecs = schmidt_vector(np.concatenate([initial, chi_final(theta, phi_a, phi_b)], axis=-1))
+        _closed_form_deviation(vecs[0], CHI_INITIAL_SCHMIDT, "initial")
+        return vecs, _closed_form_deviation(vecs[1:], CHI_FINAL_SCHMIDT, "final")

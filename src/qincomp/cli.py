@@ -1,5 +1,8 @@
 """Command-line interface: demos, pair checks, and classification sweeps.
 
+Every check of an outside input is made here, once, where the input is
+read; the kernels behind the commands check none of it.
+
 Exit codes: 0 success, 1 a failed write to stdout (a closed pipe ends
 quietly), 2 malformed input, an unreadable state file or a request too
 large for memory, 3 internal contract violation.
@@ -16,22 +19,22 @@ import sys
 
 import numpy as np
 
-from .cases import _CASE_IDS, _SUBCASES, Prediction, _certify, predict_case
-from .linalg import JacobiConvergenceError, is_normalized
+from .cases import (
+    _CASE_IDS,
+    _SUBCASES,
+    ContractViolationError,
+    Prediction,
+    _certify,
+    _certify_gamma,
+    predict_case,
+)
+from .linalg import JacobiConvergenceError
 from .majorization import classify_pair
-from .qubits import _canonical_angles, _unit_amplitudes
 from .scenarios import SPECTRUM_SUM_TOL
 from .states import entropy_of_entanglement, schmidt_vector
-from .sweep import (
-    ContractViolationError,
-    _cells,
-    _certify_gamma,
-    _text,
-    summarize,
-    sweep_complex,
-    sweep_gamma,
-    sweep_real,
-)
+from .sweep import _cells, _text, summarize, sweep_complex, sweep_gamma, sweep_real
+
+NORM_TOL = 1e-12
 
 _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 _FLOAT = rf"[+-]?{_UNSIGNED}"
@@ -50,11 +53,39 @@ def parse_complex(text: str) -> complex:
     return complex(float(real), float(imag) if imag is not None else 0.0)
 
 
+def _check_unit_norm(amplitudes: np.ndarray, message: str) -> None:
+    """ValueError(message) unless the squared moduli of amplitudes, summed
+    over the first axis, are 1 within NORM_TOL; a NaN sum fails too."""
+    # a huge amplitude squares to inf, which fails the check below
+    with np.errstate(over="ignore"):
+        norms = np.sum(np.abs(amplitudes) ** 2, axis=0)
+    if not np.all(np.abs(norms - 1.0) <= NORM_TOL):
+        raise ValueError(message)
+
+
+def _canonical_angles(name: str, values: object) -> np.ndarray:
+    """Angles reduced to [0, 2pi); ValueError naming the angle if any is not finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} must be finite")
+    return values % (2.0 * math.pi)
+
+
+def _unit_amplitudes(alpha: object, beta: object) -> tuple[np.ndarray, np.ndarray]:
+    """Complex arrays alpha, beta, checked finite with |alpha|^2 + |beta|^2 = 1 entrywise."""
+    alpha = np.asarray(alpha, dtype=complex)
+    beta = np.asarray(beta, dtype=complex)
+    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
+        raise ValueError("amplitudes must be finite")
+    _check_unit_norm(np.stack([alpha, beta]), "amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
+    return alpha, beta
+
+
 def parse_state_file(path: str) -> np.ndarray:
     """Read a state file: first line 'dimA dimB', then dimA*dimB lines 're im',
     as the (dimA, dimB) amplitude matrix; ValueError if the file is malformed
     or its norm is off 1 by more than NORM_TOL."""
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         lines = [line for line in handle if not line.isspace()]
     if not lines:
         raise ValueError("state file is empty")
@@ -81,8 +112,7 @@ def parse_state_file(path: str) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"amplitude line {number} is not numeric") from exc
     amps = np.array(values).view(complex)
-    if not is_normalized(amps):
-        raise ValueError("state amplitudes must have unit norm")
+    _check_unit_norm(amps, "state amplitudes must have unit norm")
     return amps.reshape(dim_a, dim_b)
 
 
@@ -154,7 +184,7 @@ def _cmd_gamma_demo(args: argparse.Namespace) -> None:
 
 
 def _amplitude_args(args: argparse.Namespace) -> tuple[np.ndarray, np.ndarray]:
-    """--alpha and --beta as one-point arrays, checked by qubits._unit_amplitudes."""
+    """--alpha and --beta as one-point arrays, checked by _unit_amplitudes."""
     return _unit_amplitudes([parse_complex(args.alpha)], [parse_complex(args.beta)])
 
 

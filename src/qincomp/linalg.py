@@ -1,8 +1,8 @@
-"""Dense complex linear algebra: a normalization check, and two kernels that
-do not check their stated preconditions: the tensor product of a ket with a
-ket or a stack of kets, and a hand-written cyclic Jacobi Hermitian
-eigensolver, which stops a matrix by its off-diagonal mass or by the
-Kato-Temple bound, both relative to its norm.
+"""Dense complex linear algebra: two kernels that do not check their stated
+preconditions: the tensor product of a ket with a ket or a stack of kets,
+and a hand-written cyclic Jacobi Hermitian eigensolver, which stops a
+matrix by its off-diagonal mass or by the Kato-Temple bound, both relative
+to its norm.
 
 Jacobi is one of the package's two eigen-routes; the other, the closed-form
 trigonometric cubic, lives in scenarios and shares no code with it, so each
@@ -16,7 +16,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-NORM_TOL = 1e-12
 JACOBI_OFF_TOL = 1e-14
 JACOBI_SWEEP_CAP = 100
 
@@ -32,14 +31,6 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and from amplitudes that cli checks once, where it reads them."""
     a, b = np.asarray(a), np.asarray(b)
     return np.multiply.outer(a, b).reshape((len(a) * len(b),) + b.shape[1:])
-
-
-def is_normalized(v: np.ndarray) -> bool:
-    """True iff the squared-modulus sum of v is 1 within NORM_TOL."""
-    # a huge amplitude squares to inf, which fails the check below
-    with np.errstate(over="ignore"):
-        total = np.sum(np.abs(np.asarray(v)) ** 2)
-    return bool(abs(total - 1.0) <= NORM_TOL)
 
 
 @functools.cache

@@ -3,8 +3,7 @@ conjugates after it, the six axis kets, and the restricted superposition map
 defined only on the three +1 axis kets.
 
 general_unitary, apply_antiunitary and ipp_image do not check their input:
-cli reduces the user's angles with _canonical_angles and checks the user's
-amplitudes with _unit_amplitudes, each once, where it reads them."""
+cli checks the user's angles and amplitudes once, where it reads them."""
 
 from __future__ import annotations
 
@@ -12,32 +11,6 @@ import math
 from enum import Enum
 
 import numpy as np
-
-from .linalg import NORM_TOL
-
-TWO_PI = 2.0 * math.pi
-
-
-def _canonical_angles(name: str, values: object) -> np.ndarray:
-    """Angles reduced to [0, 2pi); ValueError naming the angle if any is not finite."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite")
-    return values % TWO_PI
-
-
-def _unit_amplitudes(alpha: object, beta: object) -> tuple[np.ndarray, np.ndarray]:
-    """Complex arrays alpha, beta, checked finite with |alpha|^2 + |beta|^2 = 1 entrywise."""
-    alpha = np.asarray(alpha, dtype=complex)
-    beta = np.asarray(beta, dtype=complex)
-    if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-        raise ValueError("amplitudes must be finite")
-    # a huge amplitude squares to inf, which fails the norm check below
-    with np.errstate(over="ignore"):
-        norms = np.abs(alpha) * np.abs(alpha) + np.abs(beta) * np.abs(beta)
-    if np.any(np.abs(norms - 1.0) > NORM_TOL):
-        raise ValueError("amplitudes must satisfy |alpha|^2 + |beta|^2 = 1")
-    return alpha, beta
 
 
 class SpinLabel(Enum):

@@ -9,9 +9,8 @@ and the package's one cubic-root formula: the trigonometric spectrum of the
 final state, the eigen-route that shares no code with linalg's Jacobi.
 
 pi_final, chi_final, pqr, cubic_coefficients and spectrum_from_ab take
-scalars or equal-shape arrays and do not check them: qubits._canonical_angles
-reduces the user's angles, and qubits._unit_amplitudes checks the user's
-amplitudes, each once, where cli reads them.
+scalars or equal-shape arrays and do not check them: cli checks the user's
+angles and amplitudes once, where it reads them.
 """
 
 from __future__ import annotations

@@ -3,12 +3,10 @@ CSV/JSON serializer that every command's rows go through.
 
 A sweep builds its parameter grid as arrays and certifies it in blocks of
 BLOCK_POINTS points, each with one stacked Jacobi call whose point 0 is the
-scenario's initial state.  The grid kernel cases._certify cross-checks the
-trigonometric spectrum against the Jacobi spectrum of the directly built
-state and returns the columns A, B, lam1, lam2, lam3, entropy_i, entropy_f,
-observed, predicted and agree; _certify_gamma, the kernel of sweep_gamma and
-gamma-demo, checks both Jacobi vectors against their closed forms within
-SOLVER_AGREE_TOL.  Either raises ContractViolationError on a failed check.
+scenario's initial state, through a certified kernel in cases: _certify,
+which returns the columns A, B, lam1 .. lam3, entropy_i, entropy_f,
+observed, predicted and agree, or _certify_gamma, which sweep_gamma shares
+with gamma-demo.  Either raises ContractViolationError on a failed check.
 A sweep's result is a dict of numpy columns keyed by the CSV header's names,
 one entry per grid point: phi and delta (None in a real sweep), then the
 kernel's columns in that order: floats, the PairLabel and Prediction enums,
@@ -26,10 +24,9 @@ from enum import Enum
 
 import numpy as np
 
-from .cases import ContractViolationError, _certify, _closed_form_deviation, _internal
+# ContractViolationError is bound here too: bench/run.py catches it as sweep's
+from .cases import ContractViolationError, _certify, _certify_gamma
 from .majorization import PairLabel
-from .scenarios import CHI_FINAL_SCHMIDT, CHI_INITIAL_SCHMIDT, build_chi_initial, chi_final
-from .states import schmidt_vector
 
 # Grid points per call of the certified kernel (and of the stacked Jacobi)
 # in the sweeps, and rows per formatting step, so array temporaries stay
@@ -95,25 +92,13 @@ def sweep_complex(n_phi: int, n_delta: int) -> Columns:
     return result
 
 
-def _certify_gamma(theta: np.ndarray, phi_a: np.ndarray, phi_b: np.ndarray) -> tuple[np.ndarray, float]:
-    """The anti-unitary scenario's certified kernel over unchecked (N,) angle
-    arrays: one Jacobi call's (N + 1, 3) Schmidt vectors, initial state first,
-    and the largest final deviation; ContractViolationError unless row 0 is
-    within SOLVER_AGREE_TOL of CHI_INITIAL_SCHMIDT and rows 1: of CHI_FINAL_SCHMIDT."""
-    with _internal():
-        initial = build_chi_initial()[..., None]
-        vecs = schmidt_vector(np.concatenate([initial, chi_final(theta, phi_a, phi_b)], axis=-1))
-        _closed_form_deviation(vecs[0], CHI_INITIAL_SCHMIDT, "initial")
-        return vecs, _closed_form_deviation(vecs[1:], CHI_FINAL_SCHMIDT, "final")
-
-
 def sweep_gamma(n_theta: int, n_a: int, n_b: int) -> GammaSweepSummary:
     """Summary of the (n_theta x n_a x n_b) angle grid whose axes start at 0:
     its largest final deviation, from _certify_gamma a block at a time."""
     if n_theta < 1 or n_a < 1 or n_b < 1:
         raise ValueError("sweep_gamma requires positive grid sizes")
     worst = 0.0
-    # the grid is walked outside _internal: numpy refusing its size is the input's fault
+    # the grid is walked outside cases._internal: numpy refusing its size is the input's fault
     for _, angles in _grid_angles(n_theta, n_a, n_b):
         worst = max(worst, _certify_gamma(*angles)[1])
     return GammaSweepSummary(n_theta, n_a, n_b, n_theta * n_a * n_b, worst)

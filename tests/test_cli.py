@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qincomp import cases, cli, scenarios, states, sweep
+from qincomp import cases, cli, scenarios, states
 from qincomp.cli import main, parse_complex, parse_schmidt_arg, parse_state_file
 from qincomp.linalg import eigenvalues_hermitian_jacobi
 
@@ -157,6 +157,21 @@ class TestSchmidtCommand:
             assert main(["schmidt", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: state amplitudes must have unit norm")
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, fmt):
+        # an editor may save UTF-8 with a leading byte-order mark
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(BELL_FILE, encoding="utf-8")
+        marked.write_text(BELL_FILE, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        outputs = []
+        for path in (plain, marked):
+            assert main(["schmidt", str(path), "--format", fmt]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            outputs.append(captured.out)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("header", ["2 -2", "0 5"])
     def test_nonpositive_dimension_exits_2(self, tmp_path, capsys, header):
         # refused as soon as the header is read, before the body is counted
@@ -170,6 +185,8 @@ class TestSchmidtCommand:
         [
             ("2 2\n1 0\n", "state file needs 4 amplitude lines, found 1"),
             ("2 2\nnan 0\n0 0\n0 0\n0 0\n", "state amplitudes must have unit norm"),
+            # a squared norm off 1 by 1.2e-12, just past NORM_TOL (8e-13 passes above)
+            ("2 2\n1.0000000000006 0\n0 0\n0 0\n0 0\n", "state amplitudes must have unit norm"),
             ("2 x\n", "state file dimensions must be integers"),
             ("2 2\n1 0 0\n0 0\n0 0\n0 0\n", "amplitude line 2 must be 're im'"),
             # line 3 is not numeric and line 5 has three fields: line 3 wins
@@ -177,7 +194,8 @@ class TestSchmidtCommand:
             # blank lines are not counted: the third line with text is line 3
             ("\n2 2\n\n1 0\n  \t\n0 0 0\n0 0\n0 0\n", "amplitude line 3 must be 're im'"),
         ],
-        ids=["wrong_count", "nan", "non_integer_dimension", "three_fields", "first_error_wins", "blank_lines_not_counted"],
+        ids=["wrong_count", "nan", "norm_just_outside_tolerance", "non_integer_dimension", "three_fields",
+             "first_error_wins", "blank_lines_not_counted"],
     )
     def test_refused_file_exits_2_quietly(self, tmp_path, capsys, text, message):
         # the parser is the one check of a state file: a refusal is one
@@ -248,7 +266,7 @@ class TestGammaDemoCommand:
     @pytest.mark.parametrize("shift, code", [(2e-10, 3), (5e-11, 0)])
     def test_certified_like_sweep_gamma(self, capsys, monkeypatch, shift, code):
         # both commands check the Jacobi final vector against the closed form
-        monkeypatch.setattr(sweep, "CHI_FINAL_SCHMIDT", sweep.CHI_FINAL_SCHMIDT + shift)
+        monkeypatch.setattr(cases, "CHI_FINAL_SCHMIDT", cases.CHI_FINAL_SCHMIDT + shift)
         for argv in (["gamma-demo"], ["sweep-gamma", "--n-theta", "2", "--n-a", "2", "--n-b", "2"]):
             assert main(argv) == code
             captured = capsys.readouterr()
@@ -341,10 +359,12 @@ class TestIppDemoCommand:
 
 
 class TestAmplitudeCheck:
-    # |alpha|^2 + |beta|^2 - 1 is 9.9987e-13 here, inside NORM_TOL = 1e-12,
-    # while the 12 squared amplitudes of the final state sum to 1 only within
-    # rounding: amplitudes are checked once, at NORM_TOL, where cli reads
-    # them (cli._amplitude_args, through qubits._unit_amplitudes)
+    # cli has one unit-norm check, at NORM_TOL = 1e-12, for the (alpha, beta)
+    # pair (cli._amplitude_args, through cli._unit_amplitudes) and for a
+    # state file's amplitudes (TestSchmidtCommand tests those on both sides
+    # of it).  For EDGE, |alpha|^2 + |beta|^2 - 1 is 9.9987e-13, inside
+    # NORM_TOL, while the 12 squared amplitudes of the final state sum to 1
+    # only within rounding: amplitudes are checked once, where cli reads them
     EDGE = ["--alpha", "0.6236624066638249", "--beta=-0.35862063110343056-0.694576450408638i"]
 
     @pytest.mark.parametrize("command", ["ipp-demo", "case-analyze"])
@@ -498,8 +518,8 @@ class TestPlantedNanExits3:
         [
             pytest.param(cases, ["ipp-demo", "--alpha", "0.6", "--beta", "0.8"], id="ipp-demo"),
             pytest.param(cases, ["sweep-real", "--n", "4"], id="sweep-real"),
-            pytest.param(sweep, ["gamma-demo"], id="gamma-demo"),
-            pytest.param(sweep, ["sweep-gamma", "--n-theta", "2", "--n-a", "2", "--n-b", "2"],
+            pytest.param(cases, ["gamma-demo"], id="gamma-demo"),
+            pytest.param(cases, ["sweep-gamma", "--n-theta", "2", "--n-a", "2", "--n-b", "2"],
                          id="sweep-gamma"),
         ],
     )
@@ -564,7 +584,7 @@ class TestPlantedInitialStateExits3:
     against its closed form, so a perturbed initial state is a contract
     violation, not a verdict.  Each scenario's kernel reads its initial
     state as point 0 of its one Jacobi stack: cases._certify as pi_final at
-    the identity, sweep._certify_gamma as build_chi_initial's state."""
+    the identity, cases._certify_gamma as build_chi_initial's state."""
 
     @pytest.mark.parametrize(
         "module, builder, argv",
@@ -572,8 +592,8 @@ class TestPlantedInitialStateExits3:
             pytest.param(cases, "pi_final", ["ipp-demo", "--alpha", "0.6", "--beta", "0.8"],
                          id="ipp-demo"),
             pytest.param(cases, "pi_final", ["sweep-real", "--n", "4"], id="sweep-real"),
-            pytest.param(sweep, "build_chi_initial", ["gamma-demo"], id="gamma-demo"),
-            pytest.param(sweep, "build_chi_initial",
+            pytest.param(cases, "build_chi_initial", ["gamma-demo"], id="gamma-demo"),
+            pytest.param(cases, "build_chi_initial",
                          ["sweep-gamma", "--n-theta", "2", "--n-a", "2", "--n-b", "2"],
                          id="sweep-gamma"),
         ],

@@ -6,10 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from qincomp.cli import _canonical_angles, _unit_amplitudes
 from qincomp.qubits import (
     SpinLabel,
-    _canonical_angles,
-    _unit_amplitudes,
     apply_antiunitary,
     general_unitary,
     ipp_image,

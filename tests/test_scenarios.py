@@ -17,7 +17,8 @@ from oracles import (
     real_ab,
     spectrum_at,
 )
-from qincomp.linalg import NORM_TOL, eigenvalues_hermitian_jacobi
+from qincomp.cli import NORM_TOL
+from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel, classify_pair
 from qincomp import scenarios
 from qincomp.scenarios import (

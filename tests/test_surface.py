@@ -131,3 +131,65 @@ def test_every_module_constant_is_read_outside_the_tests():
         if isinstance(target, ast.Name) and target.id.isupper() and target.id not in read
     ]
     assert unread == []
+
+
+# the modules that check no outside input and certify no verdict: cli makes
+# every check of an outside input, and cases every certifying check
+KERNELS = ("linalg", "qubits", "states", "majorization", "scenarios")
+
+
+def _tree(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def _modules() -> list[str]:
+    return sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def _names_used(module: str) -> set[str]:
+    """Every name a module reads, assigns, defines or imports, at any depth."""
+    used = _names_read([SRC / f"{module}.py"])
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            used.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(alias.asname or alias.name for alias in node.names)
+    return used
+
+
+def _package_imports(module: str) -> set[str]:
+    """The package modules a module imports, relatively or by absolute name."""
+    imported = set()
+    for node in ast.walk(_tree(module)):
+        if isinstance(node, ast.ImportFrom):
+            name = node.module or ""
+            if node.level == 0 and not name.startswith("qincomp"):
+                continue
+            name = name.removeprefix("qincomp").lstrip(".")
+            imported.update([name] if name else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            imported.update(
+                alias.name.removeprefix("qincomp.") for alias in node.names if alias.name.startswith("qincomp.")
+            )
+    return imported
+
+
+def test_only_cli_holds_the_unit_norm_tolerance():
+    # the one unit-norm check of an outside input is cli's
+    assert [module for module in _modules() if "NORM_TOL" in _names_used(module)] == ["cli"]
+
+
+def test_only_cases_holds_the_certifying_checks():
+    defined = {node.name for node in _tree("cases").body if isinstance(node, ast.FunctionDef)}
+    assert {"_closed_form_deviation", "_internal", "_certify", "_certify_gamma"} <= defined
+    for name in ("_closed_form_deviation", "_internal"):
+        assert [module for module in _modules() if name in _names_used(module)] == ["cases"], name
+
+
+def test_kernels_and_cases_import_no_checking_layer():
+    assert set(KERNELS) < set(_modules())
+    for module in KERNELS:
+        assert _package_imports(module).isdisjoint({"cases", "sweep", "cli"}), module
+    assert _package_imports("cases").isdisjoint({"sweep", "cli"})

@@ -211,7 +211,7 @@ class TestSweepGamma:
 
     @pytest.mark.parametrize("shift, raises", [(2e-10, True), (5e-11, False)])
     def test_refuses_a_closed_form_more_than_the_tolerance_off(self, monkeypatch, shift, raises):
-        monkeypatch.setattr(sweep, "CHI_FINAL_SCHMIDT", sweep.CHI_FINAL_SCHMIDT + shift)
+        monkeypatch.setattr(cases, "CHI_FINAL_SCHMIDT", cases.CHI_FINAL_SCHMIDT + shift)
         if raises:
             with pytest.raises(ContractViolationError, match="final Schmidt vector deviates by"):
                 sweep_gamma(2, 2, 2)
@@ -224,15 +224,15 @@ class TestSweepGamma:
         angles = np.array([[0.3, 2.0], [1.1, 0.0], [4.0, 5.5]])
         for name, which, rows in (("CHI_FINAL_SCHMIDT", "final", slice(1, None)),
                                   ("CHI_INITIAL_SCHMIDT", "initial", 0)):
-            monkeypatch.setattr(sweep, name, getattr(sweep, name) + np.array([3e-11, 0.0, 0.0]))
-            vecs, final_deviation = sweep._certify_gamma(*angles)
-            deviation = float(np.max(np.abs(vecs[rows] - getattr(sweep, name))))
+            monkeypatch.setattr(cases, name, getattr(cases, name) + np.array([3e-11, 0.0, 0.0]))
+            vecs, final_deviation = cases._certify_gamma(*angles)
+            deviation = float(np.max(np.abs(vecs[rows] - getattr(cases, name))))
             assert which == "initial" or final_deviation == deviation
             monkeypatch.setattr(cases, "SOLVER_AGREE_TOL", deviation)
-            assert sweep._certify_gamma(*angles)[0].tobytes() == vecs.tobytes()
+            assert cases._certify_gamma(*angles)[0].tobytes() == vecs.tobytes()
             monkeypatch.setattr(cases, "SOLVER_AGREE_TOL", np.nextafter(deviation, 0.0))
             with pytest.raises(ContractViolationError, match=f"^{which} Schmidt vector deviates by"):
-                sweep._certify_gamma(*angles)
+                cases._certify_gamma(*angles)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("width", [1, 7, 960])
@@ -240,7 +240,7 @@ class TestSweepGamma:
         # the initial state rides as point 0 of the kernel's one Jacobi call;
         # Jacobi treats each matrix alone, so no row changes a bit
         angles = np.random.default_rng(width).uniform(0.0, 2.0 * math.pi, size=(3, width))
-        vecs = sweep._certify_gamma(*angles)[0]
+        vecs = cases._certify_gamma(*angles)[0]
         assert vecs.shape == (width + 1, 3)
         assert vecs[0].tobytes() == schmidt_vector(build_chi_initial()).tobytes()
         assert vecs[1:].tobytes() == schmidt_vector(chi_final(*angles)).tobytes()
@@ -302,16 +302,15 @@ class TestBlocks:
             monkeypatch.setattr(module, name, counted)
 
         count(cases, "schmidt_vector")
-        count(sweep, "schmidt_vector")
         count(states, "reduced_density_a")
         for name in ("pqr", "cubic_coefficients", "pi_final", "entropy_of_entanglement"):
             count(cases, name)
         count(scenarios, "ipp_image")
-        count(sweep, "chi_final")
+        count(cases, "chi_final")
         sweep_gamma(2, 2, 2)
         assert calls == {
-            "qincomp.sweep.chi_final": 1,
-            "qincomp.sweep.schmidt_vector": 1,
+            "qincomp.cases.chi_final": 1,
+            "qincomp.cases.schmidt_vector": 1,
             "qincomp.states.reduced_density_a": 1,
         }
         calls.clear()
