@@ -11,7 +11,6 @@ large for memory, 3 internal contract violation.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -134,6 +133,14 @@ def parse_schmidt_arg(text: str) -> np.ndarray:
     return values
 
 
+def _print_json(payload: object) -> None:
+    """Print payload as json.dumps(..., indent=2) writes it.  json is imported
+    here, so a command that prints no JSON payload does not load it."""
+    import json
+
+    print(json.dumps(payload, indent=2))
+
+
 def _emit(fmt: str, row: dict[str, object], payload: object = None) -> None:
     """Print row as a header line and a value line, or as one JSON object,
     through the sweep's cell formatter: each value is a column of length 1.
@@ -141,7 +148,7 @@ def _emit(fmt: str, row: dict[str, object], payload: object = None) -> None:
     payload, when given, is printed as the JSON output instead of row.
     """
     if fmt == "json" and payload is not None:
-        print(json.dumps(payload, indent=2))
+        _print_json(payload)
     else:
         columns = {name: np.atleast_1d(value) for name, value in row.items()}
         sys.stdout.writelines(_text(columns, fmt, lone=True))
@@ -169,7 +176,10 @@ def _cmd_check_pair(args: argparse.Namespace) -> None:
         "partial_sums_src": _rounded(verdict.partial_sums_src),
         "partial_sums_dst": _rounded(verdict.partial_sums_dst),
     }
-    print(json.dumps(payload, indent=2) if args.format == "json" else verdict.label.value)
+    if args.format == "json":
+        _print_json(payload)
+    else:
+        print(verdict.label.value)
 
 
 def _cmd_gamma_demo(args: argparse.Namespace) -> None:
@@ -234,7 +244,7 @@ def _cmd_sweep_complex(args: argparse.Namespace) -> None:
 
 def _cmd_sweep_gamma(args: argparse.Namespace) -> None:
     summary = sweep_gamma(args.n_theta, args.n_a, args.n_b)
-    _emit(args.format, vars(summary))
+    _emit(args.format, summary._asdict())
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -11,8 +11,8 @@ are already descending.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,7 @@ class PairLabel(Enum):
     INCOMPARABLE = "INCOMPARABLE"
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+class PairVerdict(NamedTuple):
     label: PairLabel
     partial_sums_src: np.ndarray
     partial_sums_dst: np.ndarray

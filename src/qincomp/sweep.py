@@ -3,24 +3,26 @@ CSV/JSON serializer that every command's rows go through.
 
 A sweep builds its parameter grid as arrays and certifies it in blocks of
 BLOCK_POINTS points, each with one stacked Jacobi call whose point 0 is the
-scenario's initial state, through a certified kernel in cases: _certify,
-which returns the columns A, B, lam1 .. lam3, entropy_i, entropy_f,
-observed, predicted and agree, or _certify_gamma, which sweep_gamma shares
-with gamma-demo.  Either raises ContractViolationError on a failed check.
-A sweep's result is a dict of numpy columns keyed by the CSV header's names,
-one entry per grid point: phi and delta (None in a real sweep), then the
-kernel's columns in that order: floats, the PairLabel and Prediction enums,
-and bools.  One cell formatter picks a column's text once, from its dtype,
-in either format; one generator writes a result BLOCK_POINTS rows at a time
-as CSV lines or as the JSON array that json.dumps(..., indent=2) would write.
+scenario's initial state, through a certified kernel in cases (_certify, or
+_certify_gamma, which sweep_gamma shares with gamma-demo); either raises
+ContractViolationError on a failed check.  A sweep's result is a dict of
+numpy columns keyed by the CSV header's names, one entry per grid point: phi
+and delta (None in a real sweep), then the kernel's columns A .. agree:
+floats, the PairLabel and Prediction enums, and bools.  One cell formatter
+picks a column's text once, from its dtype, in either format: a float column
+of COLUMN_MIN_CELLS cells or more is formatted whole in array arithmetic,
+byte for byte as format_float and _json_float, which still write its zero,
+non-finite and scientific cells and all shorter columns.  One generator
+writes a result BLOCK_POINTS rows at a time as CSV lines or as the JSON
+array that json.dumps(..., indent=2) would write.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +45,7 @@ _CATEGORY = {
 Columns = dict[str, np.ndarray]
 
 
-@dataclass(frozen=True)
-class GammaSweepSummary:
+class GammaSweepSummary(NamedTuple):
     n_theta: int
     n_a: int
     n_b: int
@@ -119,13 +120,80 @@ def format_float(x: float) -> str:
 
 
 def _json_float(cell: str) -> str:
-    """repr(float(cell)) of a format_float cell: its digits, as no shorter
-    text names a normal float of at most 15 digits, with ".0" on a whole
-    number; by the round trip at exponent +15 (repr's starts at 16) and at
-    the exponents "e-3" matches: -30 to -39, and below -299 (subnormals have fewer digits)."""
-    if "e+15" in cell or "e-3" in cell:
-        return repr(float(cell))
-    return cell if "." in cell or "e" in cell or "n" in cell else cell + ".0"
+    """A format_float cell as JSON: repr of its float, as json.dumps writes it."""
+    return repr(float(cell))
+
+
+# Float columns of at least this many cells are written whole by _float_column,
+# shorter ones a cell at a time: the two break even near 200 cells in CSV, 70 in JSON.
+COLUMN_MIN_CELLS = 128
+# 10^n as the nearest double, at _POW10[n + 5] for -5 <= n <= 19 (exact from n = 0)
+_POW10 = np.array([float(f"1e{n}") for n in range(-5, 20)])
+# the ASCII digits of each i < 10^4 as one 4-byte item, and at 10^4 + i the
+# same with trailing zeros NUL: digit j of i is kept where i mod 10^(4 - j) > 0
+_DIGITS = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1).reshape(10000, 4)
+_KEPT = np.stack([np.tile(np.arange(10**k) > 0, 10 ** (4 - k)) for k in (4, 3, 2, 1)], -1)
+_DIGITS = np.concatenate([_DIGITS, _DIGITS * _KEPT]).view("V4").ravel()
+
+
+def _float_column(column: np.ndarray, in_json: bool) -> list[str]:
+    """Each cell's format_float text (in JSON, its _json_float): the cells in
+    %g's fixed notation, at exponents X from -4 to 14, as one block of UCS4
+    codes laid out a slice per X and sign; the others one at a time."""
+    a = np.abs(column)
+    fixed = (a >= 1e-5) & (a < 1e15)  # False for 0, inf and nan
+    a = np.where(fixed, a, 1.0)
+    # 10^X <= a < 10^(X + 1) in doubles: a double 10^X rounded down reads as X, as its digits do
+    exponent = np.searchsorted(_POW10, a, side="right") - 6
+    # m = round-half-even(a * 10^(14 - X)), exactly: Dekker's product, by Veltkamp's
+    # 26-bit halves and no FMA, is p + err; with e the even integer nearest p,
+    # (p - e) + err is exact (a multiple of 2^-51 below 2): e + its rint ties to even
+    scale = _POW10[19 - exponent]
+    p = a * scale
+    a_hi, s_hi = (134217729.0 * v - (134217729.0 * v - v) for v in (a, scale))  # 2^27 + 1
+    a_lo, s_lo = a - a_hi, scale - s_hi
+    err = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+    even = 2.0 * np.rint(0.5 * p)
+    m = even + np.rint((p - even) + err)
+    exponent += m == 1e15  # rounded up to 10^(X + 1), which is m = 10^14 at X + 1
+    fixed &= (exponent >= -4) & (exponent <= 14)
+    # rows sorted by exponent and sign (int8 keys sort by radix), so that each group is a slice
+    key = 2 * np.where(fixed, exponent, 0) + (column < 0)
+    order = np.argsort(key.astype(np.int8), kind="stable")
+    key = key[order]
+    m = np.where(m == 1e15, 1e14, m)[order].astype(np.int64)
+    # digits: five "0"s, then m's 15 digits, with its trailing zeros NUL, then NULs
+    index = np.full((len(m), 6), 10000)
+    for col in 4, 3, 2, 1:
+        m, group = np.divmod(m, 10**4)
+        index[:, col] = group + 10000 * (index[:, col + 1] == 10000)
+    index[:, 0] = 0
+    digits = _DIGITS[index].view(np.uint8)
+    block = np.zeros((len(m), 21), np.uint32)
+    bounds = [0, *(np.flatnonzero(key[1:] != key[:-1]) + 1).tolist(), len(m)]
+    for start, stop in zip(bounds, bounds[1:]):
+        x, sign = divmod(int(key[start]), 2)
+        rows, point, width = slice(start, stop), 6 + x, 1 + max(x, 0)
+        out = block[rows, sign:]
+        block[rows, 0] = 45 * sign  # "-"
+        # the integer digits (a trailing zero of m, NUL in digits, is "0" here)
+        # or "0", a point and the 14 - x decimals
+        np.maximum(digits[rows, point - width : point], 48, out=out[:, :width])
+        out[:, width + 1 : width + 15 - x] = digits[rows, point:20]
+        # a whole number has no point; in JSON it ends in ".0", as repr writes
+        # it (repr's text of a float of at most 15 digits is those digits)
+        if in_json:
+            out[:, width] = 46
+            np.maximum(digits[rows, point], 48, out=out[:, width + 1])
+        else:
+            np.minimum(digits[rows, point], 46, out=out[:, width])
+    text = np.empty(len(m), "U21")
+    text[order] = block.view("U21")[:, 0]
+    cells = text.tolist()
+    for i in np.flatnonzero(~fixed).tolist():
+        cell = format_float(float(column[i]))
+        cells[i] = _json_float(cell) if in_json else cell
+    return cells
 
 
 def _cells(column: np.ndarray, fmt: str) -> list[str]:
@@ -133,8 +201,10 @@ def _cells(column: np.ndarray, fmt: str) -> list[str]:
     to 15 significant digits (in JSON, the repr of that float, as json.dumps
     writes it), true/false for bools, an enum's value (quoted in JSON),
     "" or null for None, or else str."""
-    values = column.tolist()
     in_json = fmt == "json"
+    if column.dtype == np.float64 and len(column) >= COLUMN_MIN_CELLS:
+        return _float_column(column, in_json)
+    values = column.tolist()
     if column.dtype.kind == "f":
         cells = list(map(format_float, values))
         return list(map(_json_float, cells)) if in_json else cells

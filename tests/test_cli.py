@@ -696,6 +696,32 @@ def test_each_command_makes_one_jacobi_call(argv):
     assert done.stdout == "0 1\n"
 
 
+# Whether a command loads json or dataclasses, in an interpreter of its own.
+_LOADED = """
+import contextlib, io, sys
+from qincomp import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, "json" in sys.modules, "dataclasses" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["sweep-real", "--n", "4"], ["sweep-complex", "--n-phi", "4", "--n-delta", "2", "--format", "json"]],
+    ids=["csv", "json-rows"],
+)
+def test_row_output_loads_neither_json_nor_dataclasses(argv):
+    # start-up time: rows are written by the sweep's own formatter, and only
+    # a JSON payload (schmidt, check-pair, --summary) loads json
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv],
+        capture_output=True, text=True, env=_cli_env(False), timeout=120,
+    )
+    assert done.stderr == ""
+    assert done.stdout == "0 False False\n"
+
+
 class TestOversizedGrids:
     @pytest.mark.parametrize(
         "argv",

@@ -468,3 +468,52 @@ class TestSerialization:
     def test_json_complex_delta_is_number(self):
         payload = json.loads(records_to_json(sweep_complex(4, 2)))
         assert payload[1]["delta"] == pytest.approx(math.pi)
+
+
+def _adversarial_floats(rng: np.random.Generator) -> np.ndarray:
+    """Floats on which a formatter that rounds other than exactly and half to
+    even, or mislays the exponent or the switch to scientific notation,
+    writes other text than %.15g, each with both signs."""
+    # decimal ties (m + 1/2) 10^e as their nearest doubles, at exponents -7 to 15
+    digits, exponents = rng.integers(10**14, 10**15, 6000).tolist(), rng.integers(-22, 1, 6000).tolist()
+    near_ties = np.array([float(f"{m}5e{e}") for m, e in zip(digits, exponents)])
+    # ties that are doubles, at exponents -4 to 14: 16 digits q 5^j / 10^j = q / 2^j, q odd
+    exact_ties = np.concatenate([
+        np.ldexp((rng.integers(-(-10**15 // 5**j), 10**16 // 5**j, 300) | 1).astype(float), -j)
+        for j in range(1, 20)
+    ])
+    carries = np.array([float(f"9.99999999999999{d}e{e}") for d in range(10) for e in range(-8, 18)])
+    ties = np.concatenate([near_ties, exact_ties, carries])
+    edges = np.array([1e-5, 1e-4, 9.99999999999995e-5, 1.0, 99999.99999999995, 99999.9999999999,
+                      1e14, 999999999999999.4, 999999999999999.5, 1e15, 1e16, 2.0**-22])
+    below, above = [edges], [edges]
+    for _ in range(4):  # the four doubles either side of each edge
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    special = [0.0, math.nan, math.inf, 5e-324, 2.2250738585072014e-308, 2.225073858507201e-308]
+    values = np.concatenate([
+        rng.uniform(0.0, 10.0, 10000),
+        10.0 ** rng.uniform(-300, 300, 10000),
+        10.0 ** rng.uniform(-6, 16, 20000),
+        ties, np.nextafter(ties, 0.0), np.nextafter(ties, np.inf),
+        *below, *above, special,
+        np.ldexp(rng.integers(1, 2**52, 200).astype(float), -1074),  # subnormals
+    ])
+    return np.concatenate([values, -values])
+
+
+class TestFloatColumns:
+    def test_column_text_is_format_float_cell_for_cell(self):
+        column = _adversarial_floats(np.random.default_rng(5))
+        cells = list(map(format_float, column.tolist()))
+        assert sweep._float_column(column, False) == cells
+        assert sweep._float_column(column, True) == list(map(sweep._json_float, cells))
+
+    @pytest.mark.parametrize("grid", [None, (30, 24), (18, 40), (45, 16), (40, 18)])
+    def test_records_are_the_cell_by_cell_text(self, monkeypatch, grid):
+        # the benchmark's grids and the canonical real sweep, byte for byte
+        result = sweep_real(3600) if grid is None else sweep_complex(*grid)
+        assert sweep.COLUMN_MIN_CELLS <= len(result["phi"])
+        texts = records_to_csv(result), records_to_json(result)
+        monkeypatch.setattr(sweep, "COLUMN_MIN_CELLS", math.inf)
+        assert (records_to_csv(result), records_to_json(result)) == texts
