@@ -1,7 +1,8 @@
 """Command-line interface: demos, pair checks, and classification sweeps.
 
 Every check of an outside input is made here, once, where the input is
-read; the kernels behind the commands check none of it.
+read; the kernels behind the commands check none of it.  Rows are written
+by sweep's _text, and every JSON payload by its _json.
 
 Exit codes: 0 success, 1 a failed write to stdout (a closed pipe ends
 quietly), 2 malformed input, an unreadable state file or a request too
@@ -31,7 +32,7 @@ from .linalg import JacobiConvergenceError
 from .majorization import classify_pair
 from .scenarios import SPECTRUM_SUM_TOL
 from .states import entropy_of_entanglement, schmidt_vector
-from .sweep import _cells, _text, summarize, sweep_complex, sweep_gamma, sweep_real
+from .sweep import _json, _text, summarize, sweep_complex, sweep_gamma, sweep_real
 
 NORM_TOL = 1e-12
 
@@ -133,30 +134,18 @@ def parse_schmidt_arg(text: str) -> np.ndarray:
     return values
 
 
-def _print_json(payload: object) -> None:
-    """Print payload as json.dumps(..., indent=2) writes it.  json is imported
-    here, so a command that prints no JSON payload does not load it."""
-    import json
-
-    print(json.dumps(payload, indent=2))
-
-
 def _emit(fmt: str, row: dict[str, object], payload: object = None) -> None:
-    """Print row as a header line and a value line, or as one JSON object,
-    through the sweep's cell formatter: each value is a column of length 1.
-
-    payload, when given, is printed as the JSON output instead of row.
+    """Print row as a header line and a value line, through the sweep's cell
+    formatter (each value a column of length 1), or in JSON, through _json,
+    payload if given, or else the object of row's one-element values.
     """
-    if fmt == "json" and payload is not None:
-        _print_json(payload)
+    if fmt == "json":
+        if payload is None:
+            payload = {name: np.atleast_1d(value)[0] for name, value in row.items()}
+        print(_json(payload))
     else:
         columns = {name: np.atleast_1d(value) for name, value in row.items()}
-        sys.stdout.writelines(_text(columns, fmt, lone=True))
-
-
-def _rounded(values) -> list[float]:
-    """Floats rounded to the 15 significant digits of the sweep's cells."""
-    return [float(cell) for cell in _cells(np.atleast_1d(values), "csv")]
+        sys.stdout.writelines(_text(columns, fmt))
 
 
 def _cmd_schmidt(args: argparse.Namespace) -> None:
@@ -164,20 +153,15 @@ def _cmd_schmidt(args: argparse.Namespace) -> None:
     entropy = entropy_of_entanglement(vec)
     row = {f"lam{i + 1}": v for i, v in enumerate(vec)}
     row["entropy"] = entropy
-    _emit(args.format, row, {"schmidt": _rounded(vec), "entropy": _rounded(entropy)[0]})
+    _emit(args.format, row, {"schmidt": vec, "entropy": entropy})
 
 
 def _cmd_check_pair(args: argparse.Namespace) -> None:
     src = parse_schmidt_arg(args.vec_a)
     dst = parse_schmidt_arg(args.vec_b)
     verdict = classify_pair(src, dst)
-    payload = {
-        "label": verdict.label.value,
-        "partial_sums_src": _rounded(verdict.partial_sums_src),
-        "partial_sums_dst": _rounded(verdict.partial_sums_dst),
-    }
     if args.format == "json":
-        _print_json(payload)
+        print(_json(verdict._asdict()))
     else:
         print(verdict.label.value)
 
@@ -222,12 +206,10 @@ def _cmd_case_analyze(args: argparse.Namespace) -> None:
 def _print_result(args: argparse.Namespace, result) -> None:
     if args.summary:
         summary = summarize(result)
-        fractions = summary["fractions"]
         row = {"total": summary["total"]}
         row.update((f"count_{k}", v) for k, v in summary["counts"].items())
-        row.update((f"frac_{k}", v) for k, v in fractions.items())
-        rounded = dict(zip(fractions, _rounded(list(fractions.values()))))
-        _emit(args.format, row, {**summary, "fractions": rounded})
+        row.update((f"frac_{k}", v) for k, v in summary["fractions"].items())
+        _emit(args.format, row, summary)
     else:
         # every block is certified before the first is formatted, so a sweep
         # that exits 3 has written nothing

@@ -13,8 +13,9 @@ picks a column's text once, from its dtype, in either format: a float column
 of COLUMN_MIN_CELLS cells or more is formatted whole in array arithmetic,
 byte for byte as format_float and _json_float, which still write its zero,
 non-finite and scientific cells and all shorter columns.  One generator
-writes a result BLOCK_POINTS rows at a time as CSV lines or as the JSON
-array that json.dumps(..., indent=2) would write.
+writes a result BLOCK_POINTS rows at a time as CSV lines or as a JSON array
+of row objects; _json lays out all JSON, the row template and every payload,
+as json.dumps(..., indent=2) would, so no module imports json.
 """
 
 from __future__ import annotations
@@ -200,7 +201,7 @@ def _cells(column: np.ndarray, fmt: str) -> list[str]:
     """The text of each cell of a column in fmt ("csv" or "json"): floats
     to 15 significant digits (in JSON, the repr of that float, as json.dumps
     writes it), true/false for bools, an enum's value (quoted in JSON),
-    "" or null for None, or else str."""
+    "" or null for None, or else str (a str cell verbatim)."""
     in_json = fmt == "json"
     if column.dtype == np.float64 and len(column) >= COLUMN_MIN_CELLS:
         return _float_column(column, in_json)
@@ -217,20 +218,30 @@ def _cells(column: np.ndarray, fmt: str) -> list[str]:
     return list(map(str, values))
 
 
-def _text(result: Columns, fmt: str, lone: bool = False):
+def _json(value, indent: str = "") -> str:
+    """value as json.dumps(value, indent=2) lays it out, nested at indent: a
+    dict as an object, a list or 1-D array as an array whose cells are one
+    _cells call, anything else as one cell.  No container is empty, as every
+    payload list is a checked, non-empty vector, so none is written as [] or {}."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = (f'{inner}"{key}": {_json(item, inner)}' for key, item in value.items())
+        return "{\n" + ",\n".join(items) + f"\n{indent}}}"
+    if isinstance(value, (list, np.ndarray)):
+        cells = _cells(np.asarray(value), "json")
+        return "[\n" + ",\n".join(inner + cell for cell in cells) + f"\n{indent}]"
+    return _cells(np.atleast_1d(value), "json")[0]
+
+
+def _text(result: Columns, fmt: str):
     """The CSV or JSON text of a columnar result in pieces, BLOCK_POINTS rows
     at a time, ending in a newline: the header line of the column names and
-    one line per row, or an array of row objects keyed by column name, laid
-    out as json.dumps(..., indent=2) lays it out.  With lone, the JSON of a
-    one-row result is its row object alone."""
+    one line per row, or an array of row objects keyed by column name, each
+    laid out by _json."""
     names, columns = list(result), list(result.values())
     if fmt == "json":
-        template = "{\n" + ",\n".join(f'  "{name}": %s' for name in names) + "\n}"
-        if lone:
-            head, sep, tail = "", "", "\n"
-        else:
-            template, head, sep, tail = "  " + template.replace("\n", "\n  "), "[\n", ",\n", "\n]\n"
-        row = template.__mod__
+        row = ("  " + _json(dict.fromkeys(names, "%s"), "  ")).__mod__
+        head, sep, tail = "[\n", ",\n", "\n]\n"
     else:
         row, head, sep, tail = ",".join, ",".join(names) + "\n", "\n", "\n"
     yield head

@@ -708,12 +708,19 @@ print(code, "json" in sys.modules, "dataclasses" in sys.modules)
 
 @pytest.mark.parametrize(
     "argv",
-    [["sweep-real", "--n", "4"], ["sweep-complex", "--n-phi", "4", "--n-delta", "2", "--format", "json"]],
-    ids=["csv", "json-rows"],
+    [
+        ["sweep-real", "--n", "4"],
+        ["sweep-complex", "--n-phi", "4", "--n-delta", "2", "--format", "json"],
+        ["schmidt", str(DATA / "entangled-2x3.txt"), "--format", "json"],
+        ["check-pair", "0.5,0.4,0.1", "0.6,0.2,0.2", "--format", "json"],
+        ["sweep-real", "--n", "4", "--summary", "--format", "json"],
+        ["gamma-demo", "--format", "json"],
+    ],
+    ids=["csv", "json-rows", "schmidt-json", "check-pair-json", "summary-json", "gamma-demo-json"],
 )
 def test_row_output_loads_neither_json_nor_dataclasses(argv):
-    # start-up time: rows are written by the sweep's own formatter, and only
-    # a JSON payload (schmidt, check-pair, --summary) loads json
+    # start-up time: rows and JSON payloads alike are written by the
+    # sweep's own writers, so no command loads json
     done = subprocess.run(
         [sys.executable, "-c", _LOADED, *argv],
         capture_output=True, text=True, env=_cli_env(False), timeout=120,

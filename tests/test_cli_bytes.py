@@ -18,6 +18,7 @@ from qincomp.cli import main
 
 EXPECTED = Path(__file__).resolve().parent / "cli_bytes"
 ENTANGLED_2X3 = Path(__file__).resolve().parent / "data" / "entangled-2x3.txt"
+PRODUCT_1X3 = Path(__file__).resolve().parent / "data" / "product-1x3.txt"
 HADAMARD = ["--alpha", "0.7071067811865476", "--beta", "0.7071067811865476"]
 
 COMMANDS = {
@@ -32,6 +33,10 @@ COMMANDS = {
     "gamma-demo-angles": ["gamma-demo", "--theta", "0.3", "--phi-a", "1.1", "--phi-b", "2.2"],
     "check-pair-incomparable": ["check-pair", "0.5,0.4,0.1", "0.6,0.2,0.2"],
     "schmidt-2x3": ["schmidt", str(ENTANGLED_2X3)],
+    # the JSON writer's edge shapes: a null cell, one-entry lists, a zero entropy
+    "case-analyze-null": ["case-analyze", "--alpha", "0", "--beta", "1"],
+    "check-pair-one-entry": ["check-pair", "1", "1"],
+    "schmidt-product-1x3": ["schmidt", str(PRODUCT_1X3)],
 }
 
 

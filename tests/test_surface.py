@@ -193,3 +193,16 @@ def test_kernels_and_cases_import_no_checking_layer():
     for module in KERNELS:
         assert _package_imports(module).isdisjoint({"cases", "sweep", "cli"}), module
     assert _package_imports("cases").isdisjoint({"sweep", "cli"})
+
+
+def test_no_module_imports_json():
+    # sweep._json writes every JSON byte, so no command pays json's import
+    importers = []
+    for module in _modules():
+        for node in ast.walk(_tree(module)):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(name.split(".")[0] == "json" for name in names):
+                importers.append(module)
+    assert importers == []

@@ -3,6 +3,7 @@
 import json
 import math
 from collections import Counter
+from enum import Enum
 
 import numpy as np
 import pytest
@@ -468,6 +469,44 @@ class TestSerialization:
     def test_json_complex_delta_is_number(self):
         payload = json.loads(records_to_json(sweep_complex(4, 2)))
         assert payload[1]["delta"] == pytest.approx(math.pi)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {
+                "counts": {"incomparable": 2, "increase": 0, "equal": 1, "convertible": 3},
+                "fractions": {"incomparable": 1 / 3, "increase": 0.0, "equal": 1 / 6, "convertible": 0.5},
+                "total": 6,
+            },
+            {"schmidt": [0.0], "entropy": -0.0},
+            {"schmidt": np.array([1e16, 1e-05, 0.1 + 0.2, 0.0, -0.0]), "entropy": 1e-05},
+            [-0.0, 1e-05, 1e16, 2 / 3, 0.0],
+            np.array([1e16]),
+            {
+                "A": np.float64(0.25),
+                "total": 3,
+                "condition_value": None,
+                "agree": np.True_,
+                "observed": PairLabel.INCOMPARABLE,
+            },
+        ],
+        ids=["summary", "one-entry-list", "five-entry-array", "five-entry-list", "one-entry-array", "row"],
+    )
+    def test_json_is_json_dumps_of_the_15_digit_values(self, value):
+        def dumped(v):
+            # what json.dumps reads for v: its floats at the cells' 15 digits,
+            # enums as their values, numpy arrays and bools as Python's
+            if isinstance(v, dict):
+                return {key: dumped(item) for key, item in v.items()}
+            if isinstance(v, (list, np.ndarray)):
+                return [dumped(item) for item in list(v)]
+            if isinstance(v, float):
+                return float(format_float(v))
+            if isinstance(v, Enum):
+                return v.value
+            return bool(v) if isinstance(v, np.bool_) else v
+
+        assert sweep._json(value) == json.dumps(dumped(value), indent=2)
 
 
 def _adversarial_floats(rng: np.random.Generator) -> np.ndarray:
