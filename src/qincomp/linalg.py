@@ -12,7 +12,6 @@ can vouch for the other.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -33,36 +32,25 @@ def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.multiply.outer(a, b).reshape((len(a) * len(b),) + b.shape[1:])
 
 
-@functools.cache
-def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """np.triu_indices(n, 1), the pairs i < j, cached per n; read-only."""
-    i, j = np.triu_indices(n, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
-
-
-class _BuiltMoves(Sequence):
-    """Flat moves, each built from its (n,) row move when read: O(n^2) bytes, not 8 n^3."""
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index: int | slice) -> np.ndarray | _BuiltMoves:
-        rows = self.rows[index]
-        if rows.ndim == 2:
-            return _BuiltMoves(rows)
-        move = (rows[:, None] * len(rows) + rows).ravel()
-        move.flags.writeable = False
-        return move
+def _flat_move(row: np.ndarray) -> np.ndarray:
+    """The read-only indices for np.take along axis 0 that apply a row move
+    to the rows and columns of an (n*n, N) stack: entry i*n + j is row[i]*n + row[j]."""
+    move = (row[:, None] * len(row) + row).ravel()
+    move.flags.writeable = False
+    return move
 
 
 @functools.cache
-def _round_robin(n: int) -> Sequence[np.ndarray]:
-    """Flat permutations that move an (n*n, N) stack of row-major matrices
-    through the rounds of a round-robin tournament on n indices.
+def _flat_moves(n: int) -> tuple[np.ndarray, ...]:
+    """_flat_move of each row move of _round_robin(n), cached per n: 8 n^3 bytes."""
+    return tuple(map(_flat_move, _round_robin(n)[0]))
+
+
+@functools.cache
+def _round_robin(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The plan of a Jacobi sweep on n indices: the row moves that carry an
+    (n*n, N) stack of row-major matrices through the rounds of a round-robin
+    tournament, and the index arrays p and q of the pairs (p, q) it meets.
 
     Each round holds k = floor(n/2) disjoint pairs (p, q) with p < q; over
     the n - 1 (n even) or n (n odd) rounds every pair appears exactly once.
@@ -71,10 +59,11 @@ def _round_robin(n: int) -> Sequence[np.ndarray]:
     order lists its pairs' p0 .. p(k-1), then their q0 .. q(k-1), then the
     index that sits out (n odd), so in every round pair j sits at positions
     (j, k + j) and its pivot a_pq at the same flat index (see _round_views).
-    The moves are indices for np.take along axis 0: canonical order to
-    round 0, round r to round r + 1, and the last round back to canonical
-    order, so a sweep's moves compose to the identity.  Cached per n; the
-    arrays are read-only.  Above n = 32 each is built as read (_BuiltMoves).
+    The (R + 1, n) row moves take canonical order to round 0, round r to
+    round r + 1, and the last round back to canonical order, so a sweep's
+    moves compose to the identity; _flat_move makes each a move of the
+    stack.  p and q list the pairs round by round.  Cached per n; the
+    arrays are read-only, O(n^2) indices in all.
     """
     m = n + n % 2
     ring = list(range(1, m))
@@ -89,8 +78,11 @@ def _round_robin(n: int) -> Sequence[np.ndarray]:
         ring = ring[-1:] + ring[:-1]
     orders.append(orders[0])
     rows = np.array([np.argsort(before)[after] for before, after in zip(orders, orders[1:])])
-    rows.flags.writeable = False
-    return tuple(_BuiltMoves(rows)) if n <= 32 else _BuiltMoves(rows)
+    rounds, k = np.array(orders[1:-1], dtype=np.intp).reshape(-1, n), n // 2
+    plan = rows, rounds[:, :k].flatten(), rounds[:, k : 2 * k].flatten()
+    for array in plan:
+        array.flags.writeable = False
+    return plan
 
 
 def _round_views(flat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -156,7 +148,9 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     in that round's order (see _round_robin), so the pivots sit at fixed
     places and the column and row updates write into fixed views of it (see
     _round_views); one ndarray.take moves it into the other of two buffers
-    in the next round's order, and the stop test reads it in canonical order.
+    in the next round's order, by a flat move cached for small n and else
+    built when its round comes (see _flat_move), and the stop test reads it
+    in canonical order, delta over the plan's pairs (p, q).
     The buffers are made once per call; m is only read, and is not checked
     to be Hermitian, as numpy.linalg.eigvalsh does not check it: each Gram
     matrix the package builds is its own conjugate transpose exactly.  Each
@@ -174,7 +168,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(m, dtype=complex)
     n, count = a.shape[0], 1 if a.ndim == 2 else a.shape[2]
     k = n // 2
-    moves = _round_robin(n)
+    rows, p, q = _round_robin(n)
     # two stacks that the rounds write in turn, and their round views; a
     # sweep reads flat from the second (side = 1), so m goes there, each
     # matrix scaled by 2^-shift, after the |parts| have been put there to
@@ -223,8 +217,7 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
             near = rotating & (off <= near_bound)
             diagonal = flat[:: n + 1].real
             if near.any():
-                i, j = _upper_pairs(n)
-                gap = np.min(np.abs(diagonal[i] - diagonal[j]), axis=0) - off
+                gap = np.min(np.abs(diagonal[p] - diagonal[q]), axis=0) - off
                 rotating &= ~(near & (gap > off) & (off * off <= bound * gap))
             if not rotating.all():
                 stopping = ~(rotating | done)
@@ -235,10 +228,12 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
             if sweep == JACOBI_SWEEP_CAP:
                 mass = np.max(np.ldexp(off, shift)[~done])
                 raise JacobiConvergenceError(f"off-diagonal mass {mass:.3e} after {JACOBI_SWEEP_CAP} sweeps")
-            # with out=, take's default mode="raise" fills a temporary first;
-            # the moves are valid indices, so "clip" changes nothing else
-            flat.take(moves[0], axis=0, out=stacks[1 - side][0], mode="clip")
-            for move in moves[1:]:
+            # flat moves cached for small n, where building one costs more than
+            # its take, else built per round; with out=, take's default "raise"
+            # mode fills a temporary first, and "clip" is the same on valid moves
+            moves = iter(_flat_moves(n) if n <= 32 else map(_flat_move, rows))
+            flat.take(next(moves), axis=0, out=stacks[1 - side][0], mode="clip")
+            for move in moves:
                 side = 1 - side
                 apq, app, aqq, column_floats, columns_swapped, row_floats, rows_swapped = stacks[side][1]
                 # tau = (a_qq - a_pp) / (2 |a_pq|),

@@ -15,9 +15,10 @@ from qincomp.linalg import (
     JACOBI_OFF_TOL,
     JACOBI_SWEEP_CAP,
     JacobiConvergenceError,
+    _flat_move,
+    _flat_moves,
     _round_robin,
     _round_views,
-    _upper_pairs,
     eigenvalues_hermitian_jacobi,
     tensor_product,
 )
@@ -337,8 +338,8 @@ def round_orders(n):
     i*n + j as the moves carry them, and the labels after the last move."""
     labels = np.arange(n * n)
     orders = []
-    for move in _round_robin(n):
-        labels = labels[move]
+    for row in _round_robin(n)[0]:
+        labels = labels[_flat_move(row)]
         order = labels[:: n + 1] // n
         # the stack is always the canonical matrix with rows and columns
         # reordered alike
@@ -353,43 +354,73 @@ def same_bits(actual, expected):
     np.testing.assert_array_equal(actual.view(np.uint64), expected.view(np.uint64))
 
 
+def clear_linalg_caches():
+    for value in vars(linalg).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+def kept_bytes(call):
+    """The bytes that call() leaves allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 class TestRoundPlan:
     def test_moves_are_permutations_composing_to_the_identity(self):
         for n in PLAN_SIZES:
-            moves = _round_robin(n)
+            rows = _round_robin(n)[0]
             # n - 1 rounds for n even, n for n odd, none for n = 1; then the
             # move back to canonical order
-            assert len(moves) == (n if n % 2 else n - 1) + (n > 1)
-            for move in moves:
+            assert rows.shape == ((n if n % 2 else n - 1) + (n > 1), n) and not rows.flags.writeable
+            for row in rows:
+                np.testing.assert_array_equal(np.sort(row), np.arange(n))
+                move = _flat_move(row)
                 np.testing.assert_array_equal(np.sort(move), np.arange(n * n))
                 assert not move.flags.writeable
+            # the solver's cached flat moves are the same moves
+            for cached, row in zip(_flat_moves(n), rows, strict=True):
+                np.testing.assert_array_equal(cached, _flat_move(row))
+                assert not cached.flags.writeable
             np.testing.assert_array_equal(round_orders(n)[1], np.arange(n * n))
 
     def test_moves_above_32_keep_quadratic_bytes(self):
         # n flat moves of n^2 indices would keep 8 n^3 bytes, 64 MB at
-        # n = 200; above n = 32 only the (n,) row moves are kept, and each
-        # flat move is built when it is read
+        # n = 200; the plan keeps the (n,) row moves and the pairs, and a
+        # flat move is built from its row
         n = 200
         _round_robin.cache_clear()
-        tracemalloc.start()
-        try:
-            moves = _round_robin(n)
-            kept = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
+        kept = kept_bytes(lambda: _round_robin(n))
         assert kept <= 4 * n * n * np.dtype(np.intp).itemsize
-        assert len(moves) == n and moves[0].shape == (n * n,) and not moves[0].flags.writeable
+        rows = _round_robin(n)[0]
+        move = _flat_move(rows[0])
+        assert len(rows) == n and move.shape == (n * n,) and not move.flags.writeable
         np.testing.assert_array_equal(round_orders(n)[1], np.arange(n * n))
 
-    def test_upper_pairs_are_cached_and_read_only(self):
-        for n in range(1, 7):
-            pairs = _upper_pairs(n)
-            np.testing.assert_array_equal(pairs, np.triu_indices(n, 1))
-            assert _upper_pairs(n) is pairs
-            for index in pairs:
-                assert not index.flags.writeable
+    def test_solver_above_32_keeps_quadratic_bytes(self):
+        # one lone 40x40 call caches its plan and nothing more: flat moves
+        # cached for it would keep 8 n^3 bytes, 512 KB
+        n = 40
+        m = random_hermitian(np.random.default_rng(59), n)
+        eigenvalues_hermitian_jacobi(m[:3, :3])
+        clear_linalg_caches()
+        assert kept_bytes(lambda: eigenvalues_hermitian_jacobi(m)) <= 4 * n * n * 8
+
+    def test_sweep_pairs_are_cached_and_read_only(self):
+        for n in PLAN_SIZES:
+            plan = _round_robin(n)
+            assert _round_robin(n) is plan
+            assert [array.dtype for array in plan] == [np.intp] * 3
+            p, q = plan[1:]
+            assert sorted(zip(p, q)) == list(zip(*np.triu_indices(n, 1)))
+            for array in plan:
+                assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
-                    index[...] = 0
+                    array[...] = 0
 
     def test_pairs_are_disjoint_and_meet_once_per_sweep(self):
         for n in PLAN_SIZES:
@@ -401,6 +432,8 @@ class TestRoundPlan:
                 assert len(set(order[: 2 * k])) == 2 * k
                 met.extend(pairs)
             assert sorted(met) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+            # the plan's pairs are the rounds' pairs, round by round
+            assert list(zip(*_round_robin(n)[1:])) == met
 
     def test_views_read_each_rounds_pivots_and_blocks(self):
         # pair j of a round sits at positions (j, k + j) of its order: the
