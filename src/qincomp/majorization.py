@@ -41,17 +41,6 @@ _LABELS = (
 )
 
 
-def _descending_padded(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a and b sorted descending along the last axis, the shorter zero-padded."""
-    a = np.sort(np.asarray(a, dtype=float), axis=-1)[..., ::-1]
-    b = np.sort(np.asarray(b, dtype=float), axis=-1)[..., ::-1]
-    n = max(a.shape[-1], b.shape[-1])
-    return tuple(
-        v if v.shape[-1] == n else np.pad(v, [(0, 0)] * (v.ndim - 1) + [(0, n - v.shape[-1])])
-        for v in (a, b)
-    )
-
-
 def majorizes(sums_b: np.ndarray, sums_a: np.ndarray) -> np.ndarray:
     """Whether a is majorized by b, from descending partial sums along the
     last axis: every sum of a is <= b's + MAJORIZATION_TOL.  Ties count as
@@ -70,6 +59,9 @@ def _pair_codes(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def classify_pair(src: np.ndarray, dst: np.ndarray) -> PairVerdict:
-    """Nielsen verdict for converting src into dst under deterministic LOCC."""
-    code, sums_src, sums_dst = _pair_codes(*_descending_padded(src, dst))
+    """Nielsen verdict for converting vector src into vector dst under
+    deterministic LOCC: both sorted descending, the shorter zero-padded."""
+    src, dst = (np.sort(np.asarray(v, dtype=float))[::-1] for v in (src, dst))
+    n = max(len(src), len(dst))
+    code, sums_src, sums_dst = _pair_codes(*(np.pad(v, (0, n - len(v))) for v in (src, dst)))
     return PairVerdict(_LABELS[int(code)], sums_src, sums_dst)

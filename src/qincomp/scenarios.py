@@ -48,12 +48,6 @@ _PI_BRANCHES = (
 )
 
 
-def _check_spectrum_sum(eigenvalues: np.ndarray) -> None:
-    # a nan sum fails this comparison, so it is refused too
-    if not np.all(np.abs(np.sum(eigenvalues, axis=-1) - 1.0) <= SPECTRUM_SUM_TOL):
-        raise ValueError("spectrum must sum to 1")
-
-
 def _amplitudes(branches, image) -> np.ndarray:
     """Amplitude matrices of (1/sqrt(3)) sum_i |i>_A |l1_i>|image(l2_i)>_B,
     matrix-last: shape (3, 4) + image(l2).shape[1:].
@@ -145,5 +139,7 @@ def spectrum_from_ab(big_a: np.ndarray, big_b: np.ndarray, root: np.ndarray) -> 
     mid = np.minimum(top, lam[2])
     descending = [np.maximum(top, lam[2]), np.maximum(low, mid), np.minimum(low, mid)]
     eigenvalues = np.moveaxis(np.stack(descending), 0, -1)
-    _check_spectrum_sum(eigenvalues)
+    # a nan sum fails this comparison, so it is refused too
+    if not np.all(np.abs(np.sum(eigenvalues, axis=-1) - 1.0) <= SPECTRUM_SUM_TOL):
+        raise ValueError("spectrum must sum to 1")
     return eigenvalues

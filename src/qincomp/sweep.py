@@ -121,9 +121,9 @@ def format_float(x: float) -> str:
     return f"{x:.15g}"
 
 
-def _json_float(cell: str) -> str:
-    """A format_float cell as JSON: repr of its float, as json.dumps writes it."""
-    return repr(float(cell))
+def _json_float(x: float) -> str:
+    """x as JSON: the repr of the float its format_float text names, as json.dumps writes it."""
+    return repr(float(format_float(x)))
 
 
 # Float columns of at least this many cells are written whole by _float_column,
@@ -192,9 +192,9 @@ def _float_column(column: np.ndarray, in_json: bool) -> list[str]:
     text = np.empty(len(m), "U21")
     text[order] = block.view("U21")[:, 0]
     cells = text.tolist()
+    to_text = _json_float if in_json else format_float
     for i in np.flatnonzero(~fixed).tolist():
-        cell = format_float(float(column[i]))
-        cells[i] = _json_float(cell) if in_json else cell
+        cells[i] = to_text(float(column[i]))
     return cells
 
 
@@ -208,8 +208,7 @@ def _cells(column: np.ndarray, fmt: str) -> list[str]:
         return _float_column(column, in_json)
     values = column.tolist()
     if column.dtype.kind == "f":
-        cells = list(map(format_float, values))
-        return list(map(_json_float, cells)) if in_json else cells
+        return list(map(_json_float if in_json else format_float, values))
     if column.dtype.kind == "b":
         return ["true" if value else "false" for value in values]
     if isinstance(values[0], Enum):

@@ -12,10 +12,16 @@ The float bits depend on which numpy kernels run, so tests/cli_bytes/PLATFORM
 records the numpy version and the highest x86 level numpy dispatched to where
 the pins were written; a mismatch names that level and the running one, and
 for a pinned file the largest distance between its float cells in ulps.
+At each x86 level below the host's that numpy can be held to, the canonical
+commands run in a child and must match the in-process CSV cell for cell,
+every float cell within FLOAT_CELL_BOUND (relative, or absolute below 1).
 """
 
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +30,7 @@ import pytest
 from qincomp.cli import main
 
 EXPECTED = Path(__file__).resolve().parent / "cli_bytes"
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 ENTANGLED_2X3 = Path(__file__).resolve().parent / "data" / "entangled-2x3.txt"
 PRODUCT_1X3 = Path(__file__).resolve().parent / "data" / "product-1x3.txt"
 HADAMARD = ["--alpha", "0.7071067811865476", "--beta", "0.7071067811865476"]
@@ -39,6 +46,8 @@ COMMANDS = {
     "gamma-demo": ["gamma-demo"],
     "gamma-demo-angles": ["gamma-demo", "--theta", "0.3", "--phi-a", "1.1", "--phi-b", "2.2"],
     "check-pair-incomparable": ["check-pair", "0.5,0.4,0.1", "0.6,0.2,0.2"],
+    # unsorted vectors of different lengths: classify_pair sorts and pads them
+    "check-pair-padded": ["check-pair", "0.4,0.6", "0.2,0.5,0.3"],
     "schmidt-2x3": ["schmidt", str(ENTANGLED_2X3)],
     # the JSON writer's edge shapes: a null cell, one-entry lists, a zero entropy
     "case-analyze-null": ["case-analyze", "--alpha", "0", "--beta", "1"],
@@ -128,3 +137,86 @@ def test_canonical_stdout_digest(name, fmt, capsys):
     assert captured.err == ""
     digest = hashlib.sha256(captured.out.encode("utf-8")).hexdigest()
     assert digest == _canonical_digests()[f"{name}.{fmt}"], mismatch(captured.out)
+
+
+# 1.02e-14 absolute and 1.86e-14 relative were the largest differences measured
+# over the canonical CSV outputs at X86_V3 and X86_V2 on an X86_V4 host
+FLOAT_CELL_BOUND = 1e-13
+
+
+def disabled_above(level: str) -> list[str] | None:
+    """The enabled numpy dispatch targets above x86 level, which
+    NPY_DISABLE_CPU_FEATURES must name to hold a process to that level, or
+    None where numpy here cannot run at it below the host's own level.
+    Naming AVX512F alone, say, would leave every target on."""
+    from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__, __cpu_features__
+
+    enabled = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+    if level in enabled:
+        above = enabled[enabled.index(level) + 1 :]
+    elif [level] == [name for name in __cpu_baseline__ if name.startswith("X86_")][-1:]:
+        above = enabled
+    else:
+        return None
+    return above or None
+
+
+def cells_apart(out: str, reference: str) -> str | None:
+    """The first place where CSV text out departs from reference: another
+    line or cell count, a cell that is not a number and differs, or a number
+    more than FLOAT_CELL_BOUND * max(1, |x|) from the reference's x; None if
+    there is none."""
+    lines, reference_lines = out.splitlines(), reference.splitlines()
+    if len(lines) != len(reference_lines):
+        return f"{len(lines)} lines against {len(reference_lines)}"
+    for row, (line, reference_line) in enumerate(zip(lines, reference_lines), 1):
+        cells, reference_cells = line.split(","), reference_line.split(",")
+        if len(cells) != len(reference_cells):
+            return f"line {row}: {len(cells)} cells against {len(reference_cells)}"
+        for column, (cell, x) in enumerate(zip(cells, reference_cells), 1):
+            numbers = NUMBER.fullmatch(cell) and NUMBER.fullmatch(x)
+            if cell != x and not (numbers and abs(float(cell) - float(x)) <= FLOAT_CELL_BOUND * max(1.0, abs(float(x)))):
+                return f"line {row}, cell {column}: {cell!r} against {x!r}"
+    return None
+
+
+def test_cells_apart_rejects_moved_floats_and_changed_labels():
+    pinned = (EXPECTED / "sweep-real-n4.csv").read_text(encoding="utf-8")
+    assert cells_apart(pinned, pinned) is None
+    assert cells_apart(pinned.replace("0.622008467928146", "0.622008467928147", 1), pinned) is None
+    moved = pinned.replace("0.622008467928146", "0.622008467929146", 1)  # by 1e-12
+    assert cells_apart(moved, pinned).endswith("'0.622008467929146' against '0.622008467928146'")
+    # the bound is relative above 1
+    assert cells_apart("x\n1000000.00000001\n", "x\n1000000\n") is None
+    assert cells_apart("x\n1000000.000001\n", "x\n1000000\n") == "line 2, cell 1: '1000000.000001' against '1000000'"
+    relabelled = pinned.replace("EQUAL", "INCOMPARABLE", 1)
+    assert cells_apart(relabelled, pinned).endswith("'INCOMPARABLE' against 'EQUAL'")
+    assert cells_apart(pinned.replace("phi", "psi", 1), pinned) == "line 1, cell 1: 'psi' against 'phi'"
+    assert cells_apart(pinned + "0\n", pinned) == "6 lines against 5"
+
+
+# prints how many of the features named on its command line are still on
+_STILL_ON = "import sys; from numpy._core._multiarray_umath import __cpu_features__ as f; print(sum(f[t] for t in sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("level", ["X86_V3", "X86_V2"])
+def test_canonical_csv_at_lower_dispatch_level(level, capsys):
+    disabled = disabled_above(level)
+    if disabled is None:
+        pytest.skip(f"numpy cannot be held to {level} below {dispatch_level()} here")
+    env = dict(os.environ)
+    # targets this process was started without stay off in the child
+    env["NPY_DISABLE_CPU_FEATURES"] = " ".join([*env.get("NPY_DISABLE_CPU_FEATURES", "").split(), *disabled])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    probe = subprocess.run([sys.executable, "-c", _STILL_ON, *disabled], capture_output=True, text=True, env=env, timeout=60)
+    assert probe.stdout == "0\n", probe.stderr
+    for name, argv in CANONICAL.items():
+        child = subprocess.run(
+            [sys.executable, "-m", "qincomp.cli", *argv, "--format", "csv"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (child.returncode, child.stderr) == (0, ""), f"{name} at {level}"
+        assert main([*argv, "--format", "csv"]) == 0
+        apart = cells_apart(child.stdout, capsys.readouterr().out)
+        assert apart is None, f"{name} at {level} ({dispatch_level()} here): {apart}"

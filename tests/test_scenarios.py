@@ -30,6 +30,7 @@ from qincomp.scenarios import (
     cubic_coefficients,
     pi_final,
     pqr,
+    spectrum_from_ab,
 )
 from qincomp.states import reduced_density_a, schmidt_vector
 
@@ -407,10 +408,11 @@ class TestSpectrumFromAB:
             np.testing.assert_allclose(spec, jac, atol=1e-10)
 
     def test_spectrum_record_rejects_bad_sum(self):
-        from qincomp.scenarios import _check_spectrum_sum
-
-        with pytest.raises(ValueError):
-            _check_spectrum_sum(np.array([0.5, 0.4, 0.2]))
+        # a finite spectrum whose sum rounds far from 1 (it sums to about
+        # 0.79), and a nan discriminant root, fail the same sum check
+        for root in (2e45, math.nan):
+            with pytest.raises(ValueError, match="spectrum must sum to 1"):
+                spectrum_from_ab(np.array(1e30), np.array(0.0), np.array(root))
 
 
 def _mp_spectrum(alpha, beta):

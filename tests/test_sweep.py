@@ -546,7 +546,7 @@ class TestFloatColumns:
         column = _adversarial_floats(np.random.default_rng(5))
         cells = list(map(format_float, column.tolist()))
         assert sweep._float_column(column, False) == cells
-        assert sweep._float_column(column, True) == list(map(sweep._json_float, cells))
+        assert sweep._float_column(column, True) == list(map(sweep._json_float, column.tolist()))
 
     @pytest.mark.parametrize("grid", [None, (30, 24), (18, 40), (45, 16), (40, 18)])
     def test_records_are_the_cell_by_cell_text(self, monkeypatch, grid):
