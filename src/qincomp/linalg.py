@@ -12,11 +12,17 @@ can vouch for the other.
 from __future__ import annotations
 
 import functools
+import threading
 
 import numpy as np
 
 JACOBI_OFF_TOL = 1e-14
 JACOBI_SWEEP_CAP = 100
+# bytes of block buffers a thread may keep (see _kept): a sweep.BLOCK_POINTS
+# block of the 3x4 kernel and its initial point take 833 bytes a matrix
+KEPT_BYTES_CAP = 3_500_000
+
+_THREAD = threading.local()
 
 
 class JacobiConvergenceError(RuntimeError):
@@ -110,15 +116,31 @@ def _round_views(flat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _norms(flat: np.ndarray, n: int, off_diagonal: bool = False) -> np.ndarray:
+def _kept(caller: str, key: tuple, count: int, make) -> tuple[np.ndarray, ...]:
+    """The buffers make() returns for caller's call on a stack of count
+    matrices, kept on this thread for caller's next call with the same key:
+    one set per caller, its last, kept if count > 1 and all the thread keeps
+    fits KEPT_BYTES_CAP.  Callers write a buffer before reading it, return none."""
+    kept = vars(_THREAD)
+    held = kept.pop(caller, None)
+    if held is None or held[0] != key:
+        held = key, make()
+        if count < 2 or sum(b.nbytes for _, bs in [*kept.values(), held] for b in bs) > KEPT_BYTES_CAP:
+            return held[1]
+    kept[caller] = held
+    return held[1]
+
+
+def _norms(flat: np.ndarray, n: int, squares: np.ndarray, off_diagonal: bool = False) -> np.ndarray:
     """Frobenius norm of each matrix of an (n*n, N) stack of row-major
     matrices, one per column, or of its off-diagonal part.  Each matrix's
-    squares are summed in row-major order, one entry after another."""
-    squares = np.square(flat.real)
-    squares += np.square(flat.imag)
+    squares are summed in row-major order, one entry after another, in the
+    (2, n*n, N) float buffer squares."""
+    total = np.square(flat.real, out=squares[0])
+    total += np.square(flat.imag, out=squares[1])
     if off_diagonal:
-        squares[:: n + 1] = 0.0
-    return np.sqrt(np.sum(squares, axis=0))
+        total[:: n + 1] = 0.0
+    return np.sqrt(np.sum(total, axis=0))
 
 
 def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
@@ -151,7 +173,9 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     in the next round's order, by a flat move cached for small n and else
     built when its round comes (see _flat_move), and the stop test reads it
     in canonical order, delta over the plan's pairs (p, q).
-    The buffers are made once per call; m is only read, and is not checked
+    The buffers are made once per call, or for a stack taken from those its
+    thread kept after its last call of that shape (see _kept), and a stack's
+    ufuncs run unbuffered; the result is fresh.  m is only read, not checked
     to be Hermitian, as numpy.linalg.eigvalsh does not check it: each Gram
     matrix the package builds is its own conjugate transpose exactly.  Each
     matrix is run scaled by the power of two that brings its largest real
@@ -169,26 +193,31 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     n, count = a.shape[0], 1 if a.ndim == 2 else a.shape[2]
     k = n // 2
     rows, p, q = _round_robin(n)
+    # the block buffers, kept for this thread's next stack of this shape (see _kept)
+    pair, squares, work, parameters, ones, c_twice, idle, cross, values = _kept(
+        "jacobi", (n, count), count, lambda: (
+            np.empty((2, n * n, count), complex), np.empty((2, n * n, count)),
+            np.empty(2 * k * n * count, complex), np.empty((4, k, count)), np.ones((k, count)),
+            np.empty((k, count, 2)), np.empty((k, count), bool), np.empty((2, k, count), complex),
+            np.empty((n, count))))
     # two stacks that the rounds write in turn, and their round views; a
     # sweep reads flat from the second (side = 1), so m goes there, each
     # matrix scaled by 2^-shift, after the |parts| have been put there to
     # find each matrix's largest, so that no other block-sized array is made;
     # as floats, each entry's real and imaginary parts are adjacent columns
     side = 1
-    stacks = [(stack, _round_views(stack, n)) for stack in np.empty((2, n * n, count), complex)]
+    stacks = [(stack, _round_views(stack, n)) for stack in pair]
     flat = stacks[1][0]
     parts, source = flat.view(float), a.reshape(n * n, count).view(float)
-    peak = np.max(np.abs(source, out=parts), axis=0)
-    shift = np.frexp(np.maximum(peak[0::2], peak[1::2]))[1]
+    shift = np.frexp(np.max(np.abs(source, out=parts), axis=0).reshape(count, 2).max(axis=1))[1]
     np.ldexp(source, np.repeat(-shift, 2), out=parts)
     # the stop bound, and the pivot size below which a pivot is left alone:
     # rotations keep ||a||_F fixed, so these are fixed too
-    bound = JACOBI_OFF_TOL * _norms(flat, n)
+    bound = JACOBI_OFF_TOL * _norms(flat, n, squares)
     if not np.isfinite(bound).all():
         raise ValueError("eigenvalues_hermitian_jacobi requires finite entries")
     pivot_tol = bound / n
     near_bound = bound * np.sqrt(2.0 / JACOBI_OFF_TOL)
-    values = np.empty((n, count))
     done = np.zeros(count, dtype=bool)
     # the swapped halves' products, one block for the columns and one for the
     # rows, its floats shaped as a stack's view 5; the real rotation parameters,
@@ -196,22 +225,21 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     # much, and ones, cheaper a call than 1.0; c twice per pivot, to scale
     # float pairs (as a complex product would, but for the signs of zeros), or
     # c for one matrix's rows; the identity-rotation pairs; cross = (-conj(s), s)
-    work = np.empty(2 * k * n * count, dtype=complex)
     column_products, row_products = work.reshape(n, 2, k, count), work.reshape(2, k, n, count)
     column_product_floats = column_products.view(float)
     row_product_floats = work.view(float).reshape(stacks[0][1][5].shape)
-    size, tau, t, c = np.empty((4, k, count))
-    ones = np.ones((k, count))
-    c_twice = np.empty((k, count, 2))
+    size, tau, t, c = parameters
     c_columns, c_rows = c_twice.reshape(k, 2 * count), c if count == 1 else c_twice.reshape(k, 1, 2 * count)
-    idle = np.empty((k, count), dtype=bool)
-    cross = np.empty((2, k, count), dtype=complex)
     s, cross_rows = cross[1], cross[:, :, None]
     # past |tau| ~ 1e154, tau * tau overflows to inf and t becomes 0, the
     # limit of 1/(2 tau); a pivot of size 0 gives nan, replaced below
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # for a stack, the least ufunc buffer (errstate restores it): the default
+        # copies rows of many matrices into block-sized temporaries in each round
+        if count > 1:
+            np.setbufsize(16)
         for sweep in range(JACOBI_SWEEP_CAP + 1):
-            off = _norms(flat, n, off_diagonal=True)
+            off = _norms(flat, n, squares, off_diagonal=True)
             # strict, so that a zero matrix stops; a nan mass stops too
             rotating = off > bound
             near = rotating & (off <= near_bound)

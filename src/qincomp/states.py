@@ -3,9 +3,11 @@ vectors, entanglement entropy."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import eigenvalues_hermitian_jacobi
+from .linalg import _kept, eigenvalues_hermitian_jacobi
 
 ENTROPY_CLAMP = 1e-13
 
@@ -14,8 +16,12 @@ def reduced_density_a(m: np.ndarray) -> np.ndarray:
     """Trace out subsystem B of a (dim_a, dim_b) amplitude matrix, or of each
     matrix of a (dim_a, dim_b, N) stack into a (dim_a, dim_a, N) one: entry
     (i, k) = sum_j m[i, j] * conj(m[k, j]), summed over Bob's axis in one
-    einsum.  The norm is not checked."""
-    return np.einsum("ij...,kj...->ik...", m, m.conj())
+    einsum.  The norm is not checked.  The Gram is fresh; the conjugate
+    operand, laid out as m.conj(), goes into a buffer kept per thread (see
+    linalg._kept) for the next stack of m's dtype, shape and strides."""
+    key = m.dtype, m.shape, m.strides
+    (conjugate,) = _kept("reduced_density_a", key, math.prod(m.shape[2:]), lambda: (np.empty_like(m),))
+    return np.einsum("ij...,kj...->ik...", m, np.conjugate(m, out=conjugate))
 
 
 def schmidt_vector(m: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from qincomp.linalg import (
 )
 from qincomp.scenarios import chi_final, pi_final, spectrum_from_ab
 from qincomp.states import reduced_density_a, schmidt_vector
-from qincomp.sweep import _grid_angles
+from qincomp.sweep import BLOCK_POINTS, _grid_angles
 
 SQ2 = 1.0 / math.sqrt(2.0)
 KET_0X = np.array([SQ2, SQ2], dtype=complex)
@@ -625,8 +625,8 @@ class TestKatoTempleStop:
 
 
 class TestRepeatedCalls:
-    """Each call's buffers are its own: no thread or later call writes into
-    another call's result."""
+    """Each call's result, not its buffers, is its own: no thread or later
+    call writes into another call's result."""
 
     @staticmethod
     def _threads_match_serial_results(inputs):
@@ -678,3 +678,114 @@ class TestRepeatedCalls:
             capped_jacobi(second, 0)
         same_bits(result, expected)
         same_bits(eigenvalues_hermitian_jacobi(first), expected)
+
+    # a stack keeps its block buffers on its thread for the next call of its
+    # shape (linalg._kept); these pin what that store may and may not hold
+
+    @staticmethod
+    def _kept_sets():
+        """The thread's kept buffer sets: (key, buffers) per caller."""
+        return vars(linalg._THREAD)
+
+    def _kept_total(self):
+        return sum(buffer.nbytes for _, buffers in self._kept_sets().values() for buffer in buffers)
+
+    @staticmethod
+    def _peak_bytes(call):
+        """The tracemalloc peak of call(), above what was allocated before it."""
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("n, count", [(3, 961), (3, 1201), (3, 4097), (4, 721)])
+    def test_second_same_shape_call_allocates_nothing_block_sized(self, n, count):
+        # the first call makes its buffers (two stacks and more); the next
+        # one of its shape takes them, and numpy's ufuncs copy no rows of
+        # the stack into temporaries, so its peak stays below one stack
+        m = as_stack(random_hermitian_stack(np.random.default_rng(83), count, n))
+        stack_bytes = n * n * count * np.dtype(complex).itemsize
+        self._kept_sets().clear()
+        first = self._peak_bytes(lambda: eigenvalues_hermitian_jacobi(m))
+        second = self._peak_bytes(lambda: eigenvalues_hermitian_jacobi(m))
+        assert first > 2 * stack_bytes
+        assert second < stack_bytes
+
+    def test_results_share_no_memory_with_kept_buffers(self):
+        rng = np.random.default_rng(89)
+        amplitudes = rng.normal(size=(3, 4, 50)) + 1j * rng.normal(size=(3, 4, 50))
+        gram_stack = as_stack(random_hermitian_stack(rng, 50, 3))
+        results = []
+        for _ in range(2):
+            results += [
+                eigenvalues_hermitian_jacobi(gram_stack),
+                reduced_density_a(amplitudes),
+                schmidt_vector(amplitudes),
+            ]
+        kept = [buffer for _, buffers in self._kept_sets().values() for buffer in buffers]
+        assert set(self._kept_sets()) == {"jacobi", "reduced_density_a"}
+        for result in results:
+            assert not any(np.shares_memory(result, buffer) for buffer in kept)
+        for i, result in enumerate(results):
+            assert not any(np.shares_memory(result, other) for other in results[i + 1 :])
+
+    def test_reduced_density_matches_its_einsum_in_every_layout(self):
+        # the conjugate operand's buffer is kept per dtype, shape and
+        # strides, laid out as m.conj() would be, so the einsum sees the
+        # operands it saw without a buffer; alternating layouts of one
+        # shape must not reuse one another's buffer
+        rng = np.random.default_rng(97)
+        c_order = rng.normal(size=(3, 4, 40)) + 1j * rng.normal(size=(3, 4, 40))
+        swapped = (rng.normal(size=(4, 3, 40)) + 1j * rng.normal(size=(4, 3, 40))).swapaxes(0, 1)
+        real = rng.normal(size=(3, 4, 40))
+        for m in [c_order, swapped, real, c_order, swapped, real[..., 0], c_order[..., 0]] * 2:
+            gram = reduced_density_a(m)
+            same_bits(gram, np.einsum("ij...,kj...->ik...", m, m.conj()))
+
+    def test_lone_matrix_and_stack_above_the_cap_keep_nothing(self):
+        # a lone matrix keeps nothing; a stack keeps its set while it fits
+        # KEPT_BYTES_CAP, and one matrix more keeps nothing: what is left is
+        # within the plan bound of TestRoundPlan
+        n = 40
+        rng = np.random.default_rng(101)
+        self._kept_sets().clear()
+        eigenvalues_hermitian_jacobi(as_stack(random_hermitian_stack(rng, 2, n)))
+        per_matrix = self._kept_total() // 2
+        fit = linalg.KEPT_BYTES_CAP // per_matrix
+        m = as_stack(random_hermitian_stack(rng, fit + 1, n))
+        plan_bound = 4 * n * n * np.dtype(np.intp).itemsize
+        for stack, kept in [(m[..., 0], False), (m[..., :fit], True), (m, False)]:
+            self._kept_sets().clear()
+            left = kept_bytes(lambda: eigenvalues_hermitian_jacobi(stack))
+            if kept:
+                assert fit * per_matrix <= left <= linalg.KEPT_BYTES_CAP + plan_bound
+            else:
+                assert left <= plan_bound and self._kept_sets() == {}
+
+    def test_a_block_of_the_kernel_fits_the_cap(self):
+        # the kernel's stack is a sweep block and its initial point; if
+        # BLOCK_POINTS grew past what KEPT_BYTES_CAP holds, a block would
+        # keep nothing and every block would make its buffers afresh
+        count = BLOCK_POINTS + 1
+        rng = np.random.default_rng(103)
+        amplitudes = rng.normal(size=(3, 4, count)) + 1j * rng.normal(size=(3, 4, count))
+        grams = as_stack(random_hermitian_stack(rng, count, 3))
+        for call in (lambda: eigenvalues_hermitian_jacobi(grams), lambda: schmidt_vector(amplitudes)):
+            self._kept_sets().clear()
+            left = kept_bytes(call)
+            assert self._kept_total() <= left <= linalg.KEPT_BYTES_CAP
+        assert set(self._kept_sets()) == {"jacobi", "reduced_density_a"}
+        assert self._kept_total() > 800 * count
+
+    def test_stacked_calls_restore_the_ufunc_buffer_size(self):
+        # a stack's rounds run with the least ufunc buffer; the caller's
+        # size is back after the call, also when it raises
+        size = np.getbufsize()
+        stack = as_stack(random_hermitian_stack(np.random.default_rng(107), 5, 3))
+        eigenvalues_hermitian_jacobi(stack)
+        assert np.getbufsize() == size
+        with pytest.raises(JacobiConvergenceError):
+            capped_jacobi(stack, 0)
+        assert np.getbufsize() == size

@@ -206,3 +206,20 @@ def test_no_module_imports_json():
             if any(name.split(".")[0] == "json" for name in names):
                 importers.append(module)
     assert importers == []
+
+
+def test_only_linalg_holds_per_thread_state():
+    # the block buffers a stack keeps between calls live in one per-thread
+    # store in linalg (_kept): no other module imports threading or makes
+    # thread- or context-local state of its own, so buffer reuse stays there
+    holders = []
+    for module in _modules():
+        for node in ast.walk(_tree(module)):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            if any(name.split(".")[0] in {"threading", "_thread", "contextvars"} for name in names):
+                holders.append(module)
+        if {"local", "ContextVar"} & _names_used(module):
+            holders.append(module)
+    assert sorted(set(holders)) == ["linalg"]

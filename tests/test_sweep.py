@@ -16,7 +16,7 @@ from qincomp.linalg import eigenvalues_hermitian_jacobi
 from qincomp.majorization import PairLabel
 from qincomp.scenarios import PI_INITIAL_SCHMIDT, build_chi_initial, chi_final, pi_final
 from qincomp.states import schmidt_vector
-from qincomp import cases, scenarios, states, sweep
+from qincomp import cases, linalg, scenarios, states, sweep
 from qincomp.sweep import (
     format_float,
     records_to_csv,
@@ -286,6 +286,29 @@ class TestBlocks:
         assert all(delta is None for delta in real["delta"])
         for result, got in zip([real, grid], texts):
             assert got == json.dumps(_json_rows(result), indent=2)
+
+    def test_kept_buffers_leave_results_unchanged(self, monkeypatch):
+        # a thread keeps a stack's block buffers for the next call of its
+        # shape (linalg._kept); with blocks of 7, each sweep has full blocks
+        # and a remainder, so its calls meet buffers kept by full blocks,
+        # remainders and other sweeps, and a lone matrix keeps nothing
+        monkeypatch.setattr(sweep, "BLOCK_POINTS", 7)
+        vars(linalg._THREAD).clear()
+        grid = sweep_complex(6, 5)
+        lone = np.eye(3, 4, dtype=complex) / math.sqrt(3.0)
+        for _ in range(2):
+            sweep_gamma(2, 3, 4)
+            schmidt_vector(lone)
+            got = sweep_complex(6, 5)
+            _assert_same_columns(got, grid)
+            for name in ("phi", "delta", "A", "B", "lam1", "lam2", "lam3", "entropy_i", "entropy_f"):
+                np.testing.assert_array_equal(got[name].view(np.uint64), grid[name].view(np.uint64), err_msg=name)
+        vars(linalg._THREAD).clear()
+        gamma = sweep_gamma(2, 3, 4)
+        for _ in range(2):
+            sweep_real(9)
+            got = sweep_gamma(2, 3, 4)
+            assert got == gamma and got.max_deviation.hex() == gamma.max_deviation.hex()
 
     def test_kernels_reach_schmidt_vectors_through_public_names(self, monkeypatch):
         # the benchmark's tracer wraps public functions only: its per-layer
