@@ -1,8 +1,10 @@
 """Command-line interface: demos, pair checks, and classification sweeps.
 
 Every check of an outside input is made here, once, where the input is
-read; the kernels behind the commands check none of it.  Rows are written
-by sweep's _text, and every JSON payload by its _json.
+read, but for grid sizes: sweep_real, sweep_complex and sweep_gamma refuse
+a grid below their least (ValueError), and numpy refuses, inside sweep, a
+grid too large to index; both exit 2.  The kernels behind the commands check
+none of it.  Rows are written by sweep's _text, every JSON payload by _json.
 
 Exit codes: 0 success, 1 a failed write to stdout (a closed pipe ends
 quietly), 2 malformed input, an unreadable state file or a request too

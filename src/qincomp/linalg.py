@@ -116,16 +116,16 @@ def _round_views(flat: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _kept(caller: str, key: tuple, count: int, make) -> tuple[np.ndarray, ...]:
-    """The buffers make() returns for caller's call on a stack of count
-    matrices, kept on this thread for caller's next call with the same key:
-    one set per caller, its last, kept if count > 1 and all the thread keeps
-    fits KEPT_BYTES_CAP.  Callers write a buffer before reading it, return none."""
+def _kept(caller: str, key: tuple, make) -> tuple[np.ndarray, ...]:
+    """The buffers make() returns for caller's call, kept on this thread for
+    caller's next call with the same key: one set per caller, its last, kept
+    while all the thread keeps fits KEPT_BYTES_CAP, for a lone matrix as for
+    a stack.  Callers write a buffer before reading it, return none."""
     kept = vars(_THREAD)
     held = kept.pop(caller, None)
     if held is None or held[0] != key:
         held = key, make()
-        if count < 2 or sum(b.nbytes for _, bs in [*kept.values(), held] for b in bs) > KEPT_BYTES_CAP:
+        if sum(b.nbytes for _, bs in [*kept.values(), held] for b in bs) > KEPT_BYTES_CAP:
             return held[1]
     kept[caller] = held
     return held[1]
@@ -173,8 +173,8 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     in the next round's order, by a flat move cached for small n and else
     built when its round comes (see _flat_move), and the stop test reads it
     in canonical order, delta over the plan's pairs (p, q).
-    The buffers are made once per call, or for a stack taken from those its
-    thread kept after its last call of that shape (see _kept), and a stack's
+    The buffers are made once per call, or taken from those its thread kept
+    after its last call of that shape, lone or stacked (see _kept); a stack's
     ufuncs run unbuffered; the result is fresh.  m is only read, not checked
     to be Hermitian, as numpy.linalg.eigvalsh does not check it: each Gram
     matrix the package builds is its own conjugate transpose exactly.  Each
@@ -193,9 +193,9 @@ def eigenvalues_hermitian_jacobi(m: np.ndarray) -> np.ndarray:
     n, count = a.shape[0], 1 if a.ndim == 2 else a.shape[2]
     k = n // 2
     rows, p, q = _round_robin(n)
-    # the block buffers, kept for this thread's next stack of this shape (see _kept)
+    # the block buffers, kept for this thread's next call of this shape (see _kept)
     pair, squares, work, parameters, ones, c_twice, idle, cross, values = _kept(
-        "jacobi", (n, count), count, lambda: (
+        "jacobi", (n, count), lambda: (
             np.empty((2, n * n, count), complex), np.empty((2, n * n, count)),
             np.empty(2 * k * n * count, complex), np.empty((4, k, count)), np.ones((k, count)),
             np.empty((k, count, 2)), np.empty((k, count), bool), np.empty((2, k, count), complex),

@@ -3,8 +3,6 @@ vectors, entanglement entropy."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .linalg import _kept, eigenvalues_hermitian_jacobi
@@ -18,9 +16,8 @@ def reduced_density_a(m: np.ndarray) -> np.ndarray:
     (i, k) = sum_j m[i, j] * conj(m[k, j]), summed over Bob's axis in one
     einsum.  The norm is not checked.  The Gram is fresh; the conjugate
     operand, laid out as m.conj(), goes into a buffer kept per thread (see
-    linalg._kept) for the next stack of m's dtype, shape and strides."""
-    key = m.dtype, m.shape, m.strides
-    (conjugate,) = _kept("reduced_density_a", key, math.prod(m.shape[2:]), lambda: (np.empty_like(m),))
+    linalg._kept) for the next call with m's dtype, shape and strides."""
+    (conjugate,) = _kept("reduced_density_a", (m.dtype, m.shape, m.strides), lambda: (np.empty_like(m),))
     return np.einsum("ij...,kj...->ik...", m, np.conjugate(m, out=conjugate))
 
 

@@ -33,6 +33,9 @@ EXPECTED = Path(__file__).resolve().parent / "cli_bytes"
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 ENTANGLED_2X3 = Path(__file__).resolve().parent / "data" / "entangled-2x3.txt"
 PRODUCT_1X3 = Path(__file__).resolve().parent / "data" / "product-1x3.txt"
+# normalized complex normal amplitudes, rng seeds 113 and 127, written with repr floats
+ENTANGLED_3X4 = Path(__file__).resolve().parent / "data" / "entangled-3x4.txt"
+ENTANGLED_40X33 = Path(__file__).resolve().parent / "data" / "entangled-40x33.txt"
 HADAMARD = ["--alpha", "0.7071067811865476", "--beta", "0.7071067811865476"]
 
 COMMANDS = {
@@ -53,6 +56,9 @@ COMMANDS = {
     "case-analyze-null": ["case-analyze", "--alpha", "0", "--beta", "1"],
     "check-pair-one-entry": ["check-pair", "1", "1"],
     "schmidt-product-1x3": ["schmidt", str(PRODUCT_1X3)],
+    # lone Jacobi at n = 3, and at n = 33 on the M^H M side, its flat moves built per round
+    "schmidt-3x4": ["schmidt", str(ENTANGLED_3X4)],
+    "schmidt-40x33": ["schmidt", str(ENTANGLED_40X33)],
 }
 
 
