@@ -32,9 +32,8 @@ class JacobiConvergenceError(RuntimeError):
 def tensor_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of the ket a with the ket b, or with each ket of a
     stack b of kets along its first axis: entry i*dim(b)+j is a_i*b_j.  The
-    kets are not checked: the probe kets are built from named_ket constants
-    and from amplitudes that cli checks once, where it reads them."""
-    a, b = np.asarray(a), np.asarray(b)
+    arrays are neither checked nor converted: the probe kets are named_ket
+    constants and their images at angles and amplitudes that cli checks once."""
     return np.multiply.outer(a, b).reshape((len(a) * len(b),) + b.shape[1:])
 
 

@@ -59,9 +59,9 @@ def _pair_codes(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def classify_pair(src: np.ndarray, dst: np.ndarray) -> PairVerdict:
-    """Nielsen verdict for converting vector src into vector dst under
-    deterministic LOCC: both sorted descending, the shorter zero-padded."""
-    src, dst = (np.sort(np.asarray(v, dtype=float))[::-1] for v in (src, dst))
+    """Nielsen verdict for converting float vector src into float vector dst
+    under deterministic LOCC: both sorted descending, the shorter zero-padded."""
+    src, dst = (np.sort(v)[::-1] for v in (src, dst))
     n = max(len(src), len(dst))
     code, sums_src, sums_dst = _pair_codes(*(np.pad(v, (0, n - len(v))) for v in (src, dst)))
     return PairVerdict(_LABELS[int(code)], sums_src, sums_dst)

@@ -2,39 +2,34 @@
 conjugates after it, the six axis kets, and the restricted superposition map
 defined only on the three +1 axis kets.
 
-general_unitary, apply_antiunitary and ipp_image do not check their input:
+An axis is named by the string "x", "y" or "z", and its two kets are
+read-only constants.  named_ket, general_unitary, apply_antiunitary and
+ipp_image do not check their input: their callers are in the package, and
 cli checks the user's angles and amplitudes once, where it reads them."""
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 
 import numpy as np
 
-
-class SpinLabel(Enum):
-    X = "x"
-    Y = "y"
-    Z = "z"
-
-
 _SQ2 = 1.0 / math.sqrt(2.0)
 _KETS = {
-    (SpinLabel.X, 0): np.array([_SQ2, _SQ2], dtype=complex),
-    (SpinLabel.X, 1): np.array([_SQ2, -_SQ2], dtype=complex),
-    (SpinLabel.Y, 0): np.array([_SQ2, _SQ2 * 1j], dtype=complex),
-    (SpinLabel.Y, 1): np.array([_SQ2, -_SQ2 * 1j], dtype=complex),
-    (SpinLabel.Z, 0): np.array([1.0, 0.0], dtype=complex),
-    (SpinLabel.Z, 1): np.array([0.0, 1.0], dtype=complex),
+    ("x", 0): np.array([_SQ2, _SQ2], dtype=complex),
+    ("x", 1): np.array([_SQ2, -_SQ2], dtype=complex),
+    ("y", 0): np.array([_SQ2, _SQ2 * 1j], dtype=complex),
+    ("y", 1): np.array([_SQ2, -_SQ2 * 1j], dtype=complex),
+    ("z", 0): np.array([1.0, 0.0], dtype=complex),
+    ("z", 1): np.array([0.0, 1.0], dtype=complex),
 }
+for _ket in _KETS.values():
+    _ket.flags.writeable = False
 
 
-def named_ket(label: SpinLabel, which: int) -> np.ndarray:
-    """The +1 (which=0) or -1 (which=1) eigenket of the given spin axis."""
-    if which not in (0, 1):
-        raise ValueError("which must be 0 or 1")
-    return _KETS[(SpinLabel(label), which)].copy()
+def named_ket(label: str, which: int) -> np.ndarray:
+    """The read-only +1 (which=0) or -1 (which=1) eigenket of the spin axis
+    "x", "y" or "z": the same array on every call."""
+    return _KETS[label, which]
 
 
 def general_unitary(theta: object, phi_a: object, phi_b: object) -> np.ndarray:
@@ -61,7 +56,7 @@ def apply_antiunitary(u: np.ndarray, k: np.ndarray) -> np.ndarray:
     return np.conj(u[:, 0] * k[0] + u[:, 1] * k[1])
 
 
-def ipp_image(label: SpinLabel, alpha: object, beta: object) -> np.ndarray:
+def ipp_image(label: str, alpha: object, beta: object) -> np.ndarray:
     """Image alpha|0_label> + beta|1_label> of the restricted superposition map,
     over equal-shape amplitude arrays (or scalars): shape (2,) + alpha.shape."""
     shape = (2,) + (1,) * np.ndim(alpha)

@@ -8,9 +8,11 @@ density matrix, the cubic data (A, B) with the root of their discriminant,
 and the package's one cubic-root formula: the trigonometric spectrum of the
 final state, the eigen-route that shares no code with linalg's Jacobi.
 
-pi_final, chi_final, pqr, cubic_coefficients and spectrum_from_ab take
-scalars or equal-shape arrays and do not check them: cli checks the user's
-angles and amplitudes once, where it reads them.
+The states are built from qubits' read-only axis kets, each branch naming
+its two axes by the strings "x", "y" and "z".  pi_final, chi_final, pqr,
+cubic_coefficients and spectrum_from_ab take scalars or equal-shape arrays
+and do not check them: cli checks the user's angles and amplitudes once,
+where it reads them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import math
 import numpy as np
 
 from .linalg import tensor_product
-from .qubits import SpinLabel, apply_antiunitary, general_unitary, ipp_image, named_ket
+from .qubits import apply_antiunitary, general_unitary, ipp_image, named_ket
 
 SPECTRUM_SUM_TOL = 1e-10
 
@@ -36,16 +38,9 @@ PI_INITIAL_SCHMIDT = np.array(
 CHI_FINAL_SCHMIDT = PI_INITIAL_SCHMIDT
 CHI_INITIAL_SCHMIDT = np.array([2.0 / 3.0, 1.0 / 6.0, 1.0 / 6.0])
 
-_CHI_BRANCHES = (
-    (SpinLabel.Z, SpinLabel.Z),
-    (SpinLabel.X, SpinLabel.Y),
-    (SpinLabel.Y, SpinLabel.X),
-)
-_PI_BRANCHES = (
-    (SpinLabel.Z, SpinLabel.Z),
-    (SpinLabel.X, SpinLabel.X),
-    (SpinLabel.Y, SpinLabel.Y),
-)
+# Each scenario's three branches, as the axes (l1_i, l2_i) of _amplitudes.
+_CHI_BRANCHES = (("z", "z"), ("x", "y"), ("y", "x"))
+_PI_BRANCHES = (("z", "z"), ("x", "x"), ("y", "y"))
 
 
 def _amplitudes(branches, image) -> np.ndarray:

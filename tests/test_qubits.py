@@ -7,15 +7,10 @@ import numpy as np
 import pytest
 
 from qincomp.cli import _canonical_angles, _unit_amplitudes
-from qincomp.qubits import (
-    SpinLabel,
-    apply_antiunitary,
-    general_unitary,
-    ipp_image,
-    named_ket,
-)
+from qincomp.qubits import apply_antiunitary, general_unitary, ipp_image, named_ket
 
 SQ2 = 1.0 / math.sqrt(2.0)
+AXES = ("x", "y", "z")
 
 
 def random_angles(rng):
@@ -48,25 +43,32 @@ def test_ipp_params_require_normalization():
 
 
 def test_named_kets_exact_values():
-    np.testing.assert_array_equal(named_ket(SpinLabel.Z, 0), [1, 0])
-    np.testing.assert_array_equal(named_ket(SpinLabel.Z, 1), [0, 1])
-    np.testing.assert_array_equal(named_ket(SpinLabel.X, 0), [SQ2, SQ2])
-    np.testing.assert_array_equal(named_ket(SpinLabel.X, 1), [SQ2, -SQ2])
-    np.testing.assert_array_equal(named_ket(SpinLabel.Y, 0), [SQ2, SQ2 * 1j])
-    np.testing.assert_array_equal(named_ket(SpinLabel.Y, 1), [SQ2, -SQ2 * 1j])
+    np.testing.assert_array_equal(named_ket("z", 0), [1, 0])
+    np.testing.assert_array_equal(named_ket("z", 1), [0, 1])
+    np.testing.assert_array_equal(named_ket("x", 0), [SQ2, SQ2])
+    np.testing.assert_array_equal(named_ket("x", 1), [SQ2, -SQ2])
+    np.testing.assert_array_equal(named_ket("y", 0), [SQ2, SQ2 * 1j])
+    np.testing.assert_array_equal(named_ket("y", 1), [SQ2, -SQ2 * 1j])
 
 
 def test_named_kets_orthogonal_partners():
     # vdot may contract with fused multiply-adds, leaving the rounding
     # residue of the first product instead of an exact zero
-    for axis in SpinLabel:
+    for axis in AXES:
         inner = np.vdot(named_ket(axis, 0), named_ket(axis, 1))
         assert abs(inner) < 1e-15
 
 
-def test_named_ket_rejects_bad_index():
-    with pytest.raises(ValueError):
-        named_ket(SpinLabel.X, 2)
+def test_named_ket_is_one_read_only_constant():
+    # every caller only reads a ket, so named_ket hands out the constant
+    # itself: the same array on every call, which no caller can write
+    for axis in AXES:
+        for which in (0, 1):
+            ket = named_ket(axis, which)
+            assert named_ket(axis, which) is ket
+            assert not ket.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                ket[0] = 0.0
 
 
 def test_general_unitary_identity():
@@ -94,17 +96,17 @@ def test_antiunitary_action_on_axis_kets():
         ct, st = math.cos(theta), math.sin(theta)
         ea, eb = np.exp(-1j * phi_a), np.exp(-1j * phi_b)
         np.testing.assert_allclose(
-            apply_antiunitary(p, named_ket(SpinLabel.Z, 0)),
+            apply_antiunitary(p, named_ket("z", 0)),
             [ct, -eb * st],
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            apply_antiunitary(p, named_ket(SpinLabel.X, 0)),
+            apply_antiunitary(p, named_ket("x", 0)),
             [(ct + ea * st) * SQ2, eb * (ea * ct - st) * SQ2],
             atol=1e-12,
         )
         np.testing.assert_allclose(
-            apply_antiunitary(p, named_ket(SpinLabel.Y, 0)),
+            apply_antiunitary(p, named_ket("y", 0)),
             [(ct - 1j * ea * st) * SQ2, -eb * (1j * ea * ct + st) * SQ2],
             atol=1e-12,
         )
@@ -113,12 +115,12 @@ def test_antiunitary_action_on_axis_kets():
 def test_antiunitary_pure_conjugation():
     p = general_unitary(0, 0, 0)
     np.testing.assert_allclose(
-        apply_antiunitary(p, named_ket(SpinLabel.Y, 0)), named_ket(SpinLabel.Y, 1), atol=1e-15
+        apply_antiunitary(p, named_ket("y", 0)), named_ket("y", 1), atol=1e-15
     )
 
 
 def test_antiunitary_flipper_on_up():
-    out = apply_antiunitary(general_unitary(math.pi / 2, 0, 0), named_ket(SpinLabel.Z, 0))
+    out = apply_antiunitary(general_unitary(math.pi / 2, 0, 0), named_ket("z", 0))
     np.testing.assert_allclose(out, [0, -1], atol=1e-15)
 
 
@@ -154,7 +156,7 @@ def test_antiunitary_over_a_unitary_stack():
     angles = np.random.default_rng(37).uniform(0.0, 2.0 * math.pi, size=(3, 5, 7))
     stack = general_unitary(*angles)
     assert stack.shape == (2, 2, 5, 7)
-    k = named_ket(SpinLabel.Y, 0)
+    k = named_ket("y", 0)
     images = apply_antiunitary(stack, k)
     assert images.shape == (2, 5, 7)
     for i, j in np.ndindex(5, 7):
@@ -163,17 +165,17 @@ def test_antiunitary_over_a_unitary_stack():
 
 
 def test_ipp_image_identity_params():
-    out = ipp_image(SpinLabel.Z, 1, 0)
-    np.testing.assert_allclose(out, named_ket(SpinLabel.Z, 0), atol=1e-15)
+    out = ipp_image("z", 1, 0)
+    np.testing.assert_allclose(out, named_ket("z", 0), atol=1e-15)
 
 
 def test_ipp_image_flipping_params():
-    out = ipp_image(SpinLabel.X, 0, 1)
-    np.testing.assert_allclose(out, named_ket(SpinLabel.X, 1), atol=1e-15)
+    out = ipp_image("x", 0, 1)
+    np.testing.assert_allclose(out, named_ket("x", 1), atol=1e-15)
 
 
 def test_ipp_image_hadamard_params():
-    out = ipp_image(SpinLabel.Z, SQ2, SQ2)
+    out = ipp_image("z", SQ2, SQ2)
     np.testing.assert_allclose(out, [SQ2, SQ2], atol=1e-15)
 
 
@@ -182,7 +184,7 @@ def test_ipp_image_normalized_for_random_params():
     for _ in range(100):
         raw = rng.normal(size=2) + 1j * rng.normal(size=2)
         raw /= np.linalg.norm(raw)
-        for m in SpinLabel:
+        for m in AXES:
             assert np.linalg.norm(ipp_image(m, raw[0], raw[1])) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -191,8 +193,8 @@ def test_ipp_image_flipping_preserves_inner_product_modulus():
     # superposition amplitudes they do not (at Hadamard parameters the x
     # and y images coincide), which is part of why the map is detectable
     p = (0, 1)
-    for m in SpinLabel:
-        for n in SpinLabel:
+    for m in AXES:
+        for n in AXES:
             before = abs(np.vdot(named_ket(m, 0), named_ket(n, 0)))
             after = abs(np.vdot(ipp_image(m, *p), ipp_image(n, *p)))
             assert after == pytest.approx(before, abs=1e-12)
@@ -201,8 +203,8 @@ def test_ipp_image_flipping_preserves_inner_product_modulus():
 def test_ipp_image_overlap_distortion_at_hadamard():
     # the x and y images collapse onto the same ket even though the
     # inputs are not parallel: the map cannot be realized unitarily
-    overlap = abs(np.vdot(ipp_image(SpinLabel.X, SQ2, SQ2), ipp_image(SpinLabel.Y, SQ2, SQ2)))
+    overlap = abs(np.vdot(ipp_image("x", SQ2, SQ2), ipp_image("y", SQ2, SQ2)))
     assert overlap == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(named_ket(SpinLabel.X, 0), named_ket(SpinLabel.Y, 0))) == pytest.approx(
+    assert abs(np.vdot(named_ket("x", 0), named_ket("y", 0))) == pytest.approx(
         SQ2, abs=1e-12
     )

@@ -223,3 +223,35 @@ def test_only_linalg_holds_per_thread_state():
         if {"local", "ContextVar"} & _names_used(module):
             holders.append(module)
     assert sorted(set(holders)) == ["linalg"]
+
+
+def _value_error_sites(module: str) -> list[str]:
+    """The top-level function (or "<module>") of each raise of ValueError in
+    a module, one entry per raise."""
+    sites = []
+    for node in _tree(module).body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Raise) and sub.exc is not None:
+                exc = sub.exc.func if isinstance(sub.exc, ast.Call) else sub.exc
+                if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                    sites.append(node.name if isinstance(node, ast.FunctionDef) else "<module>")
+    return sites
+
+
+def test_value_errors_are_input_checks_or_the_named_internal_checks():
+    # one validation point per input: outside input is refused in cli, a
+    # grid size by its sweep; past them only three internal checks refuse
+    # what a kernel made (cases._internal turns each into exit 3), and no
+    # kernel re-checks what the package hands it
+    outside_cli = {
+        f"{module}.{site}" for module in _modules() if module != "cli" for site in _value_error_sites(module)
+    }
+    assert outside_cli == {
+        "sweep.sweep_real",
+        "sweep.sweep_complex",
+        "sweep.sweep_gamma",
+        "linalg.eigenvalues_hermitian_jacobi",
+        "scenarios.spectrum_from_ab",
+        "cases.predict_case",
+    }
+    assert _value_error_sites("cli")
